@@ -26,12 +26,13 @@ f = parse_polynomial("x^4 + y^3 + x^2*y^2", ring)
 profile = singularity_profile(f)
 print(f"f = {f}  over F_5")
 print(f"Jac(f) = {jacobian(f)}")
-print(f"length of R/Jac(f) = {profile.ell}  ->  walk candidates with bound B = {profile.ell}")
+print(f"length of R/Jac(f) = {profile.ell}  ->  search with bound B = {profile.ell}")
 
-# Walk every candidate in [0,1) in ascending order; a jumping number is a
-# parameter where the test ideal drops.
+# A jumping number is a parameter where the test ideal drops.  Each next
+# one is the least parameter whose test ideal differs from the current one,
+# found by p-adic bisection rather than by trying every candidate.
 report = jumping_numbers_unit_interval(f, profile.ell)
-print(f"\nwalked {report.candidate_count} candidates in {report.elapsed:.1f}s")
+print(f"\n{report.candidate_count} ideal evaluations in {report.elapsed:.2f}s")
 print("parameter  ->  test ideal")
 for lam, ideal in zip(report.jumping_numbers, report.test_ideals):
     print(f"  {str(lam):>6}  ->  {ideal}")

@@ -38,7 +38,8 @@ targets = [
 for name, b in targets:
     print(f"  ft(f | {name}) = {f_threshold(f, b, 2, cap=Fraction(4))}")
 
-# fpt never needs the full candidate walk: monotonicity of the test ideal
-# lets a p-adic bisection isolate the unique candidate in a tiny interval.
+# fpt is the least lam with tau(f^lam) inside m; monotonicity of the test
+# ideal lets a p-adic bisection isolate it as the unique candidate in a
+# tiny interval.
 g = parse_polynomial("x^4 + y^3 + x^2*y^2", PolyRing(5, ["x", "y"]))
 print(f"\nfpt({g}) over F_5 = {fpt(g)}")

@@ -216,11 +216,6 @@ def candidate_set(p: int, bound: int, window) -> CandidateSet:
     if bound < 1:
         raise DomainError("bound must be >= 1")
     lo, hi = _check_window(window)
-    values = _candidates_half_open(p, bound, lo, hi)
-    return CandidateSet(p, bound, (lo, hi), values)
-
-
-def _candidates_half_open(p, bound, lo, hi) -> tuple[Fraction, ...]:
     seen: set[Fraction] = set()
     if lo <= 0 < hi:
         seen.add(Fraction(0))
@@ -235,27 +230,18 @@ def _candidates_half_open(p, bound, lo, hi) -> tuple[Fraction, ...]:
                 if c > 0:
                     seen.add(Fraction(c, den))
                 c += 1
-    return tuple(sorted(seen))
+    return CandidateSet(p, bound, (lo, hi), tuple(sorted(seen)))
 
 
 def candidates_left_open(p: int, bound: int, lo, hi) -> tuple[Fraction, ...]:
     """Candidates in the interval (lo, hi]; used by interval-narrowing searches."""
-    require_prime(p)
-    if bound < 1:
-        raise DomainError("bound must be >= 1")
     lo, hi = _as_fraction(lo), _as_fraction(hi)
-    seen: set[Fraction] = set()
-    for a in range(bound):
-        pa = p**a
-        for b in range(1, bound - a + 1):
-            den = pa * (p**b - 1)
-            c = (lo.numerator * den) // lo.denominator + 1
-            top = hi.numerator * den
-            while c * hi.denominator <= top:
-                if c > 0:
-                    seen.add(Fraction(c, den))
-                c += 1
-    return tuple(sorted(seen))
+    values = [x for x in candidate_set(p, bound, (lo, hi)) if x != lo]
+    if hi > lo:
+        pair = canonical_pair(hi, p)
+        if pair.u + pair.v <= bound:
+            values.append(hi)
+    return tuple(values)
 
 
 def frac_orbit(lam, count: int, p: int) -> list[Fraction]:

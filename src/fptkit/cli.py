@@ -158,7 +158,7 @@ def _cmd_jn(args) -> int:
     lines = [
         f"jumping numbers of {f} in [0,1)   [p = {ring.prime}, bound = {bound}]",
         f"fpt = {format_rational(report.fpt)}",
-        f"candidates walked: {report.candidate_count}",
+        f"ideal evaluations: {report.candidate_count}",
     ]
     width = max(len(format_rational(x)) for x in report.jumping_numbers)
     for lam, ideal in zip(report.jumping_numbers, report.test_ideals):

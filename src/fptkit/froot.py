@@ -65,8 +65,9 @@ class FrobeniusRootEngine:
 
     The map J -> root_1(f^d * J) is well defined on ideals, so its values
     may be memoized keyed by the canonical (reduced Groebner) form of J.
-    Walking many parameters for a fixed f reuses the same few transitions,
-    which is what makes full candidate sweeps affordable.
+    The searches in testideal evaluate many parameters for a fixed f, and
+    their digit recursions keep re-entering the same few states, so most
+    steps are cache hits.
     """
 
     __slots__ = ("f", "ring", "_fpow", "_states", "_steps")

@@ -9,9 +9,14 @@ contains no jumping number for s = u + v*B.  Hence
     left limit   = root_s(f^(ceil(p^s * lam) - 1))  (left end of the gap)
 
 with root_s evaluated by the digit recursion in froot, so the astronomical
-exponent ceil(p^s * lam) is never expanded.  Everything else here (the
-candidate walk, jump detection, thresholds) is bookkeeping on top of these
-two evaluations.
+exponent ceil(p^s * lam) is never expanded.
+
+Every search here (the next jumping number, the fpt, an F-threshold) asks
+for the least lam where a monotone predicate of the descending family
+tau(f^lam) turns true.  least_parameter answers that by p-adic bisection:
+the answer is a jumping number, hence a candidate, and candidates lie more
+than p^(-2B) apart, so only a window holding a single candidate is ever
+enumerated.
 """
 
 from __future__ import annotations
@@ -19,10 +24,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
+from math import comb, floor
 
-from .basep import candidate_set, candidates_left_open, canonical_pair, format_rational
+from .basep import candidates_left_open, canonical_pair, format_rational
 from .errors import DomainError, InfeasibleError, NotMPrimaryError
 from .froot import FrobeniusRootEngine
 from .groebner import Ideal, artinian_length, jacobian, scale
@@ -36,6 +40,7 @@ __all__ = [
     "test_ideal",
     "test_ideal_left_limit",
     "is_jumping_number",
+    "least_parameter",
     "jumping_numbers_unit_interval",
     "nu",
     "f_threshold",
@@ -106,7 +111,10 @@ class JumpingNumberReport:
 
 
 class TestIdealComputer:
-    """Shared evaluation context: one polynomial, one bound, one root engine."""
+    """Shared evaluation context: one polynomial, one bound, one root engine.
+
+    evaluations counts the ideal_at calls made through this computer.
+    """
 
     def __init__(self, f: Polynomial, bound: int):
         if f.is_zero():
@@ -118,40 +126,30 @@ class TestIdealComputer:
         self.ring = f.ring
         self.p = f.ring.prime
         self.engine = FrobeniusRootEngine(f)
-        self._ppow: dict[int, int] = {}
-
-    def _p_to(self, s: int) -> int:
-        v = self._ppow.get(s)
-        if v is None:
-            v = self.p**s
-            self._ppow[s] = v
-        return v
+        self.evaluations = 0
 
     def _exponent(self, lam: Fraction) -> tuple[int, int]:
         """(s, N) with N = ceil(p^s * lam) for the stabilized evaluation."""
         pair = canonical_pair(lam, self.p)
         s = pair.u + pair.v * self.bound
-        q = self._p_to(s)
-        N = -((-q * lam.numerator) // lam.denominator)
+        N = -((-(self.p**s) * lam.numerator) // lam.denominator)
         return s, N
 
     def ideal_at(self, lam) -> TestIdealResult:
         lam = _as_fraction(lam)
         if lam < 0:
             raise DomainError("test ideal parameters must be >= 0")
-        if lam == 0:
-            return TestIdealResult(lam, Ideal.unit(self.ring), 0, self.bound)
-        if lam < 1:
-            s, N = self._exponent(lam)
-            return TestIdealResult(lam, self.engine.root_power(N, s), s, self.bound)
+        self.evaluations += 1
         k = lam.numerator // lam.denominator
         frac = lam - k
         if frac == 0:
-            inner = TestIdealResult(Fraction(0), Ideal.unit(self.ring), 0, self.bound)
+            s, ideal = 0, Ideal.unit(self.ring)
         else:
-            inner = self.ideal_at(frac)
-        shifted = scale(power(self.f, k), inner.ideal)
-        return TestIdealResult(lam, shifted, inner.stabilization_exponent, self.bound)
+            s, N = self._exponent(frac)
+            ideal = self.engine.root_power(N, s)
+        if k > 0:
+            ideal = scale(power(self.f, k), ideal)
+        return TestIdealResult(lam, ideal, s, self.bound)
 
     def left_limit_at(self, lam) -> Ideal:
         lam = _as_fraction(lam)
@@ -202,8 +200,60 @@ def is_jumping_number(f: Polynomial, lam, bound: int) -> bool:
     return computer.left_limit_at(lam) != computer.ideal_at(lam).ideal
 
 
+def least_parameter(computer: TestIdealComputer, predicate, lo, hi) -> Fraction | None:
+    """Least lam in (lo, hi] with predicate(tau(f^lam)), or None when the
+    predicate is false at hi.
+
+    The predicate must be monotone along the descending family: false at
+    lo, and once true for some lam, true for every larger one.  The window
+    may be at most 1 wide.  The least lam is a jumping number, so it is a
+    candidate for the computer's bound B, and candidates lie more than
+    p^(-2B) apart: 2B+1 levels of p-adic narrowing, each a bisection over
+    the p sub-intervals, leave a window that holds it as its only candidate.
+    """
+    lo, hi = _as_fraction(lo), _as_fraction(hi)
+    if not 0 <= lo < hi <= lo + 1:
+        raise DomainError(f"search window ({lo}, {hi}] must lie in [0, oo) and be at most 1 wide")
+
+    def holds(lam: Fraction) -> bool:
+        return predicate(computer.ideal_at(lam).ideal)
+
+    if not holds(hi):
+        return None
+    p, bound = computer.p, computer.bound
+    for _ in range(2 * bound + 1):
+        step = (hi - lo) / p
+        # the predicate is false at j = 0 and true at j = p
+        below, above = 0, p
+        while above - below > 1:
+            mid = (below + above) // 2
+            if holds(lo + mid * step):
+                above = mid
+            else:
+                below = mid
+        lo, hi = lo + below * step, lo + above * step
+    cands = candidates_left_open(p, bound, lo, hi)
+    if len(cands) != 1:
+        raise DomainError(
+            f"expected exactly one candidate in ({lo}, {hi}], found {len(cands)}; "
+            "the supplied bound is too small for f"
+        )
+    value = cands[0]
+    if not holds(value):
+        raise DomainError(
+            "the isolated candidate fails the search predicate; the supplied bound "
+            "is too small for f"
+        )
+    return value
+
+
 def jumping_numbers_unit_interval(f: Polynomial, bound: int) -> JumpingNumberReport:
-    """Walk every candidate in [0, 1) in ascending order and record the jumps."""
+    """The jumping numbers in [0, 1) and their test ideals, jump by jump.
+
+    The jump after lam_i is the least lam in (lam_i, 1] whose test ideal
+    differs from tau(f^lam_i); the walk ends when that lam is 1.
+    candidate_count holds the number of test-ideal evaluations made.
+    """
     if f.is_zero():
         raise DomainError("jumping numbers of the zero polynomial are undefined")
     if f.constant_term() != 0:
@@ -212,17 +262,15 @@ def jumping_numbers_unit_interval(f: Polynomial, bound: int) -> JumpingNumberRep
         raise DomainError("bound must be >= 1")
     start = time.perf_counter()
     computer = TestIdealComputer(f, bound)
-    candidates = candidate_set(f.ring.prime, bound, (Fraction(0), Fraction(1))).values
-    unit = computer.engine.root_power(0, 0)
     jumps = [Fraction(0)]
-    ideals = [unit]
-    prev = unit
-    for lam in candidates[1:]:
-        cur = computer.ideal_at(lam).ideal
-        if cur is not prev and cur != prev:
-            jumps.append(lam)
-            ideals.append(cur)
-            prev = cur
+    ideals = [Ideal.unit(f.ring)]
+    while True:
+        current = ideals[-1]
+        lam = least_parameter(computer, lambda ideal: ideal != current, jumps[-1], 1)
+        if lam is None or lam == 1:
+            break
+        jumps.append(lam)
+        ideals.append(computer.ideal_at(lam).ideal)
     fpt_value = Fraction(1)
     for lam, ideal in zip(jumps[1:], ideals[1:]):
         if _inside_m(ideal):
@@ -236,14 +284,9 @@ def jumping_numbers_unit_interval(f: Polynomial, bound: int) -> JumpingNumberRep
         jumping_numbers=tuple(jumps),
         test_ideals=tuple(ideals),
         fpt=fpt_value,
-        candidate_count=len(candidates),
+        candidate_count=computer.evaluations,
         elapsed=elapsed,
     )
-
-
-@lru_cache(maxsize=16)
-def _cached_unit_interval(f: Polynomial, bound: int) -> JumpingNumberReport:
-    return jumping_numbers_unit_interval(f, bound)
 
 
 def nu(f: Polynomial, b: Ideal, e: int) -> int:
@@ -314,10 +357,8 @@ def default_bound(f: Polynomial) -> int:
 def fpt(f: Polynomial, bound: int | None = None) -> Fraction:
     """The F-pure threshold of f at the origin (f in m, f != 0).
 
-    Uses interval narrowing instead of the full candidate walk: the
-    predicate "tau(f^lam) stays outside m" is monotone in lam, candidate
-    values are spaced more than p^(-2B) apart, and the threshold itself is
-    a candidate, so p-adic bisection down to width p^(-2B-1) isolates it.
+    The least lam with tau(f^lam) inside m, found by least_parameter; the
+    search ends by lam = 1 because tau(f^1) = (f) lies in m.
     """
     if f.is_zero():
         raise DomainError("fpt of the zero polynomial is undefined")
@@ -326,45 +367,16 @@ def fpt(f: Polynomial, bound: int | None = None) -> Fraction:
     B = default_bound(f) if bound is None else bound
     if B < 1:
         raise DomainError("bound must be >= 1")
-    p = f.ring.prime
-    computer = TestIdealComputer(f, B)
-
-    def outside_m(lam: Fraction) -> bool:
-        return not _inside_m(computer.ideal_at(lam).ideal)
-
-    lo, hi = Fraction(0), Fraction(1)
-    for _ in range(2 * B + 1):
-        step = (hi - lo) / p
-        cut = hi
-        for j in range(1, p):
-            point = lo + j * step
-            if not outside_m(point):
-                cut = point
-                break
-        lo = cut - step
-        hi = cut
-    cands = candidates_left_open(p, B, lo, hi)
-    if len(cands) != 1:
-        raise DomainError(
-            f"expected exactly one candidate in ({lo}, {hi}], found {len(cands)}; "
-            "the supplied bound is too small for f"
-        )
-    value = cands[0]
-    if outside_m(value):
-        raise DomainError(
-            "isolated candidate has a test ideal outside m; the supplied bound "
-            "is too small for f"
-        )
-    return value
+    return least_parameter(TestIdealComputer(f, B), _inside_m, 0, 1)
 
 
 def f_threshold(f: Polynomial, b: Ideal, bound: int | None = None, cap=None) -> Fraction:
     """Least parameter lam with tau(f^lam) contained in b.
 
-    Walks the jumping numbers of f in ascending order (candidates above 1
-    are integer translates of the jumps in [0,1), plus the integers), and
-    returns the first parameter whose test ideal lands inside b.  Requires
-    f in sqrt(b) for termination below the cap.
+    Searches the windows (k, k+1] in turn for k = 0, 1, ... up to the cap.
+    A window is searched only when the predicate failed at its left end k:
+    at k = 0 because b is proper, later because the previous window came
+    back empty.  Requires f in sqrt(b) for termination below the cap.
     """
     if f.ring != b.ring:
         raise DomainError("polynomial/ideal ring mismatch")
@@ -376,28 +388,14 @@ def f_threshold(f: Polynomial, b: Ideal, bound: int | None = None, cap=None) -> 
     if B < 1:
         raise DomainError("bound must be >= 1")
     cap = Fraction(f.ring.dimension) if cap is None else _as_fraction(cap)
-    report = _cached_unit_interval(f, B)
-    positive = [x for x in report.jumping_numbers if x > 0]
     computer = TestIdealComputer(f, B)
-    k = 0
-    while True:
-        block: list[Fraction] = []
-        if k > 0:
-            block.append(Fraction(k))
-        block.extend(k + j for j in positive)
-        progressed = False
-        for lam in block:
-            if lam > cap:
-                raise InfeasibleError(
-                    f"no parameter at or below the cap {format_rational(cap)} "
-                    "drops the test ideal into b"
-                )
-            progressed = True
-            if b.contains_ideal(computer.ideal_at(lam).ideal):
+    for k in range(floor(cap) + 1):
+        lam = least_parameter(computer, b.contains_ideal, k, k + 1)
+        if lam is not None:
+            if lam <= cap:
                 return lam
-        if not progressed and k > cap:
-            raise InfeasibleError(
-                f"no parameter at or below the cap {format_rational(cap)} "
-                "drops the test ideal into b"
-            )
-        k += 1
+            break
+    raise InfeasibleError(
+        f"no parameter at or below the cap {format_rational(cap)} "
+        "drops the test ideal into b"
+    )

@@ -17,7 +17,7 @@ from fptkit import (
     parse_rational,
     truncate,
 )
-from fptkit.basep import is_prime
+from fptkit.basep import candidates_left_open, is_prime
 
 F = Fraction
 
@@ -131,6 +131,9 @@ class TestCandidateSet:
         full = candidate_set(2, 2, (F(0), F(1))).values
         upper = candidate_set(2, 2, (F(1, 2), F(1))).values
         assert upper == tuple(v for v in full if v >= F(1, 2))
+        # the left-open form drops lo and keeps hi
+        assert candidates_left_open(2, 2, F(1, 3), F(2, 3)) == (F(1, 2), F(2, 3))
+        assert candidates_left_open(2, 2, F(1, 3), F(3, 5)) == (F(1, 2),)
 
     def test_membership_characterization(self):
         # exactly the rationals with a pair summing to <= B, plus 0

@@ -3,6 +3,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from fptkit import PolyRing, parse_polynomial
 from fptkit.cli import main
 
@@ -10,10 +12,13 @@ from conftest import random_poly
 
 
 def run_cli(*argv):
+    # a hanging command fails its test with TimeoutExpired instead of
+    # stalling the suite
     proc = subprocess.run(
         [sys.executable, "-m", "fptkit", *argv],
         capture_output=True,
         text=True,
+        timeout=60,
     )
     return proc
 
@@ -99,6 +104,65 @@ class TestSubcommands:
         path.write_text("x^2 + y^3\n")
         proc = run_cli("fpt", "--char", "7", "--vars", "x,y", "--input-file", str(path), "--json")
         assert json.loads(proc.stdout)["fpt"] == "5/6"
+
+
+CHECKS = [
+    "jumping numbers lie in the candidate set",
+    "closed under lam -> frac(p*lam)",
+    "test ideals strictly descend",
+    "jacobian contained in every test ideal on [0,1)",
+    "nu sandwich brackets the fpt (e = 1..3)",
+    "interval-narrowed fpt matches the candidate walk",
+    "left limits differ exactly at the jumps",
+    "f lies in the bracket power of its own root",
+]
+
+
+class TestNonIsolatedSingularities:
+    """jn, ft and verify at p=5 with the default bound (10 and 15), where an
+    enumeration of every candidate would never finish.  The x^2*y answers
+    are the monomial closed form tau((x^a*y^b)^lam) = (x^[a*lam] * y^[b*lam])
+    of Hara and Yoshida."""
+
+    @pytest.mark.parametrize(
+        "poly, jumps, ideals, fpt",
+        [
+            ("x^2*y", ["0", "1/2"], [["1"], ["x"]], "1/2"),
+            (
+                "x^5 + y^4",
+                ["0", "2/5", "3/5", "4/5"],
+                [["1"], ["y", "x"], ["y^2", "x*y", "x^2"], ["y^3", "x*y^2", "x^2*y", "x^3"]],
+                "2/5",
+            ),
+        ],
+    )
+    def test_jn(self, poly, jumps, ideals, fpt):
+        proc = run_cli("jn", "--char", "5", "--vars", "x,y", poly, "--json")
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert (doc["jumpingNumbers"], doc["testIdeals"], doc["fpt"]) == (jumps, ideals, fpt)
+
+    @pytest.mark.parametrize(
+        "poly, ideal, ft", [("x^2*y", "x; y", "1/2"), ("x^5 + y^4", "x^2; y^2", "4/5")]
+    )
+    def test_ft(self, poly, ideal, ft):
+        proc = run_cli("ft", "--char", "5", "--vars", "x,y", "--ideal", ideal, poly, "--json")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["ft"] == ft
+
+    @pytest.mark.parametrize(
+        "poly, names",
+        [
+            ("x^2*y", [c for c in CHECKS if not c.startswith("jacobian")]),
+            ("x^5 + y^4", CHECKS),
+        ],
+    )
+    def test_verify(self, poly, names):
+        proc = run_cli("verify", "--char", "5", "--vars", "x,y", poly, "--json")
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert doc["passed"]
+        assert doc["checks"] == [{"name": n, "passed": True} for n in names]
 
 
 class TestExitCodes:

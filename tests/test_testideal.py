@@ -29,6 +29,7 @@ from fptkit import (
 from fptkit import test_ideal as tau_at
 from fptkit import test_ideal_left_limit as tau_left
 
+import walk_oracle
 from conftest import random_poly
 
 F = Fraction
@@ -274,17 +275,29 @@ class TestFastFpt:
         assert fpt(cusp7) == F(5, 6)
         assert fpt(ring5.variable("x")) == 1
 
-    def test_agrees_with_walk(self):
+    def test_agrees_with_walk(self, ring7, quartic5, cusp7):
+        cases = [
+            (quartic5, 6),
+            (cusp7, 2),
+            (parse_polynomial("x^3 + y^3", ring7), 4),
+        ]
         rng = random.Random(33)
         for p in (2, 3, 5):
             ring = PolyRing(p, ["x", "y"])
-            for _ in range(6):
+            for _ in range(12):
                 f = random_poly(rng, ring, 4, 4, min_deg=1)
                 bound = default_bound(f)
-                if bound > 6:
-                    continue
-                walk = jumping_numbers_unit_interval(f, bound)
-                assert fpt(f, bound) == walk.fpt
+                if bound <= 6:
+                    cases.append((f, bound))
+        assert len(cases) > 10
+        for f, bound in cases:
+            jumps, ideals, threshold = walk_oracle.walk(f, bound)
+            report = jumping_numbers_unit_interval(f, bound)
+            assert report.jumping_numbers == jumps
+            assert report.test_ideals == ideals
+            assert report.fpt == threshold
+            assert fpt(f, bound) == threshold
+            assert f_threshold(f, maximal_ideal(f.ring), bound) == threshold
 
     def test_rejects_nonvanishing(self, ring5):
         with pytest.raises(DomainError):
