@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError
 
@@ -33,12 +32,11 @@ __all__ = [
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n below 3.3e24."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
@@ -161,7 +159,6 @@ def _p_valuation(n: int, p: int) -> tuple[int, int]:
     return k, n
 
 
-@lru_cache(maxsize=None)
 def _multiplicative_order(p: int, n: int) -> int:
     if n == 1:
         return 1

@@ -32,7 +32,6 @@ __all__ = [
     "SingularityProfile",
     "PerturbationRecord",
     "ConstancyReport",
-    "jacobian",
     "singularity_profile",
     "local_ideal_equal",
     "jacobian_stability_check",
@@ -119,7 +118,10 @@ def local_ideal_equal(J: Ideal, K: Ideal, ell: int) -> bool:
 
 def jacobian_stability_check(f: Polynomial, h: Polynomial) -> bool:
     """Whether Jac(f) and Jac(f+h) agree at the origin; h needs order >= ell+3."""
-    profile = singularity_profile(f)
+    return _jacobian_stable(singularity_profile(f), h)
+
+
+def _jacobian_stable(profile: SingularityProfile, h: Polynomial) -> bool:
     if not profile.is_isolated:
         raise DomainError("jacobian stability requires an isolated singularity at the origin")
     required = profile.ell + 3
@@ -130,7 +132,7 @@ def jacobian_stability_check(f: Polynomial, h: Polynomial) -> bool:
                 f"perturbation has a monomial of degree {order}; every monomial "
                 f"must have degree >= {required}"
             )
-    return local_ideal_equal(jacobian(f), jacobian(f + h), profile.ell)
+    return local_ideal_equal(profile.jacobian, jacobian(profile.poly + h), profile.ell)
 
 
 def random_perturbation(
@@ -305,7 +307,7 @@ def constancy_report(
                 )
             else:
                 ti_equal = False
-            jac_stable = jacobian_stability_check(f, h)
+            jac_stable = _jacobian_stable(profile, h)
             gap = abs(base.fpt - pert.fpt)
             gap_bound = Fraction(dim, k)
             violation = k >= profile.bound_fpt and not fpt_equal

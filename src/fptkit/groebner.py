@@ -5,11 +5,17 @@ pair-skipping criteria; workloads here are 2 to 4 variables with small
 bases, so nothing fancier is warranted.  The reduced Groebner basis is the
 canonical form of an ideal: equality tests, hashing, serialization, and the
 transition caching in the Frobenius-root engine all key off it.
+
+Grevlex (``poly.grevlex_key``) is the only term order, and leading terms are
+read through ``Polynomial.leading_monomial``.  ``radical_member`` is the one
+helper that extends the ring, by an auxiliary variable for the Rabinowitsch
+trick; the order stays grevlex there too.
 """
 
 from __future__ import annotations
 
 import heapq
+from operator import neg
 
 from .errors import DomainError, NotMPrimaryError
 from .poly import Polynomial, PolyRing, grevlex_key, partial_derivative
@@ -49,12 +55,13 @@ def _mono_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _negate_key(k):
-    """Order-reversing image of a (possibly nested) tuple-of-ints sort key."""
-    return tuple(-part if isinstance(part, int) else _negate_key(part) for part in k)
+def _heap_key(m):
+    """Min-heap key that pops the grevlex-largest monomial first."""
+    total, tail = grevlex_key(m)
+    return (-total, *map(neg, tail))
 
 
-def _reduce_full(f: Polynomial, basis, key=grevlex_key) -> Polynomial:
+def _reduce_full(f: Polynomial, basis) -> Polynomial:
     """Remainder of f on division by a list of monic polynomials.
 
     No monomial of the remainder is divisible by any basis leading monomial,
@@ -65,9 +72,9 @@ def _reduce_full(f: Polynomial, basis, key=grevlex_key) -> Polynomial:
         return f
     ring = f.ring
     p = ring.prime
-    data = [(max(g._terms, key=key), g._terms) for g in basis]
+    data = [(g.leading_monomial(), g._terms) for g in basis]
     work = dict(f._terms)
-    heap = [(_negate_key(key(m)), m) for m in work]
+    heap = [(_heap_key(m), m) for m in work]
     heapq.heapify(heap)
     remainder: dict = {}
     while heap:
@@ -87,7 +94,7 @@ def _reduce_full(f: Polynomial, basis, key=grevlex_key) -> Polynomial:
                     if s:
                         work[mm] = s
                         if not old:
-                            heapq.heappush(heap, (_negate_key(key(mm)), mm))
+                            heapq.heappush(heap, (_heap_key(mm), mm))
                     elif mm in work:
                         del work[mm]
                 break
@@ -96,35 +103,26 @@ def _reduce_full(f: Polynomial, basis, key=grevlex_key) -> Polynomial:
     return Polynomial(ring, remainder, _normalized=True)
 
 
-def _monic_under(g: Polynomial, key) -> Polynomial:
-    lc = g._terms[max(g._terms, key=key)]
-    if lc == 1:
-        return g
-    p = g.ring.prime
-    inv = pow(lc, p - 2, p)
-    return Polynomial(g.ring, {m: c * inv % p for m, c in g._terms.items()}, _normalized=True)
-
-
-def _spoly(f: Polynomial, g: Polynomial, key=grevlex_key) -> Polynomial:
-    lf, lg = max(f._terms, key=key), max(g._terms, key=key)
+def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
+    lf, lg = f.leading_monomial(), g.leading_monomial()
     lcm = _mono_lcm(lf, lg)
     return f.scale_term(1, _mono_sub(lcm, lf)) - g.scale_term(1, _mono_sub(lcm, lg))
 
 
-def _buchberger(gens, key=grevlex_key) -> list[Polynomial]:
+def _buchberger(gens) -> list[Polynomial]:
     """Buchberger with normal selection (smallest lcm first) and the product
     and chain pair-skipping criteria.  Pending pairs live in a set plus a
     lazily pruned heap keyed by their lcm."""
-    G = [_monic_under(g, key) for g in gens if not g.is_zero()]
+    G = [g.monic() for g in gens if not g.is_zero()]
     if not G:
         return []
-    lms = [max(g._terms, key=key) for g in G]
+    lms = [g.leading_monomial() for g in G]
     pending: set = set()
     heap: list = []
 
     def push(i, j):
         pending.add((i, j))
-        heapq.heappush(heap, (key(_mono_lcm(lms[i], lms[j])), i, j))
+        heapq.heappush(heap, (grevlex_key(_mono_lcm(lms[i], lms[j])), i, j))
 
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
@@ -152,33 +150,36 @@ def _buchberger(gens, key=grevlex_key) -> list[Polynomial]:
                     break
         if skip:
             continue
-        r = _reduce_full(_spoly(G[i], G[j], key), G, key)
+        r = _reduce_full(_spoly(G[i], G[j]), G)
         if not r.is_zero():
-            r = _monic_under(r, key)
+            r = r.monic()
             G.append(r)
-            lms.append(max(r._terms, key=key))
+            lms.append(r.leading_monomial())
             t = len(G) - 1
             for i2 in range(t):
                 push(i2, t)
-    return _interreduce(G, key)
+    return _interreduce(G)
 
 
-def _interreduce(G, key=grevlex_key) -> list[Polynomial]:
+def _lm_key(g: Polynomial):
+    return grevlex_key(g.leading_monomial())
+
+
+def _interreduce(G) -> list[Polynomial]:
     """Minimal then fully reduced basis, sorted ascending by leading monomial."""
-    G = sorted(G, key=lambda g: key(max(g._terms, key=key)))
+    G = sorted(G, key=_lm_key)
     minimal: list[Polynomial] = []
     min_lms: list = []
     for g in G:
-        lm = max(g._terms, key=key)
+        lm = g.leading_monomial()
         if not any(_divides(m, lm) for m in min_lms):
             minimal.append(g)
             min_lms.append(lm)
     reduced = []
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
-        r = _reduce_full(g, others, key)
-        reduced.append(_monic_under(r, key))
-    reduced.sort(key=lambda g: key(max(g._terms, key=key)))
+        reduced.append(_reduce_full(g, others).monic())
+    reduced.sort(key=_lm_key)
     return reduced
 
 
@@ -371,7 +372,7 @@ def artinian_length(J: Ideal) -> int:
     return d
 
 
-# -- internal helpers for the property suites --------------------------------
+# -- radical membership -----------------------------------------------------
 
 
 def _extend_ring(ring: PolyRing) -> PolyRing:
@@ -381,55 +382,8 @@ def _extend_ring(ring: PolyRing) -> PolyRing:
     return PolyRing(ring.prime, (aux,) + ring.variables)
 
 
-def _lift(f: Polynomial, big: PolyRing, t_degree: int = 0) -> Polynomial:
-    return Polynomial(
-        big, {(t_degree,) + m: c for m, c in f._terms.items()}, _normalized=True
-    )
-
-
-def _elim_key(m):
-    return (m[0], sum(m[1:]), tuple(-e for e in reversed(m[1:])))
-
-
-def _project(f: Polynomial, ring: PolyRing) -> Polynomial:
-    return Polynomial(ring, {m[1:]: c for m, c in f._terms.items()}, _normalized=True)
-
-
-def _exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f / g when g divides f exactly."""
-    ring = f.ring
-    p = ring.prime
-    q: dict = {}
-    rest = f
-    glm = g.leading_monomial()
-    glc = g.leading_coefficient()
-    inv = pow(glc, p - 2, p)
-    while not rest.is_zero():
-        lm = rest.leading_monomial()
-        if not _divides(glm, lm):
-            raise DomainError("non-exact polynomial division")
-        shift = _mono_sub(lm, glm)
-        c = rest.leading_coefficient() * inv % p
-        q[shift] = c
-        rest = rest - g.scale_term(c, shift)
-    return Polynomial(ring, q, _normalized=True)
-
-
-def colon(J: Ideal, g: Polynomial) -> Ideal:
-    """(J : g) via the intersection trick in an extended ring.
-
-    Small-instance helper for the property suites; not part of the public
-    command surface.
-    """
-    if g.is_zero():
-        return Ideal.unit(J.ring)
-    big = _extend_ring(J.ring)
-    t = big.variable(0)
-    lifted = [t * _lift(f, big) for f in J.generators]
-    lifted.append((big.one() - t) * _lift(g, big))
-    basis = _buchberger(lifted, key=_elim_key)
-    intersection = [_project(f, J.ring) for f in basis if all(m[0] == 0 for m in f._terms)]
-    return Ideal(J.ring, tuple(_exact_quotient(f, g) for f in intersection))
+def _lift(f: Polynomial, big: PolyRing) -> Polynomial:
+    return Polynomial(big, {(0,) + m: c for m, c in f._terms.items()}, _normalized=True)
 
 
 def radical_member(g: Polynomial, J: Ideal) -> bool:

@@ -2,7 +2,7 @@
 
 Terms live in a dict keyed by exponent tuples; coefficients are kept in
 1 .. p-1.  The canonical term order is graded reverse lexicographic, used
-both for printing and as the default Groebner order.  Polynomials are
+both for printing and as the only Groebner order.  Polynomials are
 immutable values: every operation returns a fresh object, so they are safe
 to share between threads and to use as dict keys.
 """
@@ -112,7 +112,7 @@ def _require_same_ring(a: "Polynomial", b: "Polynomial"):
 
 
 class Polynomial:
-    __slots__ = ("ring", "_terms", "_ordered", "_hash")
+    __slots__ = ("ring", "_terms", "_ordered", "_lm", "_hash")
 
     def __init__(self, ring: PolyRing, terms: dict, _normalized: bool = False):
         if not _normalized:
@@ -130,6 +130,7 @@ class Polynomial:
         self.ring = ring
         self._terms = terms
         self._ordered = None
+        self._lm = None
         self._hash = None
 
     # -- inspection ---------------------------------------------------------
@@ -165,9 +166,11 @@ class Polynomial:
         return len(self._terms)
 
     def leading_monomial(self) -> Monomial:
-        if not self._terms:
-            raise DomainError("the zero polynomial has no leading monomial")
-        return max(self._terms, key=grevlex_key)
+        if self._lm is None:
+            if not self._terms:
+                raise DomainError("the zero polynomial has no leading monomial")
+            self._lm = max(self._terms, key=grevlex_key)
+        return self._lm
 
     def leading_coefficient(self) -> int:
         return self._terms[self.leading_monomial()]
@@ -251,9 +254,11 @@ class Polynomial:
             return self
         p = self.ring.prime
         inv = pow(lc, p - 2, p)
-        return Polynomial(
+        out = Polynomial(
             self.ring, {m: c * inv % p for m, c in self._terms.items()}, _normalized=True
         )
+        out._lm = self._lm
+        return out
 
     def scale_term(self, coeff: int, m: Monomial) -> "Polynomial":
         """Multiply by a single term coeff * x^m."""

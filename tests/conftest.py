@@ -35,15 +35,24 @@ def quartic5_report(quartic5):
 
 def random_poly(rng: random.Random, ring: PolyRing, max_deg: int, max_terms: int,
                 min_deg: int = 0) -> Polynomial:
-    """Random nonzero bivariate polynomial with total degree in [min_deg, max_deg]."""
+    """Random nonzero polynomial with total degree in [min_deg, max_deg].
+
+    Each monomial of degree d takes its first n-1 exponents one randint at a
+    time from what is left of d, so bivariate draws make the same calls,
+    and give the same polynomials, as they always have.
+    """
     p = ring.prime
     while True:
         terms = {}
         for _ in range(rng.randint(1, max_terms)):
             d = rng.randint(min_deg, max_deg)
-            a = rng.randint(0, d)
+            m = []
+            for _ in range(ring.dimension - 1):
+                a = rng.randint(0, d)
+                m.append(a)
+                d -= a
+            m = (*m, d)
             c = rng.randrange(1, p)
-            m = (a, d - a)
             terms[m] = (terms.get(m, 0) + c) % p
         terms = {m: c for m, c in terms.items() if c}
         if terms:

@@ -14,6 +14,7 @@ from fptkit import (
     partial_derivative,
     power,
 )
+from fptkit.poly import grevlex_key
 
 from conftest import random_poly
 
@@ -134,6 +135,25 @@ class TestDerivative:
         lhs = partial_derivative(f * g, i)
         rhs = f * partial_derivative(g, i) + g * partial_derivative(f, i)
         assert lhs == rhs
+
+
+def grevlex_greater(a, b) -> bool:
+    """Textbook grevlex: higher total degree wins; on a tie, a > b iff the
+    last nonzero entry of a - b is negative."""
+    if sum(a) != sum(b):
+        return sum(a) > sum(b)
+    diff = [x - y for x, y in zip(a, b) if x != y]
+    return bool(diff) and diff[-1] < 0
+
+
+class TestTermOrder:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_grevlex_key_matches_definition(self, n):
+        ring = PolyRing(5, [f"x{i}" for i in range(n)])
+        monomials = [m for d in range(4) for m in ring.monomials_of_degree(d)]
+        for a in monomials:
+            for b in monomials:
+                assert (grevlex_key(a) > grevlex_key(b)) == grevlex_greater(a, b), (a, b)
 
 
 class TestPrinting:

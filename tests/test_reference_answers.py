@@ -1,0 +1,38 @@
+"""Replay the benchmark's reference answers for the walk and sweep pools.
+
+Every query in `perfbench/reference.json` (pool groups and `last` entries)
+runs through the CLI in-process; its JSON payload must match the recorded
+`expect` on expect's keys.  The `jn` and `tau` answers pin reduced-basis
+strings, so a change to the canonical form fails here as well as in the
+benchmark.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from fptkit.cli import main
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def queries(workload):
+    table = json.loads(REFERENCE.read_text(encoding="utf-8"))["workloads"][workload]
+    return [q for group in table["groups"] + table["last"] for q in group]
+
+
+@pytest.mark.parametrize("workload", ["walk", "sweep"])
+def test_reference_answers(workload):
+    wrong = []
+    for q in queries(workload):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(q["argv"] + ["--json"])
+        payload = json.loads(out.getvalue()) if rc == 0 else {}
+        got = {k: payload.get(k) for k in q["expect"]}
+        if rc != 0 or got != q["expect"]:
+            wrong.append((q["argv"], rc, got))
+    assert not wrong, wrong[:3]
