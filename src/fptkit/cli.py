@@ -117,6 +117,13 @@ def _ideal(text, ring) -> Ideal:
     return Ideal(ring, gens)
 
 
+def _exponents(text) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ParseError(f"exponents must be comma-separated integers, got {text!r}", 0) from None
+
+
 def _window(text) -> tuple[Fraction, Fraction]:
     if ":" not in text:
         raise DomainError(f"window must look like 'lo:hi', got {text!r}")
@@ -258,13 +265,7 @@ def _cmd_profile(args) -> int:
 def _cmd_constancy(args) -> int:
     ring = _ring(args)
     f = _poly(args, ring)
-    profile = constancy_mod.singularity_profile(f)
-    if not profile.is_isolated:
-        raise DomainError("constancy reports require an isolated singularity at the origin")
-    if args.exponents:
-        exponents = [int(part) for part in args.exponents.split(",") if part.strip()]
-    else:
-        exponents = [profile.ell + 3]
+    exponents = _exponents(args.exponents) if args.exponents else None
     report = constancy_mod.constancy_report(
         f, exponents, args.samples, args.seed, term_count=args.term_count
     )

@@ -273,13 +273,14 @@ def constancy_report(
 
     Requires an isolated singularity and k >= ell + 3, so that the bound
     B = ell is valid for f and for every sampled f + h, and the two
-    unit-interval reports are directly comparable.
+    unit-interval reports are directly comparable.  ``exponents=None``
+    asks for the single order k = ell + 3.
     """
     profile = singularity_profile(f)
     if not profile.is_isolated:
         raise DomainError("constancy reports require an isolated singularity at the origin")
     ell = profile.ell
-    exponents = list(exponents)
+    exponents = [ell + 3] if exponents is None else list(exponents)
     if not exponents:
         raise DomainError("at least one perturbation exponent is required")
     for k in exponents:

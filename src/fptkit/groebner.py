@@ -1,8 +1,12 @@
 """Groebner-basis kernel over F_p.
 
-Buchberger's algorithm with the normal selection strategy and both classic
-pair-skipping criteria; workloads here are 2 to 4 variables with small
-bases, so nothing fancier is warranted.  The reduced Groebner basis is the
+Buchberger's algorithm with the normal selection strategy and the pair
+update of Gebauer and Moeller ("On an installation of Buchberger's
+algorithm", JSC 1988): pairs are filtered as each basis element enters, so
+most never reach the queue, and the many monomial generators the engine
+produces (split terms, powers of the maximal ideal) form no S-polynomials
+among themselves.  Workloads here are 2 to 4 variables with small bases, so
+nothing fancier is warranted.  The reduced Groebner basis is the
 canonical form of an ideal: equality tests, hashing, serialization, and the
 transition caching in the Frobenius-root engine all key off it.
 
@@ -109,60 +113,71 @@ def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     return f.scale_term(1, _mono_sub(lcm, lf)) - g.scale_term(1, _mono_sub(lcm, lg))
 
 
-def _buchberger(gens) -> list[Polynomial]:
-    """Buchberger with normal selection (smallest lcm first) and the product
-    and chain pair-skipping criteria.  Pending pairs live in a set plus a
-    lazily pruned heap keyed by their lcm."""
-    G = [g.monic() for g in gens if not g.is_zero()]
-    if not G:
-        return []
-    lms = [g.leading_monomial() for g in G]
-    pending: set = set()
-    heap: list = []
-
-    def push(i, j):
-        pending.add((i, j))
-        heapq.heappush(heap, (grevlex_key(_mono_lcm(lms[i], lms[j])), i, j))
-
-    for i in range(len(G)):
-        for j in range(i + 1, len(G)):
-            push(i, j)
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        lcm = _mono_lcm(lms[i], lms[j])
-        # product criterion: coprime leading monomials need no S-polynomial
-        if lcm == _mono_add(lms[i], lms[j]):
-            continue
-        # chain criterion: a third element dividing the lcm, with both of its
-        # pairs already handled, makes this pair redundant
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if _divides(lms[k], lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        r = _reduce_full(_spoly(G[i], G[j]), G)
-        if not r.is_zero():
-            r = r.monic()
-            G.append(r)
-            lms.append(r.leading_monomial())
-            t = len(G) - 1
-            for i2 in range(t):
-                push(i2, t)
-    return _interreduce(G)
-
-
 def _lm_key(g: Polynomial):
     return grevlex_key(g.leading_monomial())
+
+
+def _buchberger(gens) -> list[Polynomial]:
+    """Buchberger with the Gebauer-Moeller pair update and normal selection.
+
+    The generators, smallest leading monomial first, and then each nonzero
+    remainder h enter the basis through ``update``.  Of the new pairs (g, h)
+    over the active g, only those whose lcm no other new lcm divides
+    survive, one per lcm (criteria M and F).  A survivor is then dropped
+    when its S-polynomial reduces to 0 by construction: the leading
+    monomials are coprime (product criterion) or both polynomials are
+    single terms.  A pending pair whose lcm lm(h) divides is pruned unless
+    it shares its lcm with one of its two pairs with h (criterion B).
+    Active elements whose leading monomial lm(h) divides retire: remainders
+    are taken modulo the active set, but a retired element stays in G for
+    the pending pairs that name it.  Pending pairs form a heap keyed by
+    their lcm and are popped smallest first.
+    """
+    G: list[Polynomial] = []
+    lms: list = []
+    active: list[int] = []
+    pairs: list = []
+
+    def update(h):
+        t = len(G)
+        lm = h.leading_monomial()
+        pairs[:] = [
+            e
+            for e in pairs
+            if not _divides(lm, e[3])
+            or _mono_lcm(lms[e[1]], lm) == e[3]
+            or _mono_lcm(lms[e[2]], lm) == e[3]
+        ]
+        heapq.heapify(pairs)
+        single = len(h._terms) == 1
+        new = []
+        for i in active:
+            lcm = _mono_lcm(lms[i], lm)
+            trivial = (single and len(G[i]._terms) == 1) or lcm == _mono_add(lms[i], lm)
+            # a strict divisor of an lcm has lower degree; within one lcm
+            # class, trivial pairs sort first and claim it
+            new.append((sum(lcm), not trivial, i, lcm))
+        new.sort()
+        seen: list = []
+        for _, needed, i, lcm in new:
+            if any(_divides(m, lcm) for m in seen):
+                continue
+            seen.append(lcm)
+            if needed:
+                heapq.heappush(pairs, (grevlex_key(lcm), i, t, lcm))
+        active[:] = [i for i in active if not _divides(lm, lms[i])]
+        active.append(t)
+        G.append(h)
+        lms.append(lm)
+
+    for g in sorted((g.monic() for g in gens if not g.is_zero()), key=_lm_key):
+        update(g)
+    while pairs:
+        _, i, j, _ = heapq.heappop(pairs)
+        r = _reduce_full(_spoly(G[i], G[j]), [G[k] for k in active])
+        if not r.is_zero():
+            update(r.monic())
+    return _interreduce([G[k] for k in active])
 
 
 def _interreduce(G) -> list[Polynomial]:

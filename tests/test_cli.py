@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from fptkit import PolyRing, parse_polynomial
+from fptkit import PolyRing, constancy, parse_polynomial
 from fptkit.cli import main
 
 from conftest import random_poly
@@ -91,6 +91,19 @@ class TestSubcommands:
         assert doc["seed"] == "5"
         assert len(doc["records"]) == 1
         assert csv_path.read_text().startswith("k,sample,fptF")
+
+    def test_constancy_profiles_once(self, monkeypatch, capsys):
+        profiled = []
+        real = constancy.singularity_profile
+
+        def counting_profile(f):
+            profiled.append(f)
+            return real(f)
+
+        monkeypatch.setattr(constancy, "singularity_profile", counting_profile)
+        assert main(["constancy", "--char", "7", "--vars", "x,y", "x^2+y^3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["records"][0]["k"] == 5
+        assert len(profiled) == 1
 
     def test_verify_passes_on_worked_example(self):
         proc = run_cli(
@@ -178,6 +191,13 @@ class TestExitCodes:
     def test_composite_characteristic(self):
         proc = run_cli("fpt", "--char", "6", "--vars", "x,y", "x")
         assert proc.returncode == 3
+
+    def test_malformed_exponents(self):
+        proc = run_cli(
+            "constancy", "--char", "5", "--vars", "x,y", "x^2+y^3", "--exponents", "6,a"
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("parse error:")
 
     def test_infeasible(self):
         proc = run_cli(

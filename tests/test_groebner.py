@@ -22,10 +22,13 @@ from fptkit import (
     reduced_groebner,
     scale,
 )
-from fptkit.groebner import _heap_key, _reduce_full, _spoly, radical_member
+from fptkit import groebner
+from fptkit.froot import _split_terms
+from fptkit.groebner import _extend_ring, _heap_key, _lift, _reduce_full, _spoly, radical_member
 from fptkit.poly import grevlex_key
 
 from conftest import random_poly
+from groebner_oracle import oracle_basis
 
 
 def ideal_of(ring, *texts):
@@ -243,3 +246,68 @@ class TestColonAndRadical:
         J = ideal_of(ring, "_t^2", "x^3")
         assert radical_member(parse_polynomial("_t + x", ring), J)
         assert not radical_member(parse_polynomial("_t + 1", ring), J)
+
+
+class TestPairUpdate:
+    """The Gebauer-Moeller kernel against a plain Buchberger that skips no pair."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_random_ideals_match_oracle(self, p):
+        rng = random.Random(100 + p)
+        for names, draws in ((["x", "y"], 40), (["x", "y", "z"], 20)):
+            ring = PolyRing(p, names)
+            for _ in range(draws):
+                gens = [
+                    random_poly(rng, ring, 3, 3, 1) for _ in range(rng.randint(2, 4))
+                ]
+                assert list(Ideal(ring, gens).basis()) == oracle_basis(gens)
+
+    @pytest.mark.parametrize("names", [["x", "y"], ["x", "y", "z"]])
+    def test_engine_generator_sets(self, names):
+        rng = random.Random(len(names))
+        for p in (2, 3, 5, 7):
+            ring = PolyRing(p, names)
+            for _ in range(6):
+                f = random_poly(rng, ring, 4, 3, 2)
+                g = random_poly(rng, ring, 2, 2)
+                J = [random_poly(rng, ring, 3, 3, 1) for _ in range(2)]
+                m_k = list(maximal_ideal_power(ring, rng.randint(2, 4)).generators)
+                lead = f.leading_monomial()
+                cases = [
+                    m_k + J,  # what local_ideal_equal compares
+                    _split_terms(power(f, p - 1) * g, p),  # a digit step's root
+                    J + J,  # duplicate generators
+                    [f, f + ring.one()],  # equal leading monomials
+                    [f, f * ring.variable(0) + g],  # lm(f) divides the other's
+                    J + [ring.constant(rng.randrange(1, p))],  # a constant
+                    [ring.monomial(lead), f] + m_k,  # a monomial equal to lm(f)
+                ]
+                for gens in cases:
+                    assert list(Ideal(ring, gens).basis()) == oracle_basis(gens), gens
+
+    def test_radical_member_matches_oracle(self):
+        rng = random.Random(11)
+        for p in (2, 3, 5, 7):
+            ring = PolyRing(p, ["x", "y"])
+            big = _extend_ring(ring)
+            t = big.variable(0)
+            for _ in range(8):
+                J = random_ideal(rng, ring, n_gens=2)
+                g = random_poly(rng, ring, 2, 2)
+                system = [_lift(f, big) for f in J.generators] + [big.one() - t * _lift(g, big)]
+                assert radical_member(g, J) == (oracle_basis(system) == [big.one()])
+
+    def test_monomial_ideals_form_no_s_polynomials(self, monkeypatch):
+        # every pair of single terms has S-polynomial 0, so none is formed
+        formed = []
+
+        def counting_spoly(f, g):
+            formed.append((f, g))
+            return _spoly(f, g)
+
+        monkeypatch.setattr(groebner, "_spoly", counting_spoly)
+        xy = PolyRing(5, ["x", "y"])
+        assert len(maximal_ideal_power(xy, 12).basis()) == 13
+        xyz = PolyRing(5, ["x", "y", "z"])
+        assert len(maximal_ideal_power(xyz, 5).basis()) == 21
+        assert formed == []
