@@ -108,6 +108,7 @@ class CandidateSet:
 
 
 def _as_fraction(lam) -> Fraction:
+    """A Fraction or an int as a Fraction; anything else is a DomainError."""
     if isinstance(lam, Fraction):
         return lam
     if isinstance(lam, int):

@@ -23,10 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .basep import format_rational
-from .errors import DomainError, NotMPrimaryError, StabilityError
-from .groebner import Ideal, artinian_length, ideal_sum, jacobian, maximal_ideal_power
+from .errors import DomainError, StabilityError
+from .groebner import Ideal, ideal_sum, jacobian, maximal_ideal_power
 from .poly import Polynomial, PolyRing
-from .testideal import TestIdealComputer, f_threshold, jumping_numbers_unit_interval
+from .testideal import (
+    TestIdealComputer,
+    _isolated_length,
+    f_threshold,
+    jumping_numbers_unit_interval,
+)
 
 __all__ = [
     "SingularityProfile",
@@ -74,13 +79,8 @@ def singularity_profile(f: Polynomial) -> SingularityProfile:
     if f.is_zero() or f.constant_term() != 0:
         raise DomainError("the polynomial must be nonzero and vanish at the origin")
     jac = jacobian(f)
-    try:
-        ell = artinian_length(jac)
-        isolated = ell >= 1
-    except NotMPrimaryError:
-        ell = None
-        isolated = False
-    if not isolated:
+    ell = _isolated_length(jac)
+    if ell is None:
         return SingularityProfile(f, jac, False, None, None, None)
     p = f.ring.prime
     n = f.ring.dimension
@@ -267,13 +267,13 @@ def constancy_report(
     samples_per_exponent: int,
     seed,
     term_count: int = 3,
-    max_degree_offset: int = 1,
 ) -> ConstancyReport:
     """Perturb f inside m^k for each requested k and compare both engines' output.
 
-    Requires an isolated singularity and k >= ell + 3, so that the bound
-    B = ell is valid for f and for every sampled f + h, and the two
-    unit-interval reports are directly comparable.  ``exponents=None``
+    Each perturbation h has at most term_count terms, all of degree in
+    [k, k+1].  Requires an isolated singularity and k >= ell + 3, so that
+    the bound B = ell is valid for f and for every sampled f + h, and the
+    two unit-interval reports are directly comparable.  ``exponents=None``
     asks for the single order k = ell + 3.
     """
     profile = singularity_profile(f)
@@ -295,9 +295,7 @@ def constancy_report(
     records = []
     for k in exponents:
         for idx in range(samples_per_exponent):
-            h = random_perturbation(
-                f.ring, k, k + max_degree_offset, term_count, (seed, k, idx)
-            )
+            h = random_perturbation(f.ring, k, k + 1, term_count, (seed, k, idx))
             pert = jumping_numbers_unit_interval(f + h, ell)
             fpt_equal = base.fpt == pert.fpt
             jn_equal = base.jumping_numbers == pert.jumping_numbers
@@ -342,11 +340,8 @@ def threshold_ideal_consistency(f: Polynomial, g: Polynomial, lam, bound: int, c
     """
     from .groebner import radical_member
 
-    if f.is_zero() or g.is_zero():
-        raise DomainError("both polynomials must be nonzero")
     if f.constant_term() != 0 or g.constant_term() != 0:
         raise DomainError("both polynomials must vanish at the origin")
-    lam = Fraction(lam)
     a = TestIdealComputer(f, bound).ideal_at(lam).ideal
     b = TestIdealComputer(g, bound).ideal_at(lam).ideal
 

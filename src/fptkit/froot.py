@@ -1,9 +1,12 @@
 """Frobenius-root ideals.
 
-frobenius_root(f, e) is the smallest ideal b with f in b^[p^e].  Over F_p
-it is read off directly: split every exponent vector of f into its residue
-mu and quotient modulo p^e, and collect the quotient polynomials, one per
-residue (coefficient roots are trivial because Frobenius fixes F_p).
+frobenius_root_ideal(J, e) is the smallest ideal b with J in b^[p^e].  Over
+F_p it is read off the generators directly: split every exponent vector of
+each generator into its residue mu and quotient modulo p^e, and collect the
+quotient polynomials, one per residue (coefficient roots are trivial because
+Frobenius fixes F_p).  _root_generators is that one step; frobenius_root(f, e)
+is the case J = (f), and each digit step of the engine below applies it with
+q = p.
 
 frobenius_root_power(f, N, e, carried) evaluates the root of f^N * J
 without ever expanding f^N.  It peels one base-p digit of N per level:
@@ -42,22 +45,22 @@ def _split_terms(f: Polynomial, q: int) -> list[Polynomial]:
     return [Polynomial(ring, terms, _normalized=True) for terms in buckets.values()]
 
 
+def _root_generators(polys, q: int) -> tuple[Polynomial, ...]:
+    """The distinct split terms of polys: generators of the root of the
+    ideal they generate, q = p^e."""
+    return tuple(dict.fromkeys(t for g in polys for t in _split_terms(g, q)))
+
+
 def frobenius_root(f: Polynomial, e: int) -> Ideal:
     """Smallest ideal b with f in b^[p^e]; requires e >= 1."""
-    if e < 1:
-        raise DomainError("frobenius_root requires e >= 1")
-    return Ideal(f.ring, _split_terms(f, f.ring.prime**e))
+    return frobenius_root_ideal(Ideal(f.ring, (f,)), e)
 
 
 def frobenius_root_ideal(J: Ideal, e: int) -> Ideal:
     """Smallest ideal b with J contained in b^[p^e]; generator-wise sum."""
     if e < 1:
         raise DomainError("frobenius_root_ideal requires e >= 1")
-    q = J.ring.prime**e
-    gens: list[Polynomial] = []
-    for g in J.generators:
-        gens.extend(_split_terms(g, q))
-    return Ideal(J.ring, gens)
+    return Ideal(J.ring, _root_generators(J.generators, J.ring.prime**e))
 
 
 class FrobeniusRootEngine:
@@ -99,11 +102,8 @@ class FrobeniusRootEngine:
         out = self._steps.get(key)
         if out is None:
             fd = self._f_power(digit)
-            gens: list[Polynomial] = []
-            q = self.ring.prime
-            for g in state.basis():
-                gens.extend(_split_terms(fd * g, q))
-            out = self._intern(Ideal(self.ring, _dedupe(gens)))
+            gens = _root_generators([fd * g for g in state.basis()], self.ring.prime)
+            out = self._intern(Ideal(self.ring, gens))
             self._steps[key] = out
         return out
 
@@ -125,18 +125,6 @@ class FrobeniusRootEngine:
             return state
         fN = power(self.f, N)
         return self._intern(Ideal(self.ring, tuple(fN * g for g in state.basis())))
-
-
-def _dedupe(gens):
-    """Drop duplicate and zero generators before canonicalization."""
-    seen = set()
-    out = []
-    for g in gens:
-        if g.is_zero() or g in seen:
-            continue
-        seen.add(g)
-        out.append(g)
-    return tuple(out)
 
 
 def frobenius_root_power(f: Polynomial, N: int, e: int, carried: Ideal | None = None) -> Ideal:

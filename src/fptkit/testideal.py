@@ -9,7 +9,10 @@ contains no jumping number for s = u + v*B.  Hence
     left limit   = root_s(f^(ceil(p^s * lam) - 1))  (left end of the gap)
 
 with root_s evaluated by the digit recursion in froot, so the astronomical
-exponent ceil(p^s * lam) is never expanded.
+exponent ceil(p^s * lam) is never expanded.  This one formula serves every
+lam > 0, including lam >= 1: the engine's final carry multiplies by
+f^(N div p^s), which is Skoda's identity tau(f^(lam+1)) = f * tau(f^lam).
+An integer lam has tau(f^lam) = (f^lam), the formula at s = 0.
 
 Every search here (the next jumping number, the fpt, an F-threshold) asks
 for the least lam where a monotone predicate of the descending family
@@ -26,11 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor
 
-from .basep import candidates_left_open, canonical_pair, format_rational
+from .basep import _as_fraction, candidates_left_open, canonical_pair, format_rational
 from .errors import DomainError, InfeasibleError, NotMPrimaryError
 from .froot import FrobeniusRootEngine
-from .groebner import Ideal, artinian_length, jacobian, scale
-from .poly import Polynomial, power
+from .groebner import Ideal, artinian_length, jacobian
+from .poly import Polynomial
 
 __all__ = [
     "TestIdealResult",
@@ -49,14 +52,6 @@ __all__ = [
     "length_bound",
     "default_bound",
 ]
-
-
-def _as_fraction(lam) -> Fraction:
-    if isinstance(lam, Fraction):
-        return lam
-    if isinstance(lam, (int, str)):
-        return Fraction(lam)
-    raise DomainError(f"expected a rational parameter, got {type(lam).__name__}")
 
 
 def stabilization_exponent(lam, bound: int, p: int) -> int:
@@ -90,7 +85,6 @@ class JumpingNumberReport:
 
     poly: Polynomial
     bound: int
-    window: tuple[Fraction, Fraction]
     jumping_numbers: tuple[Fraction, ...]
     test_ideals: tuple[Ideal, ...]
     fpt: Fraction
@@ -113,25 +107,29 @@ class JumpingNumberReport:
 class TestIdealComputer:
     """Shared evaluation context: one polynomial, one bound, one root engine.
 
-    evaluations counts the ideal_at calls made through this computer.
+    The one place that checks f and the bound: f must be nonzero, a bound
+    of None means default_bound(f), and the bound must be >= 1.  Every
+    evaluation is root_s(f^N) through the engine, whose final carry folds
+    parameters >= 1 (Skoda).  evaluations counts the ideal_at calls made
+    through this computer.
     """
 
-    def __init__(self, f: Polynomial, bound: int):
+    def __init__(self, f: Polynomial, bound: int | None = None):
         if f.is_zero():
             raise DomainError("test ideals of the zero polynomial are undefined")
+        if bound is None:
+            bound = default_bound(f)
         if bound < 1:
             raise DomainError("bound must be >= 1")
         self.f = f
         self.bound = bound
-        self.ring = f.ring
         self.p = f.ring.prime
         self.engine = FrobeniusRootEngine(f)
         self.evaluations = 0
 
     def _exponent(self, lam: Fraction) -> tuple[int, int]:
         """(s, N) with N = ceil(p^s * lam) for the stabilized evaluation."""
-        pair = canonical_pair(lam, self.p)
-        s = pair.u + pair.v * self.bound
+        s = stabilization_exponent(lam, self.bound, self.p)
         N = -((-(self.p**s) * lam.numerator) // lam.denominator)
         return s, N
 
@@ -140,29 +138,18 @@ class TestIdealComputer:
         if lam < 0:
             raise DomainError("test ideal parameters must be >= 0")
         self.evaluations += 1
-        k = lam.numerator // lam.denominator
-        frac = lam - k
-        if frac == 0:
-            s, ideal = 0, Ideal.unit(self.ring)
+        if lam.denominator == 1:
+            s, N = 0, lam.numerator
         else:
-            s, N = self._exponent(frac)
-            ideal = self.engine.root_power(N, s)
-        if k > 0:
-            ideal = scale(power(self.f, k), ideal)
-        return TestIdealResult(lam, ideal, s, self.bound)
+            s, N = self._exponent(lam)
+        return TestIdealResult(lam, self.engine.root_power(N, s), s, self.bound)
 
     def left_limit_at(self, lam) -> Ideal:
         lam = _as_fraction(lam)
         if lam <= 0:
             raise DomainError("left limits require a positive parameter")
-        if lam <= 1:
-            s, N = self._exponent(lam)
-            return self.engine.root_power(N - 1, s)
-        k = lam.numerator // lam.denominator
-        frac = lam - k
-        if frac == 0:
-            return scale(power(self.f, k - 1), self.left_limit_at(Fraction(1)))
-        return scale(power(self.f, k), self.left_limit_at(frac))
+        s, N = self._exponent(lam)
+        return self.engine.root_power(N - 1, s)
 
 
 def _inside_m(ideal: Ideal) -> bool:
@@ -174,8 +161,8 @@ def test_ideal(f: Polynomial, lam, bound: int) -> TestIdealResult:
     """tau(f^lam), exact, for any rational lam >= 0.
 
     bound must dominate the number of jumping numbers of f in [0, 1); see
-    default_bound.  Parameters >= 1 are folded into [0, 1) by the identity
-    tau(f^lam) = f^floor(lam) * tau(f^frac(lam)).
+    default_bound.  Parameters >= 1 obey tau(f^lam) = f^floor(lam) *
+    tau(f^frac(lam)), which the root engine's carry applies.
     """
     return TestIdealComputer(f, bound).ideal_at(lam)
 
@@ -198,6 +185,18 @@ def is_jumping_number(f: Polynomial, lam, bound: int) -> bool:
         )
     computer = TestIdealComputer(f, bound)
     return computer.left_limit_at(lam) != computer.ideal_at(lam).ideal
+
+
+def _least_integer(holds, lo: int, hi: int) -> int:
+    """Least n in (lo, hi] with holds(n), for holds monotone, false at lo and
+    true at hi; found by bisection."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def least_parameter(computer: TestIdealComputer, predicate, lo, hi) -> Fraction | None:
@@ -224,14 +223,8 @@ def least_parameter(computer: TestIdealComputer, predicate, lo, hi) -> Fraction 
     for _ in range(2 * bound + 1):
         step = (hi - lo) / p
         # the predicate is false at j = 0 and true at j = p
-        below, above = 0, p
-        while above - below > 1:
-            mid = (below + above) // 2
-            if holds(lo + mid * step):
-                above = mid
-            else:
-                below = mid
-        lo, hi = lo + below * step, lo + above * step
+        j = _least_integer(lambda j: holds(lo + j * step), 0, p)
+        lo, hi = lo + (j - 1) * step, lo + j * step
     cands = candidates_left_open(p, bound, lo, hi)
     if len(cands) != 1:
         raise DomainError(
@@ -254,12 +247,8 @@ def jumping_numbers_unit_interval(f: Polynomial, bound: int) -> JumpingNumberRep
     differs from tau(f^lam_i); the walk ends when that lam is 1.
     candidate_count holds the number of test-ideal evaluations made.
     """
-    if f.is_zero():
-        raise DomainError("jumping numbers of the zero polynomial are undefined")
     if f.constant_term() != 0:
         raise DomainError("the polynomial must vanish at the origin")
-    if bound < 1:
-        raise DomainError("bound must be >= 1")
     start = time.perf_counter()
     computer = TestIdealComputer(f, bound)
     jumps = [Fraction(0)]
@@ -279,8 +268,7 @@ def jumping_numbers_unit_interval(f: Polynomial, bound: int) -> JumpingNumberRep
     elapsed = time.perf_counter() - start
     return JumpingNumberReport(
         poly=f,
-        bound=bound,
-        window=(Fraction(0), Fraction(1)),
+        bound=computer.bound,
         jumping_numbers=tuple(jumps),
         test_ideals=tuple(ideals),
         fpt=fpt_value,
@@ -320,13 +308,7 @@ def nu(f: Polynomial, b: Ideal, e: int) -> int:
                 f"no power of f entered the bracket ideal below the cap {cap}; "
                 "is f in the radical of b?"
             )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if member(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi - 1
+    return _least_integer(member, lo, hi) - 1
 
 
 def degree_bound(f: Polynomial) -> int:
@@ -335,14 +317,20 @@ def degree_bound(f: Polynomial) -> int:
     return comb(n + f.total_degree(), n)
 
 
-def length_bound(f: Polynomial) -> int | None:
-    """Length of R modulo the Jacobian ideal, when that ideal is primary
-    to the origin; None otherwise."""
+def _isolated_length(jac: Ideal) -> int | None:
+    """Length of R/jac when the Jacobian ideal jac is proper and primary to
+    the origin, i.e. when f has an isolated singularity there; else None."""
     try:
-        ell = artinian_length(jacobian(f))
+        ell = artinian_length(jac)
     except NotMPrimaryError:
         return None
     return ell if ell >= 1 else None
+
+
+def length_bound(f: Polynomial) -> int | None:
+    """Length of R modulo the Jacobian ideal, when that ideal is primary
+    to the origin; None otherwise."""
+    return _isolated_length(jacobian(f))
 
 
 def default_bound(f: Polynomial) -> int:
@@ -360,14 +348,9 @@ def fpt(f: Polynomial, bound: int | None = None) -> Fraction:
     The least lam with tau(f^lam) inside m, found by least_parameter; the
     search ends by lam = 1 because tau(f^1) = (f) lies in m.
     """
-    if f.is_zero():
-        raise DomainError("fpt of the zero polynomial is undefined")
     if f.constant_term() != 0:
         raise DomainError("fpt requires a polynomial vanishing at the origin")
-    B = default_bound(f) if bound is None else bound
-    if B < 1:
-        raise DomainError("bound must be >= 1")
-    return least_parameter(TestIdealComputer(f, B), _inside_m, 0, 1)
+    return least_parameter(TestIdealComputer(f, bound), _inside_m, 0, 1)
 
 
 def f_threshold(f: Polynomial, b: Ideal, bound: int | None = None, cap=None) -> Fraction:
@@ -382,13 +365,8 @@ def f_threshold(f: Polynomial, b: Ideal, bound: int | None = None, cap=None) -> 
         raise DomainError("polynomial/ideal ring mismatch")
     if b.is_unit():
         return Fraction(0)
-    if f.is_zero():
-        raise DomainError("thresholds of the zero polynomial are undefined")
-    B = default_bound(f) if bound is None else bound
-    if B < 1:
-        raise DomainError("bound must be >= 1")
+    computer = TestIdealComputer(f, bound)
     cap = Fraction(f.ring.dimension) if cap is None else _as_fraction(cap)
-    computer = TestIdealComputer(f, B)
     for k in range(floor(cap) + 1):
         lam = least_parameter(computer, b.contains_ideal, k, k + 1)
         if lam is not None:

@@ -10,13 +10,17 @@ benchmark.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from fptkit.cli import main
 
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = ROOT / "perfbench" / "reference.json"
 
 
 def queries(workload):
@@ -36,3 +40,26 @@ def test_reference_answers(workload):
         if rc != 0 or got != q["expect"]:
             wrong.append((q["argv"], rc, got))
     assert not wrong, wrong[:3]
+
+
+def test_trace_targets_resolve():
+    # The traced benchmark wraps the functions named in perfbench/spans.TARGETS
+    # and stops when one is missing; resolve them the same way, in a fresh
+    # interpreter, so that a rename fails here first.
+    script = (
+        "import importlib, spans\n"
+        "for _, module, attr in spans.TARGETS:\n"
+        "    holder = importlib.import_module(module)\n"
+        "    for part in attr.split('.'):\n"
+        "        holder = vars(holder).get(part)\n"
+        "        if holder is None:\n"
+        "            print(module + '.' + attr)\n"
+        "            break\n"
+    )
+    path = [str(ROOT / "perfbench"), str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "", f"trace targets not found: {done.stdout.split()}"

@@ -26,6 +26,7 @@ from fptkit import (
     stabilization_exponent,
 )
 
+from fptkit import TestIdealComputer as Computer
 from fptkit import test_ideal as tau_at
 from fptkit import test_ideal_left_limit as tau_left
 
@@ -79,10 +80,29 @@ class TestTestIdeal:
     def test_zero_polynomial_rejected(self, ring5):
         with pytest.raises(DomainError):
             tau_at(ring5.zero(), F(1, 2), 1)
+        with pytest.raises(DomainError):
+            fpt(ring5.zero())
+        with pytest.raises(DomainError):
+            f_threshold(ring5.zero(), maximal_ideal(ring5))
+
+    @pytest.mark.parametrize("lam", ["abc", "1/0", "7/12", 0.5])
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            lambda f, lam: tau_at(f, lam, 6),
+            lambda f, lam: tau_left(f, lam, 6),
+            lambda f, lam: f_threshold(f, maximal_ideal(f.ring), 6, cap=lam),
+        ],
+        ids=["test_ideal", "test_ideal_left_limit", "f_threshold"],
+    )
+    def test_non_rational_parameter_rejected(self, quartic5, compute, lam):
+        # only Fraction and int are parameters; strings and floats are not
+        with pytest.raises(DomainError):
+            compute(quartic5, lam)
 
     def test_skoda_against_direct_oracle(self):
-        # tau at 1 + mu, computed through the fold, must match a direct
-        # stabilized evaluation at denominator p^e
+        # tau at 1 + mu, 2 + mu, 1 and 2, computed through the engine's carry,
+        # must match a direct stabilized evaluation at denominator p^e
         rng = random.Random(31)
         for p in (2, 3, 5):
             ring = PolyRing(p, ["x", "y"])
@@ -90,10 +110,12 @@ class TestTestIdeal:
                 f = random_poly(rng, ring, 3, 3, min_deg=1)
                 e = rng.randint(1, 2)
                 mu = F(rng.randint(1, p**e - 1), p**e)
-                lam = 1 + mu
-                folded = tau_at(f, lam, default_bound(f)).ideal
-                direct = frobenius_root(power(f, int(p**e * lam)), e)
-                assert ideal_equal(folded, direct)
+                for lam in (1 + mu, 2 + mu, F(1), F(2)):
+                    folded = tau_at(f, lam, default_bound(f))
+                    direct = frobenius_root(power(f, int(p**e * lam)), e)
+                    assert ideal_equal(folded.ideal, direct)
+                    if lam.denominator == 1:
+                        assert folded.stabilization_exponent == 0
 
     def test_monotone_on_candidates(self, ring5, quartic5):
         from fptkit import candidate_set
@@ -117,11 +139,22 @@ class TestLeftLimit:
         assert tau_left(x, F(1), 1).is_unit()
 
     def test_above_one(self, ring5, quartic5):
-        # left limit at 1 + fpt equals f * left limit at fpt
-        lam = 1 + F(7, 12)
-        lhs = tau_left(quartic5, lam, 6)
-        rhs = Ideal(ring5, tuple(quartic5 * g for g in tau_left(quartic5, F(7, 12), 6).basis()))
-        assert ideal_equal(lhs, rhs)
+        # the left limit at k + mu is f^k times the one at mu, and at an
+        # integer k it is f^(k-1) times the one at 1, which is tau at the
+        # last jump 11/12 below 1
+        def times_power(k, J):
+            return Ideal(ring5, tuple(power(quartic5, k) * g for g in J.basis()))
+
+        at_one = tau_left(quartic5, F(1), 6)
+        at_fpt = tau_left(quartic5, F(7, 12), 6)
+        assert ideal_equal(at_one, tau_at(quartic5, F(11, 12), 6).ideal)
+        cases = [
+            (F(2), times_power(1, at_one)),
+            (1 + F(7, 12), times_power(1, at_fpt)),
+            (2 + F(7, 12), times_power(2, at_fpt)),
+        ]
+        for lam, expected in cases:
+            assert ideal_equal(tau_left(quartic5, lam, 6), expected)
 
 
 class TestJumpDetection:
@@ -267,6 +300,12 @@ class TestBounds:
         assert default_bound(quartic5) == 6
         assert default_bound(cusp7) == 2
         assert default_bound(ring5.variable("x")) == 3
+        for f in (quartic5, cusp7, ring5.variable("x")):
+            assert Computer(f).bound == default_bound(f)
+        with pytest.raises(DomainError):
+            fpt(quartic5, 0)
+        with pytest.raises(DomainError):
+            f_threshold(quartic5, maximal_ideal(ring5), 0)
 
 
 class TestFastFpt:
