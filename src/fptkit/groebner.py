@@ -238,9 +238,6 @@ class Ideal:
         b = self.basis()
         return len(b) == 1 and b[0].is_one()
 
-    def is_zero_ideal(self) -> bool:
-        return not self.basis()
-
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self).is_zero()
 

@@ -150,10 +150,6 @@ class Polynomial:
         zero = (0,) * self.ring.dimension
         return len(self._terms) == 1 and self._terms.get(zero) == 1
 
-    def is_constant(self) -> bool:
-        zero = (0,) * self.ring.dimension
-        return not self._terms or (len(self._terms) == 1 and zero in self._terms)
-
     def constant_term(self) -> int:
         return self._terms.get((0,) * self.ring.dimension, 0)
 

@@ -1,9 +1,20 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from fptkit import Polynomial, PolyRing, parse_polynomial
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env() -> dict:
+    """The environment for a child interpreter, with this checkout's src
+    first on PYTHONPATH, so that it imports the fptkit under test."""
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
 
 
 @pytest.fixture(scope="session")

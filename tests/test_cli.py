@@ -5,10 +5,10 @@ import sys
 
 import pytest
 
-from fptkit import PolyRing, constancy, parse_polynomial
+from fptkit import PolyRing, cli, constancy, default_bound, parse_polynomial
 from fptkit.cli import main
 
-from conftest import random_poly
+from conftest import random_poly, src_env
 
 
 def run_cli(*argv):
@@ -16,6 +16,7 @@ def run_cli(*argv):
     # stalling the suite
     proc = subprocess.run(
         [sys.executable, "-m", "fptkit", *argv],
+        env=src_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -243,3 +244,96 @@ class TestRoundTrip:
     def test_in_process_entry_point(self, capsys):
         assert main(["candidates", "--char", "2", "--bound", "2"]) == 0
         assert capsys.readouterr().out.strip() == "0, 1/3, 1/2, 2/3"
+
+
+QUARTIC = ("--char", "5", "--vars", "x,y", "x^4+y^3+x^2*y^2")
+CUSP = ("--char", "7", "--vars", "x,y", "x^2+y^3")
+
+
+class TestHumanOutput:
+    """The report each command prints without --json."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("fpt", *CUSP), "fpt(y^3 + x^2) = 5/6   [p = 7, bound = 2]\n"),
+            (
+                ("jn", *QUARTIC, "--bound", "6"),
+                "jumping numbers of x^4 + x^2*y^2 + y^3 in [0,1)   [p = 5, bound = 6]\n"
+                "fpt = 7/12\n"
+                "ideal evaluations: 151\n"
+                "      0  ->  (1)\n"
+                "   7/12  ->  (y, x)\n"
+                "    4/5  ->  (y, x^2)\n"
+                "  11/12  ->  (y^2, x*y, x^2)\n",
+            ),
+            (
+                ("tau", *QUARTIC, "--lambda", "4/5"),
+                "tau((x^4 + x^2*y^2 + y^3)^(4/5)) = (y, x^2)   [s = 7]\n",
+            ),
+            (("nu", *QUARTIC, "--e", "1"), "nu(f, b, e=1) = 2   [b = (y, x)]\n"),
+            (("ft", *QUARTIC, "--ideal", "x^2; y"), "ft(f | b) = 4/5   [b = (y, x^2)]\n"),
+            (
+                ("profile", *CUSP),
+                "isolated singularity at the origin: yes\n"
+                "ell = 2\n"
+                "fpt-stability order N = 4802\n"
+                "test-ideal-stability order M = 100842\n"
+                "jacobian = (x, y^2)\n",
+            ),
+            (
+                ("profile", "--char", "5", "--vars", "x,y", "x^2*y"),
+                "isolated singularity at the origin: no\njacobian = (x*y, x^2)\n",
+            ),
+            (
+                ("constancy", *CUSP, "--exponents", "5", "--seed", "5"),
+                "constancy report for y^3 + x^2   [p = 7, ell = 2, seed = 5]\n"
+                "k | sample | fpt(f) | fpt(f+h) | gap | bound | flags\n"
+                "5 | 0 | 5/6 | 5/6 | 0 | 2/5 | FJTS\n",
+            ),
+            (
+                ("verify", *QUARTIC, "--bound", "6"),
+                "".join(f"PASS  {name}\n" for name in CHECKS) + "all checks passed\n",
+            ),
+        ],
+        ids=[
+            "fpt", "jn", "tau", "nu", "ft", "profile-isolated", "profile-non-isolated",
+            "constancy", "verify",
+        ],
+    )
+    def test_report(self, argv, expected, capsys):
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out == expected
+
+
+class TestBoundKey:
+    """"bound" reports --bound when it is given and default_bound(f) when not."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fpt", *CUSP),
+            ("jn", *CUSP),
+            ("tau", *CUSP, "--lambda", "1/2"),
+            ("ft", *CUSP, "--ideal", "x; y"),
+            ("verify", *CUSP),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("given", [None, 3])
+    def test_bound(self, argv, given, capsys):
+        extra = [] if given is None else ["--bound", str(given)]
+        assert main([*argv, *extra, "--json"]) == 0
+        f = parse_polynomial("x^2+y^3", PolyRing(7, ["x", "y"]))
+        expected = default_bound(f) if given is None else given
+        assert json.loads(capsys.readouterr().out)["bound"] == expected
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    def no_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", no_parser)
+    for _ in range(2):
+        assert main(["candidates", "--char", "2", "--bound", "2"]) == 0
+    assert capsys.readouterr().out == "0, 1/3, 1/2, 2/3\n" * 2

@@ -4,12 +4,18 @@ import sys
 
 import pytest
 
+from conftest import src_env
+
 DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(script):
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=120
+        [sys.executable, str(script)],
+        env=src_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
