@@ -307,7 +307,7 @@ class TestHumanOutput:
 
 
 class TestBoundKey:
-    """"bound" reports --bound when it is given and default_bound(f) when not."""
+    """The "bound" key is --bound when it is given and default_bound(f) when not."""
 
     @pytest.mark.parametrize(
         "argv",
