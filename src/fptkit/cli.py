@@ -46,7 +46,7 @@ def _poly(args):
 
 
 def _bound(args, f) -> int:
-    """--bound when given, else default_bound(f)."""
+    """--bound when given, else the default TestIdealComputer resolves for f."""
     return testideal.TestIdealComputer(f, args.bound).bound
 
 
