@@ -5,8 +5,9 @@ a polynomial is involved, --vars plus the polynomial text (inline or via
 --input-file).  --json emits exactly one JSON document on stdout; the
 default is a small aligned human report.  Error classes map to distinct
 exit codes: parse errors 2, domain errors 3, cap/infeasibility 4, anything
-unexpected 70.  The parser is built once, at import; an omitted --bound is
-resolved by TestIdealComputer, and each command reports the bound it used.
+unexpected 70.  The parser is built once, at import.  A command that needs
+a bound builds one TestIdealComputer, which resolves an omitted --bound, and
+reports the bound it used; verify checks on the computer its walk built.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from . import constancy as constancy_mod
 from . import testideal
 from .basep import candidate_set, canonical_pair, format_rational, parse_rational
 from .errors import DomainError, EngineError, InfeasibleError, ParseError
-from .froot import FrobeniusRootEngine
 from .groebner import Ideal, bracket_power, maximal_ideal, normal_form
 from .parsing import parse_polynomial
 from .poly import PolyRing
@@ -43,11 +43,6 @@ def _poly(args):
     if not text:
         raise ParseError("no polynomial given", 0)
     return parse_polynomial(text, ring)
-
-
-def _bound(args, f) -> int:
-    """--bound when given, else the default TestIdealComputer resolves for f."""
-    return testideal.TestIdealComputer(f, args.bound).bound
 
 
 def _ideal(text, ring) -> Ideal:
@@ -84,9 +79,8 @@ def _emit(args, payload: dict | list, human_lines) -> int:
 
 
 def _cmd_fpt(args) -> int:
-    f = _poly(args)
-    bound = _bound(args, f)
-    value = testideal.fpt(f, bound)
+    c = testideal.TestIdealComputer(_poly(args), args.bound)
+    f, bound, value = c.f, c.bound, c.fpt()
     payload = {
         "prime": f.ring.prime,
         "poly": str(f),
@@ -151,8 +145,8 @@ def _cmd_ft(args) -> int:
     f = _poly(args)
     b = _ideal(args.ideal, f.ring)
     cap = parse_rational(args.cap) if args.cap else Fraction(f.ring.dimension)
-    bound = _bound(args, f)
-    value = testideal.f_threshold(f, b, bound, cap)
+    c = testideal.TestIdealComputer(f, args.bound)
+    bound, value = c.bound, c.f_threshold(b, cap)
     payload = {
         "prime": f.ring.prime,
         "poly": str(f),
@@ -238,8 +232,8 @@ def _cmd_verify(args) -> int:
 
 
 def _run_verification(report) -> list[tuple[str, bool]]:
-    f, bound = report.poly, report.bound
-    p = f.ring.prime
+    c = report.computer
+    f, bound, p = c.f, c.bound, c.p
     checks = []
 
     positive = [x for x in report.jumping_numbers if x > 0]
@@ -269,15 +263,14 @@ def _run_verification(report) -> list[tuple[str, bool]]:
     )
     checks.append(("nu sandwich brackets the fpt (e = 1..3)", sandwich_ok))
 
-    fast = testideal.fpt(f, bound)
+    fast = c.fpt()
     checks.append(("interval-narrowed fpt matches the candidate walk", fast == report.fpt))
 
-    jump_ok = all(testideal.is_jumping_number(f, lam, bound) for lam in positive)
+    jump_ok = all(c.is_jump(lam) for lam in positive)
     checks.append(("left limits differ exactly at the jumps", jump_ok))
 
-    engine = FrobeniusRootEngine(f)
     member_ok = all(
-        normal_form(f, bracket_power(engine.root_power(1, e), e)).is_zero() for e in (1, 2)
+        normal_form(f, bracket_power(c.engine.root_power(1, e), e)).is_zero() for e in (1, 2)
     )
     checks.append(("f lies in the bracket power of its own root", member_ok))
 

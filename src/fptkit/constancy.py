@@ -26,12 +26,7 @@ from .basep import format_rational
 from .errors import DomainError, StabilityError
 from .groebner import Ideal, ideal_sum, jacobian, maximal_ideal_power
 from .poly import Polynomial, PolyRing
-from .testideal import (
-    TestIdealComputer,
-    _isolated_length,
-    f_threshold,
-    jumping_numbers_unit_interval,
-)
+from .testideal import TestIdealComputer, _isolated_length, jumping_numbers_unit_interval
 
 __all__ = [
     "SingularityProfile",
@@ -206,6 +201,15 @@ class PerturbationRecord:
         }
 
 
+# CSV column -> PerturbationRecord.to_json key; the CSV omits h.
+_CSV_COLUMNS = {
+    "k": "k", "sample": "sample", "fptF": "fptF", "fptFh": "fptFh", "gap": "fptGap",
+    "gapBound": "gapBound", "fptEqual": "fptEqual", "jumpingNumbersEqual": "jumpingNumbersEqual",
+    "testIdealsEqualLocally": "testIdealsEqualLocally", "jacobianStable": "jacobianStable",
+    "theoremViolation": "theoremViolation",
+}
+
+
 @dataclass(frozen=True)
 class ConstancyReport:
     poly: Polynomial
@@ -225,39 +229,13 @@ class ConstancyReport:
         }
 
     def to_csv(self) -> str:
+        """One row per record, each column read from PerturbationRecord.to_json."""
         out = io.StringIO()
         writer = csv.writer(out)
-        writer.writerow(
-            [
-                "k",
-                "sample",
-                "fptF",
-                "fptFh",
-                "gap",
-                "gapBound",
-                "fptEqual",
-                "jumpingNumbersEqual",
-                "testIdealsEqualLocally",
-                "jacobianStable",
-                "theoremViolation",
-            ]
-        )
+        writer.writerow(_CSV_COLUMNS)
         for r in self.records:
-            writer.writerow(
-                [
-                    r.exponent,
-                    r.sample_index,
-                    format_rational(r.fpt_base),
-                    format_rational(r.fpt_perturbed),
-                    format_rational(r.fpt_gap),
-                    format_rational(r.gap_bound),
-                    r.fpt_equal,
-                    r.jumping_numbers_equal,
-                    r.test_ideals_equal_locally,
-                    r.jacobian_stable,
-                    r.theorem_violation,
-                ]
-            )
+            doc = r.to_json()
+            writer.writerow([doc[key] for key in _CSV_COLUMNS.values()])
         return out.getvalue()
 
 
@@ -342,15 +320,16 @@ def threshold_ideal_consistency(f: Polynomial, g: Polynomial, lam, bound: int, c
 
     if f.constant_term() != 0 or g.constant_term() != 0:
         raise DomainError("both polynomials must vanish at the origin")
-    a = TestIdealComputer(f, bound).ideal_at(lam).ideal
-    b = TestIdealComputer(g, bound).ideal_at(lam).ideal
+    cf, cg = TestIdealComputer(f, bound), TestIdealComputer(g, bound)
+    a = cf.ideal_at(lam).ideal
+    b = cg.ideal_at(lam).ideal
 
     def thresholds_match(target: Ideal) -> bool:
         if target.is_unit():
             return True  # both thresholds are 0 by convention
         if not (radical_member(f, target) and radical_member(g, target)):
             return False
-        return f_threshold(f, target, bound, cap) == f_threshold(g, target, bound, cap)
+        return cf.f_threshold(target, cap) == cg.f_threshold(target, cap)
 
     if thresholds_match(a) and thresholds_match(b):
         return a == b

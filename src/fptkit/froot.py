@@ -8,8 +8,8 @@ Frobenius fixes F_p).  _root_generators is that one step; frobenius_root(f, e)
 is the case J = (f), and each digit step of the engine below applies it with
 q = p.
 
-frobenius_root_power(f, N, e, carried) evaluates the root of f^N * J
-without ever expanding f^N.  It peels one base-p digit of N per level:
+frobenius_root_power(f, N, e) evaluates root_e(f^N) without ever expanding
+f^N.  It peels one base-p digit of N per level, starting from J = (1):
 
     root_e(f^N * J) = root_{e-1}(f^(N div p) * root_1(f^(N mod p) * J))
 
@@ -18,6 +18,10 @@ consequence of flatness of Frobenius on the polynomial ring.  Digits are
 consumed least-significant first, intermediate ideals are canonicalized at
 every level, and no power beyond f^(p-1) times current generators is ever
 expanded, so N may vastly exceed p^e.
+
+A FrobeniusRootEngine holds the digit-transition cache for one f; the
+TestIdealComputer of a query owns one, so every evaluation of that query
+shares it.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ def frobenius_root_ideal(J: Ideal, e: int) -> Ideal:
 
 
 class FrobeniusRootEngine:
-    """Evaluates root_e(f^N * J) with a per-f digit-transition cache.
+    """Evaluates root_e(f^N) with a per-f digit-transition cache.
 
     The map J -> root_1(f^d * J) is well defined on ideals, so its values
     may be memoized keyed by the canonical (reduced Groebner) form of J.
@@ -107,16 +111,10 @@ class FrobeniusRootEngine:
             self._steps[key] = out
         return out
 
-    def root_power(self, N: int, e: int, carried: Ideal | None = None) -> Ideal:
+    def root_power(self, N: int, e: int) -> Ideal:
         if N < 0 or e < 0:
             raise DomainError("root_power requires N >= 0 and e >= 0")
-        if carried is None:
-            state = Ideal.unit(self.ring)
-        else:
-            if carried.ring != self.ring:
-                raise DomainError("carried ideal ring mismatch")
-            state = carried
-        state = self._intern(state)
+        state = self._intern(Ideal.unit(self.ring))
         p = self.ring.prime
         for _ in range(e):
             N, d = divmod(N, p)
@@ -127,10 +125,10 @@ class FrobeniusRootEngine:
         return self._intern(Ideal(self.ring, tuple(fN * g for g in state.basis())))
 
 
-def frobenius_root_power(f: Polynomial, N: int, e: int, carried: Ideal | None = None) -> Ideal:
-    """root_e of the ideal f^N * J, J defaulting to the unit ideal.
+def frobenius_root_power(f: Polynomial, N: int, e: int) -> Ideal:
+    """root_e of the ideal (f^N).
 
-    Equals frobenius_root_ideal applied to the fully expanded f^N * J, but
-    runs in e digit steps regardless of the size of N.
+    Equals frobenius_root_ideal applied to the fully expanded f^N, but runs
+    in e digit steps regardless of the size of N.
     """
-    return FrobeniusRootEngine(f).root_power(N, e, carried)
+    return FrobeniusRootEngine(f).root_power(N, e)

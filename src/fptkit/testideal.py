@@ -20,12 +20,16 @@ tau(f^lam) turns true.  least_parameter answers that by p-adic bisection:
 the answer is a jumping number, hence a candidate, and candidates lie more
 than p^(-2B) apart, so only a window holding a single candidate is ever
 enumerated.
+
+TestIdealComputer is the one context a query builds: it holds f, the
+checked bound and the root engine, and the searches are its methods.  The
+module-level functions of the same names build a computer and call it.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, floor
 
@@ -81,15 +85,25 @@ class JumpingNumberReport:
     When f has extra singular points away from the origin that value can
     sit above the first global drop of the ideal family; the origin-local
     number is the one the nu invariants bracket.
+
+    computer is the TestIdealComputer the walk ran on, and poly and bound are
+    read through it; candidate_count counts the walk's own evaluations.
     """
 
-    poly: Polynomial
-    bound: int
     jumping_numbers: tuple[Fraction, ...]
     test_ideals: tuple[Ideal, ...]
     fpt: Fraction
     candidate_count: int
     elapsed: float
+    computer: TestIdealComputer = field(compare=False, repr=False)
+
+    @property
+    def poly(self) -> Polynomial:
+        return self.computer.f
+
+    @property
+    def bound(self) -> int:
+        return self.computer.bound
 
     def to_json(self) -> dict:
         return {
@@ -111,7 +125,8 @@ class TestIdealComputer:
     of None means default_bound(f), and the bound must be >= 1.  Every
     evaluation is root_s(f^N) through the engine, whose final carry folds
     parameters >= 1 (Skoda).  evaluations counts the ideal_at calls made
-    through this computer.
+    through this computer.  The searches (is_jump, fpt, f_threshold) are
+    methods, so all questions asked of one computer share its engine.
     """
 
     def __init__(self, f: Polynomial, bound: int | None = None):
@@ -151,6 +166,53 @@ class TestIdealComputer:
         s, N = self._exponent(lam)
         return self.engine.root_power(N - 1, s)
 
+    def is_jump(self, lam) -> bool:
+        """True iff the test ideal jumps at lam; lam must be a (p, bound) candidate."""
+        lam = _as_fraction(lam)
+        if lam <= 0:
+            raise DomainError("jumping-number tests require a positive parameter")
+        pair = canonical_pair(lam, self.p)
+        if pair.u + pair.v > self.bound:
+            raise DomainError(
+                f"{lam} is not a candidate for bound {self.bound}: its minimal pair "
+                f"({pair.u}, {pair.v}) exceeds the bound"
+            )
+        return self.left_limit_at(lam) != self.ideal_at(lam).ideal
+
+    def fpt(self) -> Fraction:
+        """The F-pure threshold of f at the origin (f in m, f != 0).
+
+        The least lam with tau(f^lam) inside m, found by least_parameter; the
+        search ends by lam = 1 because tau(f^1) = (f) lies in m.
+        """
+        if self.f.constant_term() != 0:
+            raise DomainError("fpt requires a polynomial vanishing at the origin")
+        return least_parameter(self, _inside_m, 0, 1)
+
+    def f_threshold(self, b: Ideal, cap=None) -> Fraction:
+        """Least parameter lam with tau(f^lam) contained in b.
+
+        Searches the windows (k, k+1] in turn for k = 0, 1, ... up to the cap.
+        A window is searched only when the predicate failed at its left end k:
+        at k = 0 because b is proper, later because the previous window came
+        back empty.  Requires f in sqrt(b) for termination below the cap.
+        """
+        if self.f.ring != b.ring:
+            raise DomainError("polynomial/ideal ring mismatch")
+        if b.is_unit():
+            return Fraction(0)
+        cap = Fraction(self.f.ring.dimension) if cap is None else _as_fraction(cap)
+        for k in range(floor(cap) + 1):
+            lam = least_parameter(self, b.contains_ideal, k, k + 1)
+            if lam is not None:
+                if lam <= cap:
+                    return lam
+                break
+        raise InfeasibleError(
+            f"no parameter at or below the cap {format_rational(cap)} "
+            "drops the test ideal into b"
+        )
+
 
 def _inside_m(ideal: Ideal) -> bool:
     """Containment in the maximal ideal at the origin, i.e. properness there."""
@@ -174,17 +236,7 @@ def test_ideal_left_limit(f: Polynomial, lam, bound: int) -> Ideal:
 
 def is_jumping_number(f: Polynomial, lam, bound: int) -> bool:
     """True iff the test ideal jumps at lam; lam must be a (p, bound) candidate."""
-    lam = _as_fraction(lam)
-    if lam <= 0:
-        raise DomainError("jumping-number tests require a positive parameter")
-    pair = canonical_pair(lam, f.ring.prime)
-    if pair.u + pair.v > bound:
-        raise DomainError(
-            f"{lam} is not a candidate for bound {bound}: its minimal pair "
-            f"({pair.u}, {pair.v}) exceeds the bound"
-        )
-    computer = TestIdealComputer(f, bound)
-    return computer.left_limit_at(lam) != computer.ideal_at(lam).ideal
+    return TestIdealComputer(f, bound).is_jump(lam)
 
 
 def _least_integer(holds, lo: int, hi: int) -> int:
@@ -267,13 +319,12 @@ def jumping_numbers_unit_interval(f: Polynomial, bound: int) -> JumpingNumberRep
             break
     elapsed = time.perf_counter() - start
     return JumpingNumberReport(
-        poly=f,
-        bound=computer.bound,
         jumping_numbers=tuple(jumps),
         test_ideals=tuple(ideals),
         fpt=fpt_value,
         candidate_count=computer.evaluations,
         elapsed=elapsed,
+        computer=computer,
     )
 
 
@@ -343,37 +394,10 @@ def default_bound(f: Polynomial) -> int:
 
 
 def fpt(f: Polynomial, bound: int | None = None) -> Fraction:
-    """The F-pure threshold of f at the origin (f in m, f != 0).
-
-    The least lam with tau(f^lam) inside m, found by least_parameter; the
-    search ends by lam = 1 because tau(f^1) = (f) lies in m.
-    """
-    if f.constant_term() != 0:
-        raise DomainError("fpt requires a polynomial vanishing at the origin")
-    return least_parameter(TestIdealComputer(f, bound), _inside_m, 0, 1)
+    """The F-pure threshold of f at the origin; see TestIdealComputer.fpt."""
+    return TestIdealComputer(f, bound).fpt()
 
 
 def f_threshold(f: Polynomial, b: Ideal, bound: int | None = None, cap=None) -> Fraction:
-    """Least parameter lam with tau(f^lam) contained in b.
-
-    Searches the windows (k, k+1] in turn for k = 0, 1, ... up to the cap.
-    A window is searched only when the predicate failed at its left end k:
-    at k = 0 because b is proper, later because the previous window came
-    back empty.  Requires f in sqrt(b) for termination below the cap.
-    """
-    if f.ring != b.ring:
-        raise DomainError("polynomial/ideal ring mismatch")
-    if b.is_unit():
-        return Fraction(0)
-    computer = TestIdealComputer(f, bound)
-    cap = Fraction(f.ring.dimension) if cap is None else _as_fraction(cap)
-    for k in range(floor(cap) + 1):
-        lam = least_parameter(computer, b.contains_ideal, k, k + 1)
-        if lam is not None:
-            if lam <= cap:
-                return lam
-            break
-    raise InfeasibleError(
-        f"no parameter at or below the cap {format_rational(cap)} "
-        "drops the test ideal into b"
-    )
+    """Least lam with tau(f^lam) contained in b; see TestIdealComputer.f_threshold."""
+    return TestIdealComputer(f, bound).f_threshold(b, cap)

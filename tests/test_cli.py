@@ -2,11 +2,14 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from fptkit import PolyRing, cli, constancy, default_bound, parse_polynomial
+from fptkit import TestIdealComputer as Computer
 from fptkit.cli import main
+from fptkit.froot import FrobeniusRootEngine
 
 from conftest import random_poly, src_env
 
@@ -337,3 +340,41 @@ def test_main_reuses_one_parser(monkeypatch, capsys):
     for _ in range(2):
         assert main(["candidates", "--char", "2", "--bound", "2"]) == 0
     assert capsys.readouterr().out == "0, 1/3, 1/2, 2/3\n" * 2
+
+
+def quartic_consistency():
+    ring = PolyRing(5, ["x", "y"])
+    f = parse_polynomial("x^4+y^3+x^2*y^2", ring)
+    assert constancy.threshold_ideal_consistency(f, f + ring.monomial((9, 0)), Fraction(7, 12), 6)
+
+
+@pytest.mark.parametrize(
+    "query, engines, computers",
+    [
+        (("fpt", *QUARTIC), 1, 1),
+        (("jn", *QUARTIC), 1, 1),
+        (("tau", *QUARTIC, "--lambda", "4/5"), 1, 1),
+        (("nu", *QUARTIC, "--e", "2"), 1, 0),
+        (("ft", *QUARTIC, "--ideal", "x^2; y"), 1, 1),
+        (("verify", *QUARTIC), 4, 1),
+        (quartic_consistency, 2, 2),
+    ],
+    ids=["fpt", "jn", "tau", "nu", "ft", "verify", "threshold_ideal_consistency"],
+)
+def test_one_context_per_query(monkeypatch, capsys, query, engines, computers):
+    """A query builds one TestIdealComputer per polynomial and asks it every
+    question; only nu, which needs no bound, builds a bare engine (verify runs
+    it for e = 1, 2, 3)."""
+    built = {FrobeniusRootEngine: 0, Computer: 0}
+    for cls in built:
+
+        def counting_init(self, *args, cls=cls, real=cls.__init__):
+            built[cls] += 1
+            real(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    if callable(query):
+        query()
+    else:
+        assert main([*query, "--json"]) == 0
+    assert (built[FrobeniusRootEngine], built[Computer]) == (engines, computers)

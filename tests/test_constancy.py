@@ -260,6 +260,18 @@ class TestConstancyReport:
         assert csv_text.splitlines()[0].startswith("k,sample,fptF,fptFh,gap")
         assert len(csv_text.splitlines()) == 2
 
+    def test_csv_golden(self, cusp7):
+        rows = [
+            "k,sample,fptF,fptFh,gap,gapBound,fptEqual,jumpingNumbersEqual,"
+            "testIdealsEqualLocally,jacobianStable,theoremViolation",
+            "5,0,5/6,5/6,0,2/5,True,True,True,True,False",
+            "5,1,5/6,5/6,0,2/5,True,True,True,True,False",
+            "6,0,5/6,5/6,0,1/3,True,True,True,True,False",
+            "6,1,5/6,5/6,0,1/3,True,True,True,True,False",
+        ]
+        report = constancy_report(cusp7, [5, 6], 2, seed=3)
+        assert report.to_csv() == "".join(row + "\r\n" for row in rows)
+
 
 class TestThresholdIdealConsistency:
     def test_reflexive(self, quartic5):

@@ -91,9 +91,6 @@ class TestRootPower:
     def test_examples(self, ring5):
         x = ring5.variable("x")
         assert ideal_equal(frobenius_root_power(x, 30, 2), ideal_of(ring5, "x"))
-        J = ideal_of(ring5, "x^5 + y^5", "x^10")
-        f = parse_polynomial("x + y^2", ring5)
-        assert ideal_equal(frobenius_root_power(f, 0, 2, J), frobenius_root_ideal(J, 2))
 
     def test_huge_scale_exponent(self, ring5, quartic5):
         s = 12
@@ -140,10 +137,3 @@ class TestRootPower:
         engine = FrobeniusRootEngine(quartic5)
         for n, e in [(7, 1), (30, 2), (100, 3), (624, 4)]:
             assert ideal_equal(engine.root_power(n, e), frobenius_root_power(quartic5, n, e))
-
-    def test_carried_ideal(self, ring5):
-        x = ring5.variable("x")
-        carried = ideal_of(ring5, "x^5")
-        # root_1(x^5 * (x^5)) = x * root_1(x^5) = x * (x)
-        out = frobenius_root_power(x, 5, 1, carried)
-        assert ideal_equal(out, ideal_of(ring5, "x^2"))

@@ -1,10 +1,11 @@
-"""Replay the benchmark's reference answers for the walk and sweep pools.
+"""Replay the benchmark's reference answers for the walk, sweep and
+constancy pools.
 
 Every query in `perfbench/reference.json` (pool groups and `last` entries)
 runs through the CLI in-process; its JSON payload must match the recorded
-`expect` on expect's keys.  The `jn` and `tau` answers pin reduced-basis
-strings, so a change to the canonical form fails here as well as in the
-benchmark.
+`expect` on expect's keys, or, for a constancy report, on each record's
+answer fields.  The `jn` and `tau` answers pin reduced-basis strings, so a
+change to the canonical form fails here as well as in the benchmark.
 """
 
 import contextlib
@@ -21,6 +22,15 @@ from fptkit.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference.json"
+RECORD_FIELDS = (
+    "fptF",
+    "fptFh",
+    "fptEqual",
+    "jumpingNumbersEqual",
+    "testIdealsEqualLocally",
+    "jacobianStable",
+    "theoremViolation",
+)
 
 
 def queries(workload):
@@ -28,15 +38,20 @@ def queries(workload):
     return [q for group in table["groups"] + table["last"] for q in group]
 
 
-@pytest.mark.parametrize("workload", ["walk", "sweep"])
+def answer(payload, expect):
+    if "records" in expect:
+        return {"records": [{k: r[k] for k in RECORD_FIELDS} for r in payload["records"]]}
+    return {k: payload.get(k) for k in expect}
+
+
+@pytest.mark.parametrize("workload", ["walk", "sweep", "constancy"])
 def test_reference_answers(workload):
     wrong = []
     for q in queries(workload):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             rc = main(q["argv"] + ["--json"])
-        payload = json.loads(out.getvalue()) if rc == 0 else {}
-        got = {k: payload.get(k) for k in q["expect"]}
+        got = answer(json.loads(out.getvalue()), q["expect"]) if rc == 0 else {}
         if rc != 0 or got != q["expect"]:
             wrong.append((q["argv"], rc, got))
     assert not wrong, wrong[:3]

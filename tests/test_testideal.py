@@ -84,6 +84,8 @@ class TestTestIdeal:
             fpt(ring5.zero())
         with pytest.raises(DomainError):
             f_threshold(ring5.zero(), maximal_ideal(ring5))
+        with pytest.raises(DomainError):
+            f_threshold(ring5.zero(), Ideal.unit(ring5))
 
     @pytest.mark.parametrize("lam", ["abc", "1/0", "7/12", 0.5])
     @pytest.mark.parametrize(
@@ -306,6 +308,8 @@ class TestBounds:
             fpt(quartic5, 0)
         with pytest.raises(DomainError):
             f_threshold(quartic5, maximal_ideal(ring5), 0)
+        with pytest.raises(DomainError):
+            f_threshold(quartic5, Ideal.unit(ring5), bound=0)
 
 
 class TestFastFpt:
