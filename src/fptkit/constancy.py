@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .basep import format_rational
 from .errors import DomainError, StabilityError
-from .groebner import Ideal, ideal_sum, jacobian, maximal_ideal_power
+from .groebner import Ideal, jacobian, maximal_ideal_power
 from .poly import Polynomial, PolyRing
 from .testideal import TestIdealComputer, _isolated_length, jumping_numbers_unit_interval
 
@@ -85,8 +85,9 @@ def singularity_profile(f: Polynomial) -> SingularityProfile:
 
 
 def _equal_mod_m_power(J: Ideal, K: Ideal, k: int) -> bool:
-    mk = maximal_ideal_power(J.ring, k)
-    return ideal_sum(J, mk) == ideal_sum(K, mk)
+    # J + m^k from J's reduced basis, so J's raw generators are not reduced again
+    mk = maximal_ideal_power(J.ring, k).generators
+    return Ideal(J.ring, J.basis() + mk) == Ideal(K.ring, K.basis() + mk)
 
 
 def local_ideal_equal(J: Ideal, K: Ideal, ell: int) -> bool:

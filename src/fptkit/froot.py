@@ -19,9 +19,9 @@ consumed least-significant first, intermediate ideals are canonicalized at
 every level, and no power beyond f^(p-1) times current generators is ever
 expanded, so N may vastly exceed p^e.
 
-A FrobeniusRootEngine holds the digit-transition cache for one f; the
-TestIdealComputer of a query owns one, so every evaluation of that query
-shares it.
+A FrobeniusRootEngine holds the digit-transition cache for one f, its
+interned start state (1) and its table of powers f^d; the TestIdealComputer
+of a query owns one, so every evaluation of that query shares them.
 """
 
 from __future__ import annotations
@@ -74,10 +74,12 @@ class FrobeniusRootEngine:
     may be memoized keyed by the canonical (reduced Groebner) form of J.
     The searches in testideal evaluate many parameters for a fixed f, and
     their digit recursions keep re-entering the same few states, so most
-    steps are cache hits.
+    steps are cache hits.  The engine also pays once for its fixed work:
+    every evaluation starts from one interned unit ideal, and the digit
+    powers f^d and the final carry come from one power table.
     """
 
-    __slots__ = ("f", "ring", "_fpow", "_states", "_steps")
+    __slots__ = ("f", "ring", "_fpow", "_states", "_steps", "_start")
 
     def __init__(self, f: Polynomial):
         self.f = f
@@ -85,11 +87,16 @@ class FrobeniusRootEngine:
         self._fpow: dict[int, Polynomial] = {0: f.ring.one(), 1: f}
         self._states: dict = {}
         self._steps: dict = {}
+        self._start = self._intern(Ideal.unit(self.ring))
 
     def _f_power(self, d: int) -> Polynomial:
+        """f^d from the power table: the largest cached f^c with c < d times
+        f^(d-c), itself from the table; by binary powering when no cached c
+        reaches d/2, so the table lookups nest O(log d) deep."""
         g = self._fpow.get(d)
         if g is None:
-            g = power(self.f, d)
+            c = max(k for k in self._fpow if k < d)
+            g = self._fpow[c] * self._f_power(d - c) if 2 * c >= d else power(self.f, d)
             self._fpow[d] = g
         return g
 
@@ -114,14 +121,14 @@ class FrobeniusRootEngine:
     def root_power(self, N: int, e: int) -> Ideal:
         if N < 0 or e < 0:
             raise DomainError("root_power requires N >= 0 and e >= 0")
-        state = self._intern(Ideal.unit(self.ring))
+        state = self._start
         p = self.ring.prime
         for _ in range(e):
             N, d = divmod(N, p)
             state = self._step(state, d)
         if N == 0:
             return state
-        fN = power(self.f, N)
+        fN = self._f_power(N)
         return self._intern(Ideal(self.ring, tuple(fN * g for g in state.basis())))
 
 

@@ -203,6 +203,12 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("parse error:")
 
+    def test_bound_too_small(self):
+        # the quartic has 3 jumps in (0, 1); bound 1 cannot isolate them
+        proc = run_cli("jn", "--char", "5", "--vars", "x,y", "x^4+y^3+x^2*y^2", "--bound", "1")
+        assert proc.returncode == 3
+        assert "too small" in proc.stderr
+
     def test_infeasible(self):
         proc = run_cli(
             "ft", "--char", "5", "--vars", "x,y", "--ideal", "y", "--cap", "2", "x"

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,11 +7,15 @@ from fptkit import (
     DomainError,
     Ideal,
     PolyRing,
+    Polynomial,
     bracket_power,
+    fpt,
     frobenius_root,
     frobenius_root_ideal,
     frobenius_root_power,
+    groebner,
     ideal_equal,
+    jumping_numbers_unit_interval,
     normal_form,
     parse_polynomial,
     power,
@@ -137,3 +142,54 @@ class TestRootPower:
         engine = FrobeniusRootEngine(quartic5)
         for n, e in [(7, 1), (30, 2), (100, 3), (624, 4)]:
             assert ideal_equal(engine.root_power(n, e), frobenius_root_power(quartic5, n, e))
+
+
+class TestEngineFixedWork:
+    def test_unit_ideal_reduced_once(self, monkeypatch, quartic5):
+        # The start state (1) is interned once per engine, not once per
+        # evaluation: the rest are the walk's tau(f^0) and the transitions
+        # whose value is (1).
+        buchberger = groebner._buchberger
+        unit_runs = []
+
+        def counted(gens):
+            gens = tuple(gens)
+            if len(gens) == 1 and gens[0].is_one():
+                unit_runs.append(gens)
+            return buchberger(gens)
+
+        monkeypatch.setattr(groebner, "_buchberger", counted)
+        report = jumping_numbers_unit_interval(quartic5, None)
+        assert report.candidate_count > 100
+        assert len(unit_runs) <= 5
+
+    @pytest.mark.parametrize(
+        "p, text",
+        [(p, "x^3 + x*y^2 + 2*y^4 + x^2*y") for p in (2, 3, 5, 7, 11, 13)]
+        + [(101, "x^2 + y^3"), (1009, "x^2*y")],
+    )
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_power_table_matches_power(self, p, text, order):
+        f = parse_polynomial(text, PolyRing(p, ["x", "y"]))
+        digits = list(range(p))
+        if order == "descending":
+            digits.reverse()
+        elif order == "shuffled":
+            random.Random(p).shuffle(digits)
+        engine = FrobeniusRootEngine(f)
+        for d in digits:
+            assert engine._f_power(d) == power(f, d), d
+
+    def test_cusp_fpt_products(self, monkeypatch):
+        # Each digit power is one product with a cached neighbour, not a
+        # binary powering from scratch.
+        multiply = Polynomial.__mul__
+        products = []
+
+        def counted(a, b):
+            products.append(None)
+            return multiply(a, b)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        assert fpt(parse_polynomial("x^2 + y^3", PolyRing(101, ["x", "y"]))) == Fraction(84, 101)
+        assert len(products) <= 60

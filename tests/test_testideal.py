@@ -32,6 +32,7 @@ from fptkit import test_ideal_left_limit as tau_left
 
 import walk_oracle
 from conftest import random_poly
+from diagonal_oracle import diagonal_fpt
 
 F = Fraction
 
@@ -345,3 +346,37 @@ class TestFastFpt:
     def test_rejects_nonvanishing(self, ring5):
         with pytest.raises(DomainError):
             fpt(parse_polynomial("x + 1", ring5))
+
+
+class TestDiagonalClosedForm:
+    def test_agrees_with_fpt(self):
+        cases = 0
+        for p in (2, 3, 5, 7, 11):
+            ring = PolyRing(p, ["x", "y"])
+            for a in range(2, 9):
+                for b in range(a, 10):
+                    if a % p and b % p:
+                        f = parse_polynomial(f"x^{a} + y^{b}", ring)
+                        assert fpt(f) == diagonal_fpt(a, b, p), (p, a, b)
+                        cases += 1
+        assert cases == 113
+
+    def test_large_bound(self, ring5):
+        f = parse_polynomial("x^12 + y^13", ring5)
+        assert default_bound(f) == 105
+        assert diagonal_fpt(12, 13, 5) == F(4, 25)
+        assert fpt(f) == F(4, 25)
+
+
+class TestBoundTooSmall:
+    # A bound below the number of jumps must fail, never answer wrongly.
+    def test_fpt(self):
+        f = parse_polynomial("x^3*y^2 + x*y^4", PolyRing(2, ["x", "y"]))
+        assert fpt(f) == F(3, 8)
+        with pytest.raises(DomainError, match="too small"):
+            fpt(f, bound=2)
+
+    def test_walk(self):
+        f = parse_polynomial("2*x*y^3 + x^2*y + 2*y^3", PolyRing(3, ["x", "y"]))
+        with pytest.raises(DomainError, match="too small"):
+            jumping_numbers_unit_interval(f, 1)
