@@ -5,10 +5,16 @@ update of Gebauer and Moeller ("On an installation of Buchberger's
 algorithm", JSC 1988): pairs are filtered as each basis element enters, so
 most never reach the queue, and the many monomial generators the engine
 produces (split terms, powers of the maximal ideal) form no S-polynomials
-among themselves.  Workloads here are 2 to 4 variables with small bases, so
-nothing fancier is warranted.  The reduced Groebner basis is the
-canonical form of an ideal: equality tests, hashing, serialization, and the
-transition caching in the Frobenius-root engine all key off it.
+among themselves.  A linear front end runs first, in the spirit of
+Faugere's F4 (JPAA 1999): the generators are put in row echelon form over
+F_p, the other rows are cut by the monomial rows, and an ideal left with
+single-term rows only is returned without any pair loop.  Most generator
+lists the engine builds are monomials, scalar multiples and linearly
+dependent sets, so this removes most S-polynomials.  Workloads here are 2
+to 4 variables with small bases, so nothing fancier is warranted.  The
+reduced Groebner basis is the canonical form of an ideal: equality tests,
+hashing, serialization, and the transition caching in the Frobenius-root
+engine all key off it.
 
 Grevlex (``poly.grevlex_key``) is the only term order, and leading terms are
 read through ``Polynomial.leading_monomial``.  ``radical_member`` is the one
@@ -117,21 +123,78 @@ def _lm_key(g: Polynomial):
     return grevlex_key(g.leading_monomial())
 
 
+def _cancel_lead(g: Polynomial, row: Polynomial) -> Polynomial:
+    """g minus the multiple of the monic row that cancels g's term at lm(row)."""
+    p = g.ring.prime
+    c = g._terms[row.leading_monomial()]
+    out = dict(g._terms)
+    for m, rc in row._terms.items():
+        s = (out.get(m, 0) - c * rc) % p
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    return Polynomial(g.ring, out, _normalized=True)
+
+
+def _front_end(gens) -> list[Polynomial]:
+    """Monic generators of the ideal of gens, thinned by linear algebra.
+
+    Row echelon over F_p: each nonzero generator is reduced at its leading
+    monomial by the rows already kept until that monomial is new, and is
+    then kept as a monic row.  The rows span the same F_p-space as gens, so
+    they generate the same ideal.  The single-term rows generate a monomial
+    ideal; only its minimal generators stay, and every term of another row
+    that one of them divides is deleted, because it lies in the ideal.
+    Returns [1] when 1 is a row.
+    """
+    rows: dict = {}
+    for g in gens:
+        while g._terms:
+            lm = g.leading_monomial()
+            row = rows.get(lm)
+            if row is None:
+                rows[lm] = g.monic()
+                break
+            g = _cancel_lead(g, row)
+    out: list[Polynomial] = []
+    mono_lms: list = []
+    for lm in sorted((m for m, g in rows.items() if len(g._terms) == 1), key=grevlex_key):
+        if not any(lm):
+            return [rows[lm]]
+        if not any(_divides(m, lm) for m in mono_lms):
+            out.append(rows[lm])
+            mono_lms.append(lm)
+    for g in rows.values():
+        if len(g._terms) == 1:
+            continue
+        kept = {m: c for m, c in g._terms.items() if not any(_divides(u, m) for u in mono_lms)}
+        if len(kept) == len(g._terms):
+            out.append(g)
+        elif kept:
+            out.append(Polynomial(g.ring, kept, _normalized=True).monic())
+    return out
+
+
 def _buchberger(gens) -> list[Polynomial]:
     """Buchberger with the Gebauer-Moeller pair update and normal selection.
 
-    The generators, smallest leading monomial first, and then each nonzero
-    remainder h enter the basis through ``update``.  Of the new pairs (g, h)
-    over the active g, only those whose lcm no other new lcm divides
-    survive, one per lcm (criteria M and F).  A survivor is then dropped
-    when its S-polynomial reduces to 0 by construction: the leading
-    monomials are coprime (product criterion) or both polynomials are
-    single terms.  A pending pair whose lcm lm(h) divides is pruned unless
-    it shares its lcm with one of its two pairs with h (criterion B).
-    Active elements whose leading monomial lm(h) divides retire: remainders
-    are taken modulo the active set, but a retired element stays in G for
-    the pending pairs that name it.  Pending pairs form a heap keyed by
-    their lcm and are popped smallest first.
+    The generators first pass ``_front_end``; when every row it returns is
+    a single term they generate a monomial ideal, whose minimal generators
+    are its reduced basis, and no pair is formed.  A row cut to one term can
+    divide a monomial row, so that case still minimalizes: (x^3 + y^5, y^4,
+    x^4) gives (x^3, y^4).  Otherwise the rows, smallest leading monomial
+    first, and then each nonzero remainder h enter the basis through
+    ``update``.  Of the new pairs (g, h) over the active g, only those
+    whose lcm no other new lcm divides survive, one per lcm (criteria M and
+    F).  A survivor is then dropped when its S-polynomial reduces to 0 by
+    construction: the leading monomials are coprime (product criterion) or
+    both polynomials are single terms.  A pending pair whose lcm lm(h)
+    divides is pruned unless it shares its lcm with one of its two pairs
+    with h (criterion B).  Active elements whose leading monomial lm(h)
+    divides retire: remainders are taken modulo the active set, but a
+    retired element stays in G for the pending pairs that name it.  Pending
+    pairs form a heap keyed by their lcm and are popped smallest first.
     """
     G: list[Polynomial] = []
     lms: list = []
@@ -170,7 +233,10 @@ def _buchberger(gens) -> list[Polynomial]:
         G.append(h)
         lms.append(lm)
 
-    for g in sorted((g.monic() for g in gens if not g.is_zero()), key=_lm_key):
+    rows = _front_end(gens)
+    if all(len(g._terms) == 1 for g in rows):
+        return _interreduce(rows)
+    for g in sorted(rows, key=_lm_key):
         update(g)
     while pairs:
         _, i, j, _ = heapq.heappop(pairs)

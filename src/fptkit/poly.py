@@ -286,7 +286,7 @@ class Polynomial:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring.prime, self.terms()))
+            self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
     # -- printing -------------------------------------------------------------

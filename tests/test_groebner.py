@@ -10,6 +10,7 @@ from fptkit import (
     PolyRing,
     artinian_length,
     bracket_power,
+    constancy_report,
     ideal_equal,
     ideal_product,
     ideal_sum,
@@ -40,6 +41,19 @@ def random_ideal(rng, ring, n_gens=2, max_deg=3, max_terms=3, min_deg=1):
         ring,
         tuple(random_poly(rng, ring, max_deg, max_terms, min_deg) for _ in range(n_gens)),
     )
+
+
+@pytest.fixture
+def formed_spolys(monkeypatch):
+    """The pairs whose S-polynomial the kernel forms while the test runs."""
+    formed = []
+
+    def counting_spoly(f, g):
+        formed.append((f, g))
+        return _spoly(f, g)
+
+    monkeypatch.setattr(groebner, "_spoly", counting_spoly)
+    return formed
 
 
 # In two variables grevlex and graded lex agree; three variables tell them apart.
@@ -280,7 +294,10 @@ class TestPairUpdate:
                     [f, f + ring.one()],  # equal leading monomials
                     [f, f * ring.variable(0) + g],  # lm(f) divides the other's
                     J + [ring.constant(rng.randrange(1, p))],  # a constant
+                    m_k + [ring.constant(rng.randrange(1, p))],  # a constant among monomials
                     [ring.monomial(lead), f] + m_k,  # a monomial equal to lm(f)
+                    [f, f * 2, f + g, g],  # linearly dependent: f, 2f, f+g, g
+                    J + [J[0] - J[1], J[1] * 3],  # dependent on earlier generators
                 ]
                 for gens in cases:
                     assert list(Ideal(ring, gens).basis()) == oracle_basis(gens), gens
@@ -297,17 +314,37 @@ class TestPairUpdate:
                 system = [_lift(f, big) for f in J.generators] + [big.one() - t * _lift(g, big)]
                 assert radical_member(g, J) == (oracle_basis(system) == [big.one()])
 
-    def test_monomial_ideals_form_no_s_polynomials(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "p, names, gens, expected",
+        [
+            # a row cut to x^3 by the monomial rows divides x^4
+            (5, ["x", "y"], ["x^3 + y^5", "y^4", "x^4"], ["x^3", "y^4"]),
+            (5, ["x", "y"], ["x^2 + y", "2*x^2 + 2*y", "x*y", "3"], ["1"]),
+            (3, ["x", "y", "z"], ["x*y + z^2", "2*x*y + z^3", "z^2", "x*z + y^3"],
+             ["z^2", "x*y", "x^2*z", "y^3 + x*z"]),
+        ],
+    )
+    def test_front_end_cases(self, p, names, gens, expected):
+        ring = PolyRing(p, names)
+        polys = [parse_polynomial(t, ring) for t in gens]
+        basis = Ideal(ring, polys).basis()
+        assert [str(g) for g in basis] == expected
+        assert list(basis) == oracle_basis(polys)
+
+    def test_no_generators(self, ring5):
+        assert groebner._buchberger([]) == []
+        assert groebner._buchberger([ring5.zero(), ring5.zero()]) == []
+        assert Ideal(ring5, (ring5.zero(),)).basis() == ()
+
+    def test_constancy_s_polynomial_count(self, formed_spolys, cusp7):
+        # 75 are formed; without the linear front end it takes 846
+        constancy_report(cusp7, [5, 6], 2, seed=3)
+        assert len(formed_spolys) <= 150
+
+    def test_monomial_ideals_form_no_s_polynomials(self, formed_spolys):
         # every pair of single terms has S-polynomial 0, so none is formed
-        formed = []
-
-        def counting_spoly(f, g):
-            formed.append((f, g))
-            return _spoly(f, g)
-
-        monkeypatch.setattr(groebner, "_spoly", counting_spoly)
         xy = PolyRing(5, ["x", "y"])
         assert len(maximal_ideal_power(xy, 12).basis()) == 13
         xyz = PolyRing(5, ["x", "y", "z"])
         assert len(maximal_ideal_power(xyz, 5).basis()) == 21
-        assert formed == []
+        assert formed_spolys == []

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from fptkit import (
 )
 from fptkit.poly import grevlex_key
 
-from conftest import random_poly
+from conftest import random_poly, src_env
 
 
 @st.composite
@@ -82,6 +84,29 @@ class TestArithmetic:
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
         assert a + b == b + a
+
+    @given(data=ring_and_polys(count=2))
+    @settings(max_examples=100)
+    def test_hash_agrees_with_equality(self, data):
+        ring, (a, b) = data
+        assert hash(a * b) == hash(b * a)
+        reordered = Polynomial(ring, dict(reversed(list(a._terms.items()))), _normalized=True)
+        assert reordered == a and hash(reordered) == hash(a)
+
+    def test_hash_ignores_hash_seed(self):
+        code = (
+            "from fptkit import PolyRing, parse_polynomial;"
+            "print(hash(parse_polynomial('x^4 + 3x*y^2 + y^3', PolyRing(5, ['x', 'y']))))"
+        )
+        printed = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**src_env(), "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("0", "1", "2")
+        }
+        assert len(printed) == 1
 
 
 class TestPower:

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fptkit import (
     DomainError,
@@ -366,6 +369,40 @@ class TestDiagonalClosedForm:
         assert default_bound(f) == 105
         assert diagonal_fpt(12, 13, 5) == F(4, 25)
         assert fpt(f) == F(4, 25)
+
+
+class TestMonomialClosedForm:
+    # Hara-Yoshida (2003): tau((x^a * y^b)^lam) = (x^floor(a*lam) * y^floor(b*lam))
+    @given(
+        p=st.sampled_from([2, 3, 5, 7]),
+        a=st.integers(0, 4),
+        b=st.integers(0, 4),
+        lam=st.fractions(min_value=0, max_value=40, max_denominator=30),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_test_ideal(self, p, a, b, lam):
+        assume(a + b > 0)
+        f = PolyRing(p, ["x", "y"]).monomial((a, b))
+        basis = Computer(f).ideal_at(lam).ideal.basis()
+        assert [g.terms() for g in basis] == [(((floor(a * lam), floor(b * lam)), 1),)]
+
+
+class TestCuspClosedForm:
+    def test_every_prime_to_103(self):
+        # fpt(x^2 + y^3): 1/2 at p = 2, 2/3 at p = 3, and for p >= 5
+        # 5/6 when p = 1 mod 3, 5/6 - 1/(6p) when p = 2 mod 3
+        primes = [p for p in range(2, 104) if all(p % q for q in range(2, p))]
+        assert len(primes) == 27
+        for p in primes:
+            if p == 2:
+                expected = F(1, 2)
+            elif p == 3:
+                expected = F(2, 3)
+            elif p % 3 == 1:
+                expected = F(5, 6)
+            else:
+                expected = F(5, 6) - F(1, 6 * p)
+            assert fpt(parse_polynomial("x^2 + y^3", PolyRing(p, ["x", "y"]))) == expected, p
 
 
 class TestBoundTooSmall:
