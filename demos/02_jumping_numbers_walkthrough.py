@@ -14,8 +14,6 @@ from fptkit import (
     jumping_numbers_unit_interval,
     parse_polynomial,
     singularity_profile,
-    test_ideal,
-    test_ideal_left_limit,
 )
 
 ring = PolyRing(5, ["x", "y"])
@@ -39,13 +37,15 @@ for lam, ideal in zip(report.jumping_numbers, report.test_ideals):
 print(f"F-pure threshold: {report.fpt}")
 
 # At a jumping number, the left limit of the family differs from the value.
+# The walk's computer answers further questions from the same root engine.
+c = report.computer
 for lam in (Fraction(7, 12), Fraction(4, 5)):
-    left = test_ideal_left_limit(f, lam, profile.ell)
-    at = test_ideal(f, lam, profile.ell).ideal
+    left = c.left_limit_at(lam)
+    at = c.ideal_at(lam).ideal
     print(f"\nat {lam}: left limit {left}  vs  value {at}")
 
 # The huge Frobenius powers behind these answers are never expanded: the
 # evaluation at 7/12 works with f^142415365 through 12 digit steps.
-res = test_ideal(f, Fraction(7, 12), profile.ell)
+res = c.ideal_at(Fraction(7, 12))
 n = -((-(5**res.stabilization_exponent) * 7) // 12)
 print(f"\nstabilization exponent s = {res.stabilization_exponent}, so tau comes from f^{n}")

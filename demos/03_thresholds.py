@@ -6,8 +6,7 @@ from fractions import Fraction
 from fptkit import (
     Ideal,
     PolyRing,
-    f_threshold,
-    fpt,
+    TestIdealComputer,
     maximal_ideal,
     nu,
     parse_polynomial,
@@ -24,7 +23,8 @@ for e in range(1, 5):
     v = nu(f, m, e)
     print(f"  e={e}:  nu = {v:>4}   nu/7^e = {Fraction(v, 7**e)}  ~ {v / 7**e:.6f}")
 
-value = fpt(f)
+c = TestIdealComputer(f)
+value = c.fpt()
 print(f"F-pure threshold (exact): {value}")
 
 # Thresholds against other ideals pick out the other jumping numbers:
@@ -36,10 +36,10 @@ targets = [
     ("(f) * m", Ideal(ring, (f * x, f * y))),
 ]
 for name, b in targets:
-    print(f"  ft(f | {name}) = {f_threshold(f, b, 2, cap=Fraction(4))}")
+    print(f"  ft(f | {name}) = {c.f_threshold(b, cap=Fraction(4))}")
 
 # fpt is the least lam with tau(f^lam) inside m; monotonicity of the test
 # ideal lets a p-adic bisection isolate it as the unique candidate in a
 # tiny interval.
 g = parse_polynomial("x^4 + y^3 + x^2*y^2", PolyRing(5, ["x", "y"]))
-print(f"\nfpt({g}) over F_5 = {fpt(g)}")
+print(f"\nfpt({g}) over F_5 = {TestIdealComputer(g).fpt()}")

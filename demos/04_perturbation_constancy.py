@@ -14,7 +14,6 @@ from fptkit import (
     local_ideal_equal,
     parse_polynomial,
     singularity_profile,
-    test_ideal,
 )
 
 ring = PolyRing(7, ["x", "y"])
@@ -33,8 +32,8 @@ print(f"\nh = x^{profile.bound_fpt}")
 print(f"  fpt(f)     = {base.fpt}")
 print(f"  fpt(f + h) = {pert.fpt}")
 for lam in base.jumping_numbers:
-    a = test_ideal(f, lam, profile.ell).ideal
-    b = test_ideal(f + h, lam, profile.ell).ideal
+    a = base.computer.ideal_at(lam).ideal
+    b = pert.computer.ideal_at(lam).ideal
     print(f"  tau at {str(lam):>4}: locally equal = {local_ideal_equal(a, b, profile.ell)}")
 
 # Below the guaranteed order the threshold may move, but never by more

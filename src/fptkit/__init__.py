@@ -8,6 +8,9 @@ polynomials in F_p[x_1..x_n] with exact rational arithmetic throughout:
 * Frobenius-root ideals with a digit recursion for huge exponents,
 * test ideals, jumping numbers, F-pure thresholds, F-thresholds,
 * perturbation-constancy harnesses for isolated singularities.
+
+A query builds one TestIdealComputer(f, bound) and asks it every question:
+ideal_at, left_limit_at, is_jump, fpt and f_threshold share its root engine.
 """
 
 from .basep import (
@@ -45,40 +48,28 @@ from .froot import (
     FrobeniusRootEngine,
     frobenius_root,
     frobenius_root_ideal,
-    frobenius_root_power,
 )
 from .groebner import (
     Ideal,
     artinian_length,
     bracket_power,
-    ideal_equal,
-    ideal_product,
-    ideal_sum,
     jacobian,
     maximal_ideal,
     maximal_ideal_power,
     normal_form,
-    reduced_groebner,
-    scale,
 )
 from .parsing import parse_polynomial
-from .poly import Polynomial, PolyRing, multiply, partial_derivative, power
+from .poly import Polynomial, PolyRing, partial_derivative, power
 from .testideal import (
     JumpingNumberReport,
     TestIdealComputer,
     TestIdealResult,
     default_bound,
     degree_bound,
-    f_threshold,
-    fpt,
-    is_jumping_number,
     jumping_numbers_unit_interval,
     least_parameter,
-    length_bound,
     nu,
     stabilization_exponent,
-    test_ideal,
-    test_ideal_left_limit,
 )
 
 __version__ = "0.1.0"
@@ -110,27 +101,18 @@ __all__ = [
     "default_bound",
     "degree_bound",
     "equal_by_truncation",
-    "f_threshold",
     "format_rational",
-    "fpt",
     "frac_orbit",
     "frobenius_root",
     "frobenius_root_ideal",
-    "frobenius_root_power",
-    "ideal_equal",
-    "ideal_product",
-    "ideal_sum",
     "is_exponent_pair",
-    "is_jumping_number",
     "jacobian",
     "jacobian_stability_check",
     "jumping_numbers_unit_interval",
     "least_parameter",
-    "length_bound",
     "local_ideal_equal",
     "maximal_ideal",
     "maximal_ideal_power",
-    "multiply",
     "normal_form",
     "nu",
     "parse_polynomial",
@@ -138,12 +120,8 @@ __all__ = [
     "partial_derivative",
     "power",
     "random_perturbation",
-    "reduced_groebner",
-    "scale",
     "singularity_profile",
     "stabilization_exponent",
-    "test_ideal",
-    "test_ideal_left_limit",
     "threshold_ideal_consistency",
     "truncate",
 ]

@@ -100,9 +100,6 @@ class CandidateSet:
     def __len__(self):
         return len(self.values)
 
-    def __contains__(self, lam) -> bool:
-        return lam in set(self.values)
-
     def to_json(self) -> list[str]:
         return [format_rational(v) for v in self.values]
 
@@ -114,6 +111,14 @@ def _as_fraction(lam) -> Fraction:
     if isinstance(lam, int):
         return Fraction(lam)
     raise DomainError(f"expected a rational, got {type(lam).__name__}")
+
+
+def _check_bound(bound) -> None:
+    """A jumping-number count bound is an int >= 1; anything else is a DomainError."""
+    if isinstance(bound, bool) or not isinstance(bound, int):
+        raise DomainError(f"bound must be an integer, got {type(bound).__name__}")
+    if bound < 1:
+        raise DomainError("bound must be >= 1")
 
 
 def format_rational(q: Fraction) -> str:
@@ -211,8 +216,7 @@ def candidate_set(p: int, bound: int, window) -> CandidateSet:
     forms, and includes 0 when the window contains it.
     """
     require_prime(p)
-    if bound < 1:
-        raise DomainError("bound must be >= 1")
+    _check_bound(bound)
     lo, hi = _check_window(window)
     seen: set[Fraction] = set()
     if lo <= 0 < hi:

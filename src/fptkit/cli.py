@@ -108,11 +108,12 @@ def _cmd_jn(args) -> int:
 def _cmd_tau(args) -> int:
     f = _poly(args)
     lam = parse_rational(args.lam)
-    result = testideal.test_ideal(f, lam, args.bound)
+    c = testideal.TestIdealComputer(f, args.bound)
+    result = c.ideal_at(lam)
     payload = {
         "prime": f.ring.prime,
         "poly": str(f),
-        "bound": result.bound_used,
+        "bound": c.bound,
         "lambda": format_rational(lam),
         "stabilizationExponent": result.stabilization_exponent,
         "testIdeal": result.ideal.to_json(),

@@ -112,12 +112,9 @@ def local_ideal_equal(J: Ideal, K: Ideal, ell: int) -> bool:
     return first
 
 
-def jacobian_stability_check(f: Polynomial, h: Polynomial) -> bool:
-    """Whether Jac(f) and Jac(f+h) agree at the origin; h needs order >= ell+3."""
-    return _jacobian_stable(singularity_profile(f), h)
-
-
-def _jacobian_stable(profile: SingularityProfile, h: Polynomial) -> bool:
+def jacobian_stability_check(profile: SingularityProfile, h: Polynomial) -> bool:
+    """Whether Jac(f) and Jac(f+h) agree at the origin, for f = profile.poly;
+    h needs order >= ell+3."""
     if not profile.is_isolated:
         raise DomainError("jacobian stability requires an isolated singularity at the origin")
     required = profile.ell + 3
@@ -285,7 +282,7 @@ def constancy_report(
                 )
             else:
                 ti_equal = False
-            jac_stable = _jacobian_stable(profile, h)
+            jac_stable = jacobian_stability_check(profile, h)
             gap = abs(base.fpt - pert.fpt)
             gap_bound = Fraction(dim, k)
             violation = k >= profile.bound_fpt and not fpt_equal

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["EngineError", "DomainError", "ParseError", "InfeasibleError", "NotMPrimaryError",
+           "StabilityError"]
+
 
 class EngineError(Exception):
     """Base class for every error this package raises deliberately."""

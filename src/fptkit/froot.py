@@ -8,8 +8,8 @@ Frobenius fixes F_p).  _root_generators is that one step; frobenius_root(f, e)
 is the case J = (f), and each digit step of the engine below applies it with
 q = p.
 
-frobenius_root_power(f, N, e) evaluates root_e(f^N) without ever expanding
-f^N.  It peels one base-p digit of N per level, starting from J = (1):
+FrobeniusRootEngine(f).root_power(N, e) evaluates root_e(f^N) without ever
+expanding f^N.  It peels one base-p digit of N per level, starting from J = (1):
 
     root_e(f^N * J) = root_{e-1}(f^(N div p) * root_1(f^(N mod p) * J))
 
@@ -33,7 +33,6 @@ from .poly import Polynomial, power
 __all__ = [
     "frobenius_root",
     "frobenius_root_ideal",
-    "frobenius_root_power",
     "FrobeniusRootEngine",
 ]
 
@@ -119,6 +118,8 @@ class FrobeniusRootEngine:
         return out
 
     def root_power(self, N: int, e: int) -> Ideal:
+        """root_e of the ideal (f^N): frobenius_root_ideal of the expanded
+        f^N, computed in e digit steps however large N is."""
         if N < 0 or e < 0:
             raise DomainError("root_power requires N >= 0 and e >= 0")
         state = self._start
@@ -130,12 +131,3 @@ class FrobeniusRootEngine:
             return state
         fN = self._f_power(N)
         return self._intern(Ideal(self.ring, tuple(fN * g for g in state.basis())))
-
-
-def frobenius_root_power(f: Polynomial, N: int, e: int) -> Ideal:
-    """root_e of the ideal (f^N).
-
-    Equals frobenius_root_ideal applied to the fully expanded f^N, but runs
-    in e digit steps regardless of the size of N.
-    """
-    return FrobeniusRootEngine(f).root_power(N, e)

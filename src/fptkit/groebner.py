@@ -32,14 +32,9 @@ from .poly import Polynomial, PolyRing, grevlex_key, partial_derivative
 
 __all__ = [
     "Ideal",
-    "reduced_groebner",
     "normal_form",
-    "ideal_equal",
     "bracket_power",
     "artinian_length",
-    "ideal_sum",
-    "ideal_product",
-    "scale",
     "jacobian",
     "maximal_ideal",
     "maximal_ideal_power",
@@ -334,23 +329,10 @@ class Ideal:
         return [str(g) for g in self.basis()]
 
 
-def reduced_groebner(J: Ideal) -> Ideal:
-    """The same ideal, presented by its reduced Groebner basis."""
-    out = Ideal(J.ring, J.basis())
-    out._basis = J.basis()
-    return out
-
-
 def normal_form(f: Polynomial, J: Ideal) -> Polynomial:
     if f.ring != J.ring:
         raise DomainError("polynomial/ideal ring mismatch")
     return _reduce_full(f, J.basis())
-
-
-def ideal_equal(J: Ideal, K: Ideal) -> bool:
-    if J.ring != K.ring:
-        raise DomainError("ideal ring mismatch")
-    return J == K
 
 
 def bracket_power(J: Ideal, e: int) -> Ideal:
@@ -363,24 +345,6 @@ def bracket_power(J: Ideal, e: int) -> Ideal:
     if e == 0:
         return J
     return Ideal(J.ring, tuple(g.frobenius(e) for g in J.generators))
-
-
-def ideal_sum(J: Ideal, K: Ideal) -> Ideal:
-    if J.ring != K.ring:
-        raise DomainError("ideal ring mismatch")
-    return Ideal(J.ring, J.generators + K.generators)
-
-
-def ideal_product(J: Ideal, K: Ideal) -> Ideal:
-    if J.ring != K.ring:
-        raise DomainError("ideal ring mismatch")
-    return Ideal(J.ring, tuple(a * b for a in J.generators for b in K.generators))
-
-
-def scale(f: Polynomial, J: Ideal) -> Ideal:
-    if f.ring != J.ring:
-        raise DomainError("polynomial/ideal ring mismatch")
-    return Ideal(J.ring, tuple(f * g for g in J.generators))
 
 
 def jacobian(f: Polynomial) -> Ideal:

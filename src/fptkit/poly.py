@@ -12,7 +12,7 @@ from __future__ import annotations
 from .basep import require_prime
 from .errors import DomainError
 
-__all__ = ["PolyRing", "Polynomial", "multiply", "power", "partial_derivative", "grevlex_key"]
+__all__ = ["PolyRing", "Polynomial", "power", "partial_derivative", "grevlex_key"]
 
 Monomial = tuple[int, ...]
 
@@ -313,10 +313,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.ring.prime}, {str(self)!r})"
-
-
-def multiply(a: Polynomial, b: Polynomial) -> Polynomial:
-    return a * b
 
 
 def power(f: Polynomial, n: int) -> Polynomial:

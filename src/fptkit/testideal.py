@@ -22,8 +22,8 @@ than p^(-2B) apart, so only a window holding a single candidate is ever
 enumerated.
 
 TestIdealComputer is the one context a query builds: it holds f, the
-checked bound and the root engine, and the searches are its methods.  The
-module-level functions of the same names build a computer and call it.
+checked bound and the root engine, and every question of the query (ideal_at,
+left_limit_at, is_jump, fpt, f_threshold) is one of its methods.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, floor
 
-from .basep import _as_fraction, candidates_left_open, canonical_pair, format_rational
+from .basep import _as_fraction, _check_bound, candidates_left_open, canonical_pair, format_rational
 from .errors import DomainError, InfeasibleError, NotMPrimaryError
 from .froot import FrobeniusRootEngine
 from .groebner import Ideal, artinian_length, jacobian
@@ -44,24 +44,17 @@ __all__ = [
     "JumpingNumberReport",
     "TestIdealComputer",
     "stabilization_exponent",
-    "test_ideal",
-    "test_ideal_left_limit",
-    "is_jumping_number",
     "least_parameter",
     "jumping_numbers_unit_interval",
     "nu",
-    "f_threshold",
-    "fpt",
     "degree_bound",
-    "length_bound",
     "default_bound",
 ]
 
 
 def stabilization_exponent(lam, bound: int, p: int) -> int:
     """s = u + v * bound for the canonical pair (u, v) of lam."""
-    if bound < 1:
-        raise DomainError("bound must be >= 1")
+    _check_bound(bound)
     pair = canonical_pair(_as_fraction(lam), p)
     return pair.u + pair.v * bound
 
@@ -71,7 +64,6 @@ class TestIdealResult:
     lam: Fraction
     ideal: Ideal
     stabilization_exponent: int
-    bound_used: int
 
 
 @dataclass(frozen=True)
@@ -121,8 +113,9 @@ class JumpingNumberReport:
 class TestIdealComputer:
     """Shared evaluation context: one polynomial, one bound, one root engine.
 
-    The one place that checks f and the bound: f must be nonzero, a bound
-    of None means default_bound(f), and the bound must be >= 1.  Every
+    The one place that checks f and resolves the bound: f must be nonzero,
+    a bound of None means default_bound(f), and any other bound must be an
+    int >= 1.  Every
     evaluation is root_s(f^N) through the engine, whose final carry folds
     parameters >= 1 (Skoda).  evaluations counts the ideal_at calls made
     through this computer.  The searches (is_jump, fpt, f_threshold) are
@@ -134,8 +127,7 @@ class TestIdealComputer:
             raise DomainError("test ideals of the zero polynomial are undefined")
         if bound is None:
             bound = default_bound(f)
-        if bound < 1:
-            raise DomainError("bound must be >= 1")
+        _check_bound(bound)
         self.f = f
         self.bound = bound
         self.p = f.ring.prime
@@ -149,6 +141,7 @@ class TestIdealComputer:
         return s, N
 
     def ideal_at(self, lam) -> TestIdealResult:
+        """tau(f^lam), exact, for any rational lam >= 0."""
         lam = _as_fraction(lam)
         if lam < 0:
             raise DomainError("test ideal parameters must be >= 0")
@@ -157,9 +150,10 @@ class TestIdealComputer:
             s, N = 0, lam.numerator
         else:
             s, N = self._exponent(lam)
-        return TestIdealResult(lam, self.engine.root_power(N, s), s, self.bound)
+        return TestIdealResult(lam, self.engine.root_power(N, s), s)
 
     def left_limit_at(self, lam) -> Ideal:
+        """The stable intersection of tau(f^(lam - eps)) over small eps > 0."""
         lam = _as_fraction(lam)
         if lam <= 0:
             raise DomainError("left limits require a positive parameter")
@@ -217,26 +211,6 @@ class TestIdealComputer:
 def _inside_m(ideal: Ideal) -> bool:
     """Containment in the maximal ideal at the origin, i.e. properness there."""
     return all(g.constant_term() == 0 for g in ideal.basis())
-
-
-def test_ideal(f: Polynomial, lam, bound: int) -> TestIdealResult:
-    """tau(f^lam), exact, for any rational lam >= 0.
-
-    bound must dominate the number of jumping numbers of f in [0, 1); see
-    default_bound.  Parameters >= 1 obey tau(f^lam) = f^floor(lam) *
-    tau(f^frac(lam)), which the root engine's carry applies.
-    """
-    return TestIdealComputer(f, bound).ideal_at(lam)
-
-
-def test_ideal_left_limit(f: Polynomial, lam, bound: int) -> Ideal:
-    """The stable intersection of tau(f^(lam - eps)) over small eps > 0."""
-    return TestIdealComputer(f, bound).left_limit_at(lam)
-
-
-def is_jumping_number(f: Polynomial, lam, bound: int) -> bool:
-    """True iff the test ideal jumps at lam; lam must be a (p, bound) candidate."""
-    return TestIdealComputer(f, bound).is_jump(lam)
 
 
 def _least_integer(holds, lo: int, hi: int) -> int:
@@ -378,26 +352,11 @@ def _isolated_length(jac: Ideal) -> int | None:
     return ell if ell >= 1 else None
 
 
-def length_bound(f: Polynomial) -> int | None:
-    """Length of R modulo the Jacobian ideal, when that ideal is primary
-    to the origin; None otherwise."""
-    return _isolated_length(jacobian(f))
-
-
 def default_bound(f: Polynomial) -> int:
     """The smaller of the degree bound and (when defined) the length bound."""
     b = degree_bound(f)
-    ell = length_bound(f)
+    ell = _isolated_length(jacobian(f))
     if ell is not None and ell < b:
         return ell
     return b
 
-
-def fpt(f: Polynomial, bound: int | None = None) -> Fraction:
-    """The F-pure threshold of f at the origin; see TestIdealComputer.fpt."""
-    return TestIdealComputer(f, bound).fpt()
-
-
-def f_threshold(f: Polynomial, b: Ideal, bound: int | None = None, cap=None) -> Fraction:
-    """Least lam with tau(f^lam) contained in b; see TestIdealComputer.f_threshold."""
-    return TestIdealComputer(f, bound).f_threshold(b, cap)

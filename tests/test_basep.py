@@ -15,8 +15,10 @@ from fptkit import (
     frac_orbit,
     is_exponent_pair,
     parse_rational,
+    stabilization_exponent,
     truncate,
 )
+from fptkit import TestIdealComputer as Computer
 from fptkit.basep import candidates_left_open, is_prime
 
 F = Fraction
@@ -121,11 +123,32 @@ class TestExponentPairMembership:
         assert not is_exponent_pair(F(7, 12), ExponentPair(3, 1), 5)
 
 
+class TestBoundCheck:
+    @pytest.mark.parametrize("bound", [0, -1, 2.5, 6.0, "6", True])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda f, bound: candidate_set(5, bound, (F(0), F(1))),
+            lambda f, bound: stabilization_exponent(F(1, 2), bound, 5),
+            lambda f, bound: Computer(f, bound),
+        ],
+        ids=["candidate_set", "stabilization_exponent", "TestIdealComputer"],
+    )
+    def test_rejects_bad_bounds(self, quartic5, entry, bound):
+        # a bound is an int >= 1: bool, float and str are rejected, not coerced
+        match = "bound must be >= 1" if type(bound) is int else "bound must be an integer"
+        with pytest.raises(DomainError, match=match):
+            entry(quartic5, bound)
+
+
 class TestCandidateSet:
     def test_examples(self):
         assert candidate_set(2, 2, (F(0), F(1))).values == (F(0), F(1, 3), F(1, 2), F(2, 3))
         assert candidate_set(3, 1, (F(0), F(1))).values == (F(0), F(1, 2))
         assert candidate_set(5, 1, (F(0), F(1))).values == (F(0), F(1, 4), F(1, 2), F(3, 4))
+        cs = candidate_set(2, 2, (F(0), F(1)))
+        assert F(0) in cs and F(1, 3) in cs and 0 in cs
+        assert F(1, 5) not in cs and F(1) not in cs
 
     def test_window_slicing(self):
         full = candidate_set(2, 2, (F(0), F(1))).values
@@ -149,6 +172,7 @@ class TestCandidateSet:
             if probe > 0:
                 u, vv = canonical_pair(probe, 3)
                 assert (probe in expected) == (u + vv <= 2)
+                assert (probe in cs) == (u + vv <= 2)
             probe += step
 
     def test_rejects_bad_windows(self):

@@ -14,24 +14,18 @@ from fptkit import (
     bracket_power,
     default_bound,
     degree_bound,
-    f_threshold,
-    fpt,
     frobenius_root,
-    ideal_equal,
-    is_jumping_number,
     jumping_numbers_unit_interval,
-    length_bound,
     maximal_ideal,
     normal_form,
     nu,
     parse_polynomial,
     power,
+    singularity_profile,
     stabilization_exponent,
 )
 
 from fptkit import TestIdealComputer as Computer
-from fptkit import test_ideal as tau_at
-from fptkit import test_ideal_left_limit as tau_left
 
 import walk_oracle
 from conftest import random_poly
@@ -63,41 +57,41 @@ class TestStabilizationExponent:
 
 class TestTestIdeal:
     def test_known_values(self, ring5, quartic5):
-        assert ideal_equal(tau_at(quartic5, F(7, 12), 6).ideal, ideal_of(ring5, "x", "y"))
-        assert ideal_equal(tau_at(quartic5, F(4, 5), 6).ideal, ideal_of(ring5, "x^2", "y"))
-        assert ideal_equal(
-            tau_at(quartic5, F(11, 12), 6).ideal, ideal_of(ring5, "x^2", "x*y", "y^2")
-        )
+        c = Computer(quartic5, 6)
+        assert c.ideal_at(F(7, 12)).ideal == ideal_of(ring5, "x", "y")
+        assert c.ideal_at(F(4, 5)).ideal == ideal_of(ring5, "x^2", "y")
+        assert c.ideal_at(F(11, 12)).ideal == ideal_of(ring5, "x^2", "x*y", "y^2")
 
     def test_unit_cases(self, ring5):
         x = ring5.variable("x")
-        assert tau_at(x, F(1, 2), 1).ideal.is_unit()
-        assert tau_at(x, F(0), 1).ideal.is_unit()
+        assert Computer(x, 1).ideal_at(F(1, 2)).ideal.is_unit()
+        assert Computer(x, 1).ideal_at(F(0)).ideal.is_unit()
 
     def test_result_metadata(self, ring5, quartic5):
-        res = tau_at(quartic5, F(4, 5), 6)
+        c = Computer(quartic5, 6)
+        res = c.ideal_at(F(4, 5))
         assert res.stabilization_exponent == 7
-        assert res.bound_used == 6
+        assert c.bound == 6
         scaled = 5**res.stabilization_exponent * res.lam
         assert scaled.denominator == 1
 
     def test_zero_polynomial_rejected(self, ring5):
         with pytest.raises(DomainError):
-            tau_at(ring5.zero(), F(1, 2), 1)
+            Computer(ring5.zero(), 1).ideal_at(F(1, 2))
         with pytest.raises(DomainError):
-            fpt(ring5.zero())
+            Computer(ring5.zero()).fpt()
         with pytest.raises(DomainError):
-            f_threshold(ring5.zero(), maximal_ideal(ring5))
+            Computer(ring5.zero()).f_threshold(maximal_ideal(ring5))
         with pytest.raises(DomainError):
-            f_threshold(ring5.zero(), Ideal.unit(ring5))
+            Computer(ring5.zero()).f_threshold(Ideal.unit(ring5))
 
     @pytest.mark.parametrize("lam", ["abc", "1/0", "7/12", 0.5])
     @pytest.mark.parametrize(
         "compute",
         [
-            lambda f, lam: tau_at(f, lam, 6),
-            lambda f, lam: tau_left(f, lam, 6),
-            lambda f, lam: f_threshold(f, maximal_ideal(f.ring), 6, cap=lam),
+            lambda f, lam: Computer(f, 6).ideal_at(lam),
+            lambda f, lam: Computer(f, 6).left_limit_at(lam),
+            lambda f, lam: Computer(f, 6).f_threshold(maximal_ideal(f.ring), cap=lam),
         ],
         ids=["test_ideal", "test_ideal_left_limit", "f_threshold"],
     )
@@ -117,9 +111,9 @@ class TestTestIdeal:
                 e = rng.randint(1, 2)
                 mu = F(rng.randint(1, p**e - 1), p**e)
                 for lam in (1 + mu, 2 + mu, F(1), F(2)):
-                    folded = tau_at(f, lam, default_bound(f))
+                    folded = Computer(f, default_bound(f)).ideal_at(lam)
                     direct = frobenius_root(power(f, int(p**e * lam)), e)
-                    assert ideal_equal(folded.ideal, direct)
+                    assert folded.ideal == direct
                     if lam.denominator == 1:
                         assert folded.stabilization_exponent == 0
 
@@ -129,7 +123,7 @@ class TestTestIdeal:
         values = candidate_set(5, 2, (F(0), F(1))).values
         prev = None
         for lam in values:
-            cur = tau_at(quartic5, lam, 6).ideal
+            cur = Computer(quartic5, 6).ideal_at(lam).ideal
             if prev is not None:
                 assert prev.contains_ideal(cur)
             prev = cur
@@ -137,12 +131,11 @@ class TestTestIdeal:
 
 class TestLeftLimit:
     def test_known_values(self, ring5, quartic5):
-        assert tau_left(quartic5, F(7, 12), 6).is_unit()
-        assert ideal_equal(
-            tau_left(quartic5, F(4, 5), 6), ideal_of(ring5, "x", "y")
-        )
+        c = Computer(quartic5, 6)
+        assert c.left_limit_at(F(7, 12)).is_unit()
+        assert c.left_limit_at(F(4, 5)) == ideal_of(ring5, "x", "y")
         x = ring5.variable("x")
-        assert tau_left(x, F(1), 1).is_unit()
+        assert Computer(x, 1).left_limit_at(F(1)).is_unit()
 
     def test_above_one(self, ring5, quartic5):
         # the left limit at k + mu is f^k times the one at mu, and at an
@@ -151,29 +144,31 @@ class TestLeftLimit:
         def times_power(k, J):
             return Ideal(ring5, tuple(power(quartic5, k) * g for g in J.basis()))
 
-        at_one = tau_left(quartic5, F(1), 6)
-        at_fpt = tau_left(quartic5, F(7, 12), 6)
-        assert ideal_equal(at_one, tau_at(quartic5, F(11, 12), 6).ideal)
+        c = Computer(quartic5, 6)
+        at_one = c.left_limit_at(F(1))
+        at_fpt = c.left_limit_at(F(7, 12))
+        assert at_one == c.ideal_at(F(11, 12)).ideal
         cases = [
             (F(2), times_power(1, at_one)),
             (1 + F(7, 12), times_power(1, at_fpt)),
             (2 + F(7, 12), times_power(2, at_fpt)),
         ]
         for lam, expected in cases:
-            assert ideal_equal(tau_left(quartic5, lam, 6), expected)
+            assert c.left_limit_at(lam) == expected
 
 
 class TestJumpDetection:
     def test_examples(self, ring5, quartic5):
-        assert is_jumping_number(quartic5, F(7, 12), 6)
-        assert not is_jumping_number(quartic5, F(1, 2), 6)
+        c = Computer(quartic5, 6)
+        assert c.is_jump(F(7, 12))
+        assert not c.is_jump(F(1, 2))
         x = ring5.variable("x")
-        assert not is_jumping_number(x, F(1, 2), 1)
+        assert not Computer(x, 1).is_jump(F(1, 2))
 
     def test_non_candidate_rejected(self, ring5, quartic5):
         # ord of 5 mod 23 is 22, far beyond the bound
         with pytest.raises(DomainError):
-            is_jumping_number(quartic5, F(1, 23), 6)
+            Computer(quartic5, 6).is_jump(F(1, 23))
 
 
 class TestUnitIntervalReport:
@@ -188,7 +183,7 @@ class TestUnitIntervalReport:
             ideal_of(ring5, "x^2", "x*y", "y^2"),
         ]
         for got, want in zip(report.test_ideals, expected):
-            assert ideal_equal(got, want)
+            assert got == want
 
     def test_smooth_coordinate(self, ring5):
         x = ring5.variable("x")
@@ -274,22 +269,24 @@ class TestNu:
 class TestFThreshold:
     def test_known_values(self, ring5, quartic5):
         m = maximal_ideal(ring5)
-        assert f_threshold(quartic5, m, 6) == F(7, 12)
-        assert f_threshold(quartic5, ideal_of(ring5, "x^2", "y"), 6) == F(4, 5)
-        assert f_threshold(quartic5, Ideal.unit(ring5), 6) == 0
+        c = Computer(quartic5, 6)
+        assert c.f_threshold(m) == F(7, 12)
+        assert c.f_threshold(ideal_of(ring5, "x^2", "y")) == F(4, 5)
+        assert c.f_threshold(Ideal.unit(ring5)) == 0
 
     def test_agrees_with_fpt(self, ring5, quartic5):
-        assert f_threshold(quartic5, maximal_ideal(ring5), 6) == fpt(quartic5, 6)
+        c = Computer(quartic5, 6)
+        assert c.f_threshold(maximal_ideal(ring5)) == c.fpt()
 
     def test_cap_exhaustion(self, ring5):
         x = ring5.variable("x")
         with pytest.raises(InfeasibleError):
-            f_threshold(x, ideal_of(ring5, "y"), 1, cap=F(3))
+            Computer(x, 1).f_threshold(ideal_of(ring5, "y"), cap=F(3))
 
     def test_above_one(self, ring5, quartic5):
         # tau drops inside (f)*m only beyond the first Skoda translate
         target = Ideal(ring5, tuple(quartic5 * g for g in maximal_ideal(ring5).generators))
-        value = f_threshold(quartic5, target, 6, cap=F(3))
+        value = Computer(quartic5, 6).f_threshold(target, cap=F(3))
         assert value == 1 + F(7, 12)
 
 
@@ -299,8 +296,8 @@ class TestBounds:
         assert degree_bound(ring5.variable("x")) == 3
 
     def test_length_bound(self, ring5, quartic5):
-        assert length_bound(quartic5) == 6
-        assert length_bound(parse_polynomial("x^2", ring5)) is None
+        assert singularity_profile(quartic5).ell == 6
+        assert singularity_profile(parse_polynomial("x^2", ring5)).ell is None
 
     def test_default_bound(self, ring5, quartic5, cusp7):
         assert default_bound(quartic5) == 6
@@ -309,18 +306,18 @@ class TestBounds:
         for f in (quartic5, cusp7, ring5.variable("x")):
             assert Computer(f).bound == default_bound(f)
         with pytest.raises(DomainError):
-            fpt(quartic5, 0)
+            Computer(quartic5, 0).fpt()
         with pytest.raises(DomainError):
-            f_threshold(quartic5, maximal_ideal(ring5), 0)
+            Computer(quartic5, 0).f_threshold(maximal_ideal(ring5))
         with pytest.raises(DomainError):
-            f_threshold(quartic5, Ideal.unit(ring5), bound=0)
+            Computer(quartic5, 0).f_threshold(Ideal.unit(ring5))
 
 
 class TestFastFpt:
     def test_known_values(self, ring5, ring7, quartic5, cusp7):
-        assert fpt(quartic5) == F(7, 12)
-        assert fpt(cusp7) == F(5, 6)
-        assert fpt(ring5.variable("x")) == 1
+        assert Computer(quartic5).fpt() == F(7, 12)
+        assert Computer(cusp7).fpt() == F(5, 6)
+        assert Computer(ring5.variable("x")).fpt() == 1
 
     def test_agrees_with_walk(self, ring7, quartic5, cusp7):
         cases = [
@@ -343,12 +340,13 @@ class TestFastFpt:
             assert report.jumping_numbers == jumps
             assert report.test_ideals == ideals
             assert report.fpt == threshold
-            assert fpt(f, bound) == threshold
-            assert f_threshold(f, maximal_ideal(f.ring), bound) == threshold
+            c = Computer(f, bound)
+            assert c.fpt() == threshold
+            assert c.f_threshold(maximal_ideal(f.ring)) == threshold
 
     def test_rejects_nonvanishing(self, ring5):
         with pytest.raises(DomainError):
-            fpt(parse_polynomial("x + 1", ring5))
+            Computer(parse_polynomial("x + 1", ring5)).fpt()
 
 
 class TestDiagonalClosedForm:
@@ -360,7 +358,7 @@ class TestDiagonalClosedForm:
                 for b in range(a, 10):
                     if a % p and b % p:
                         f = parse_polynomial(f"x^{a} + y^{b}", ring)
-                        assert fpt(f) == diagonal_fpt(a, b, p), (p, a, b)
+                        assert Computer(f).fpt() == diagonal_fpt(a, b, p), (p, a, b)
                         cases += 1
         assert cases == 113
 
@@ -368,7 +366,7 @@ class TestDiagonalClosedForm:
         f = parse_polynomial("x^12 + y^13", ring5)
         assert default_bound(f) == 105
         assert diagonal_fpt(12, 13, 5) == F(4, 25)
-        assert fpt(f) == F(4, 25)
+        assert Computer(f).fpt() == F(4, 25)
 
 
 class TestMonomialClosedForm:
@@ -402,16 +400,17 @@ class TestCuspClosedForm:
                 expected = F(5, 6)
             else:
                 expected = F(5, 6) - F(1, 6 * p)
-            assert fpt(parse_polynomial("x^2 + y^3", PolyRing(p, ["x", "y"]))) == expected, p
+            f = parse_polynomial("x^2 + y^3", PolyRing(p, ["x", "y"]))
+            assert Computer(f).fpt() == expected, p
 
 
 class TestBoundTooSmall:
     # A bound below the number of jumps must fail, never answer wrongly.
     def test_fpt(self):
         f = parse_polynomial("x^3*y^2 + x*y^4", PolyRing(2, ["x", "y"]))
-        assert fpt(f) == F(3, 8)
+        assert Computer(f).fpt() == F(3, 8)
         with pytest.raises(DomainError, match="too small"):
-            fpt(f, bound=2)
+            Computer(f, 2).fpt()
 
     def test_walk(self):
         f = parse_polynomial("2*x*y^3 + x^2*y + 2*y^3", PolyRing(3, ["x", "y"]))
