@@ -21,7 +21,8 @@ class ParseError(EngineError):
 
 
 class InfeasibleError(EngineError):
-    """A bounded search exhausted its cap without producing an answer."""
+    """A bounded search exhausted its cap without producing an answer, or a
+    polynomial's degree would pass the packed-monomial limit."""
 
 
 class NotMPrimaryError(DomainError):

@@ -38,14 +38,25 @@ __all__ = [
 
 
 def _split_terms(f: Polynomial, q: int) -> list[Polynomial]:
-    """Coordinates of f in the monomial basis of R over R^q, q = p^e."""
-    buckets: dict = {}
-    for m, c in f._terms.items():
-        mu = tuple(x % q for x in m)
-        quo = tuple(x // q for x in m)
-        buckets.setdefault(mu, {})[quo] = c
+    """Coordinates of f in the monomial basis of R over R^q, q = p^e.
+
+    One pass over the fields of each packed monomial m: the running sum of
+    the exponent quotients e_i div q, placed field by field, packs the
+    quotient monomial quo, and the residue monomial is m - q*quo, because
+    packing is linear.
+    """
     ring = f.ring
-    return [Polynomial(ring, terms, _normalized=True) for terms in buckets.values()]
+    value, shifts = ring._value, ring._shifts
+    buckets: dict = {}
+    for m, c in f._packed.items():
+        quo = total = prev = 0
+        for shift in shifts:
+            s = (m >> shift) & value
+            total += (s - prev) // q
+            prev = s
+            quo |= total << shift
+        buckets.setdefault(m - q * quo, {})[quo] = c
+    return [Polynomial._from_packed(ring, terms) for terms in buckets.values()]
 
 
 def _root_generators(polys, q: int) -> tuple[Polynomial, ...]:

@@ -16,19 +16,23 @@ reduced Groebner basis is the canonical form of an ideal: equality tests,
 hashing, serialization, and the transition caching in the Frobenius-root
 engine all key off it.
 
-Grevlex (``poly.grevlex_key``) is the only term order, and leading terms are
-read through ``Polynomial.leading_monomial``.  ``radical_member`` is the one
-helper that extends the ring, by an auxiliary variable for the Rabinowitsch
-trick; the order stays grevlex there too.
+Grevlex is the only term order.  The kernel works on the packed monomials
+of ``poly``: a leading monomial (``Polynomial._lead``) is the largest int of
+a term dict, the division heap holds negated ints, the pair heap is keyed by
+the packed lcm, a quotient of monomials is an int difference, and
+divisibility and lcm are the ring's masked operations (``PolyRing.divides``,
+``PolyRing.lcm``).  An lcm whose degree would pass the packed limit raises
+InfeasibleError.  ``radical_member`` is the one helper that extends the
+ring, by an auxiliary variable for the Rabinowitsch trick; the order stays
+grevlex there too.
 """
 
 from __future__ import annotations
 
 import heapq
-from operator import neg
 
 from .errors import DomainError, NotMPrimaryError
-from .poly import Polynomial, PolyRing, grevlex_key, partial_derivative
+from .poly import Polynomial, PolyRing, partial_derivative
 
 __all__ = [
     "Ideal",
@@ -41,95 +45,66 @@ __all__ = [
 ]
 
 
-def _divides(a, b) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def _mono_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def _mono_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _mono_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _heap_key(m):
-    """Min-heap key that pops the grevlex-largest monomial first."""
-    total, tail = grevlex_key(m)
-    return (-total, *map(neg, tail))
-
-
 def _reduce_full(f: Polynomial, basis) -> Polynomial:
     """Remainder of f on division by a list of monic polynomials.
 
     No monomial of the remainder is divisible by any basis leading monomial,
     which makes the remainder canonical for a reduced basis.  The working
-    polynomial is kept in a dict with a lazy max-heap over its monomials.
+    polynomial is kept in a dict with a lazy max-heap over its packed
+    monomials, stored negated in heapq's min-heap.
     """
     if f.is_zero() or not basis:
         return f
     ring = f.ring
     p = ring.prime
-    data = [(g.leading_monomial(), g._terms) for g in basis]
-    work = dict(f._terms)
-    heap = [(_heap_key(m), m) for m in work]
+    divides = ring.divides
+    data = [(g._lead(), g._packed) for g in basis]
+    work = dict(f._packed)
+    heap = [-m for m in work]
     heapq.heapify(heap)
     remainder: dict = {}
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = -heapq.heappop(heap)
         c = work.pop(m, 0)
         if not c:
             continue
         for lm, gterms in data:
-            if _divides(lm, m):
-                shift = _mono_sub(m, lm)
+            if divides(lm, m):
+                shift = m - lm
                 for gm, gc in gterms.items():
                     if gm == lm:
                         continue
-                    mm = _mono_add(gm, shift)
+                    mm = gm + shift
                     old = work.get(mm, 0)
                     s = (old - c * gc) % p
                     if s:
                         work[mm] = s
                         if not old:
-                            heapq.heappush(heap, (_heap_key(mm), mm))
+                            heapq.heappush(heap, -mm)
                     elif mm in work:
                         del work[mm]
                 break
         else:
             remainder[m] = c
-    return Polynomial(ring, remainder, _normalized=True)
+    return Polynomial._from_packed(ring, remainder)
 
 
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    lf, lg = f.leading_monomial(), g.leading_monomial()
-    lcm = _mono_lcm(lf, lg)
-    return f.scale_term(1, _mono_sub(lcm, lf)) - g.scale_term(1, _mono_sub(lcm, lg))
-
-
-def _lm_key(g: Polynomial):
-    return grevlex_key(g.leading_monomial())
-
-
-def _cancel_lead(g: Polynomial, row: Polynomial) -> Polynomial:
-    """g minus the multiple of the monic row that cancels g's term at lm(row)."""
-    p = g.ring.prime
-    c = g._terms[row.leading_monomial()]
-    out = dict(g._terms)
-    for m, rc in row._terms.items():
-        s = (out.get(m, 0) - c * rc) % p
+    """x^(lcm - lm f) * f - x^(lcm - lm g) * g: the S-polynomial of two
+    monic polynomials."""
+    lf, lg = f._lead(), g._lead()
+    lcm = f.ring.lcm(lf, lg)
+    p = f.ring.prime
+    sf, sg = lcm - lf, lcm - lg
+    out = {m + sf: c for m, c in f._packed.items()}
+    for m, c in g._packed.items():
+        m += sg
+        s = (out.get(m, 0) - c) % p
         if s:
             out[m] = s
         else:
             del out[m]
-    return Polynomial(g.ring, out, _normalized=True)
+    return Polynomial._from_packed(f.ring, out)
 
 
 def _front_end(gens) -> list[Polynomial]:
@@ -145,29 +120,39 @@ def _front_end(gens) -> list[Polynomial]:
     """
     rows: dict = {}
     for g in gens:
-        while g._terms:
-            lm = g.leading_monomial()
+        p = g.ring.prime
+        terms = dict(g._packed)
+        while terms:
+            lm = max(terms)
             row = rows.get(lm)
             if row is None:
-                rows[lm] = g.monic()
+                rows[lm] = Polynomial._from_packed(g.ring, terms).monic()
                 break
-            g = _cancel_lead(g, row)
+            c = terms[lm]  # cancel it with the monic row
+            for m, rc in row._packed.items():
+                s = (terms.get(m, 0) - c * rc) % p
+                if s:
+                    terms[m] = s
+                else:
+                    del terms[m]
     out: list[Polynomial] = []
     mono_lms: list = []
-    for lm in sorted((m for m, g in rows.items() if len(g._terms) == 1), key=grevlex_key):
-        if not any(lm):
+    for lm in sorted(m for m, g in rows.items() if len(g._packed) == 1):
+        if lm == 0:
             return [rows[lm]]
-        if not any(_divides(m, lm) for m in mono_lms):
+        divides = rows[lm].ring.divides
+        if not any(divides(m, lm) for m in mono_lms):
             out.append(rows[lm])
             mono_lms.append(lm)
     for g in rows.values():
-        if len(g._terms) == 1:
+        if len(g._packed) == 1:
             continue
-        kept = {m: c for m, c in g._terms.items() if not any(_divides(u, m) for u in mono_lms)}
-        if len(kept) == len(g._terms):
+        divides = g.ring.divides
+        kept = {m: c for m, c in g._packed.items() if not any(divides(u, m) for u in mono_lms)}
+        if len(kept) == len(g._packed):
             out.append(g)
         elif kept:
-            out.append(Polynomial(g.ring, kept, _normalized=True).monic())
+            out.append(Polynomial._from_packed(g.ring, kept).monic())
     return out
 
 
@@ -189,8 +174,14 @@ def _buchberger(gens) -> list[Polynomial]:
     with h (criterion B).  Active elements whose leading monomial lm(h)
     divides retire: remainders are taken modulo the active set, but a
     retired element stays in G for the pending pairs that name it.  Pending
-    pairs form a heap keyed by their lcm and are popped smallest first.
+    pairs form a heap keyed by their packed lcm and are popped smallest
+    first.
     """
+    rows = _front_end(gens)
+    if all(len(g._packed) == 1 for g in rows):
+        return _interreduce(rows)
+    ring = rows[0].ring
+    divides, lcm_of, top = ring.divides, ring.lcm, ring._top
     G: list[Polynomial] = []
     lms: list = []
     active: list[int] = []
@@ -198,43 +189,40 @@ def _buchberger(gens) -> list[Polynomial]:
 
     def update(h):
         t = len(G)
-        lm = h.leading_monomial()
+        lm = h._lead()
         pairs[:] = [
             e
             for e in pairs
-            if not _divides(lm, e[3])
-            or _mono_lcm(lms[e[1]], lm) == e[3]
-            or _mono_lcm(lms[e[2]], lm) == e[3]
+            if not divides(lm, e[0])
+            or lcm_of(lms[e[1]], lm) == e[0]
+            or lcm_of(lms[e[2]], lm) == e[0]
         ]
         heapq.heapify(pairs)
-        single = len(h._terms) == 1
+        single = len(h._packed) == 1
         new = []
         for i in active:
-            lcm = _mono_lcm(lms[i], lm)
-            trivial = (single and len(G[i]._terms) == 1) or lcm == _mono_add(lms[i], lm)
+            lcm = lcm_of(lms[i], lm)
+            trivial = (single and len(G[i]._packed) == 1) or lcm == lms[i] + lm
             # a strict divisor of an lcm has lower degree; within one lcm
             # class, trivial pairs sort first and claim it
-            new.append((sum(lcm), not trivial, i, lcm))
+            new.append((lcm >> top, not trivial, i, lcm))
         new.sort()
         seen: list = []
         for _, needed, i, lcm in new:
-            if any(_divides(m, lcm) for m in seen):
+            if any(divides(m, lcm) for m in seen):
                 continue
             seen.append(lcm)
             if needed:
-                heapq.heappush(pairs, (grevlex_key(lcm), i, t, lcm))
-        active[:] = [i for i in active if not _divides(lm, lms[i])]
+                heapq.heappush(pairs, (lcm, i, t))
+        active[:] = [i for i in active if not divides(lm, lms[i])]
         active.append(t)
         G.append(h)
         lms.append(lm)
 
-    rows = _front_end(gens)
-    if all(len(g._terms) == 1 for g in rows):
-        return _interreduce(rows)
-    for g in sorted(rows, key=_lm_key):
+    for g in sorted(rows, key=Polynomial._lead):
         update(g)
     while pairs:
-        _, i, j, _ = heapq.heappop(pairs)
+        _, i, j = heapq.heappop(pairs)
         r = _reduce_full(_spoly(G[i], G[j]), [G[k] for k in active])
         if not r.is_zero():
             update(r.monic())
@@ -243,19 +231,19 @@ def _buchberger(gens) -> list[Polynomial]:
 
 def _interreduce(G) -> list[Polynomial]:
     """Minimal then fully reduced basis, sorted ascending by leading monomial."""
-    G = sorted(G, key=_lm_key)
+    G = sorted(G, key=Polynomial._lead)
     minimal: list[Polynomial] = []
     min_lms: list = []
     for g in G:
-        lm = g.leading_monomial()
-        if not any(_divides(m, lm) for m in min_lms):
+        lm = g._lead()
+        if not any(g.ring.divides(m, lm) for m in min_lms):
             minimal.append(g)
             min_lms.append(lm)
     reduced = []
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
         reduced.append(_reduce_full(g, others).monic())
-    reduced.sort(key=_lm_key)
+    reduced.sort(key=Polynomial._lead)
     return reduced
 
 
@@ -376,10 +364,11 @@ def artinian_length(J: Ideal) -> int:
     basis = J.basis()
     if len(basis) == 1 and basis[0].is_one():
         return 0
-    n = J.ring.dimension
-    lms = [g.leading_monomial() for g in basis]
+    ring = J.ring
+    n = ring.dimension
+    lms = [g._lead() for g in basis]
     caps = [None] * n
-    for m in lms:
+    for m in map(ring.unpack, lms):
         support = [i for i, e in enumerate(m) if e > 0]
         if len(support) == 1:
             i = support[0]
@@ -398,15 +387,15 @@ def artinian_length(J: Ideal) -> int:
             return
         for e in range(caps[i]):
             prefix.append(e)
-            m = tuple(prefix) + (0,) * (n - i - 1)
-            if not any(_divides(lm, m) for lm in lms):
+            m = ring.pack(tuple(prefix) + (0,) * (n - i - 1))
+            if not any(ring.divides(lm, m) for lm in lms):
                 rec(prefix, i + 1)
             prefix.pop()
 
     rec([], 0)
     d = len(standard)
     for i in range(n):
-        xi_d = J.ring.monomial([d if j == i else 0 for j in range(n)])
+        xi_d = ring.monomial([d if j == i else 0 for j in range(n)])
         if not normal_form(xi_d, J).is_zero():
             raise NotMPrimaryError(
                 "quotient is zero-dimensional but not supported only at the origin"
@@ -425,7 +414,7 @@ def _extend_ring(ring: PolyRing) -> PolyRing:
 
 
 def _lift(f: Polynomial, big: PolyRing) -> Polynomial:
-    return Polynomial(big, {(0,) + m: c for m, c in f._terms.items()}, _normalized=True)
+    return Polynomial(big, {(0,) + m: c for m, c in f.terms()})
 
 
 def radical_member(g: Polynomial, J: Ideal) -> bool:

@@ -51,7 +51,7 @@ class _Parser:
             if self.pos >= len(self.text):
                 break
             sign = self._read_sign(optional=False)
-        return Polynomial(self.ring, terms, _normalized=True)
+        return Polynomial(self.ring, terms)
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():

@@ -1,34 +1,63 @@
 """Sparse multivariate polynomials over a prime field F_p.
 
-Terms live in a dict keyed by exponent tuples; coefficients are kept in
+Terms live in a dict keyed by packed monomials; coefficients are kept in
 1 .. p-1.  The canonical term order is graded reverse lexicographic, used
 both for printing and as the only Groebner order.  Polynomials are
 immutable values: every operation returns a fresh object, so they are safe
 to share between threads and to use as dict keys.
+
+Packed monomials (after Monagan and Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  The
+monomial x_1^e_1 ... x_n^e_n is one int of n fields of FIELD_BITS bits.
+Field i, counted from the low end, holds the prefix sum e_1 + ... + e_(i+1),
+so the top field holds the total degree.  Then:
+
+- integer order is grevlex: the total degree decides first; on a tie the
+  larger e_1 + ... + e_(n-1), that is the smaller e_n, wins, and so on;
+- the product of two monomials is the sum of their ints, because prefix
+  sums are linear, and x^(q*e) is q times the int of x^e;
+- a divides b when two subtractions, guarded by the top bit of every field,
+  borrow in no field: b - a has no negative prefix sum, and its prefix sums
+  do not decrease (``PolyRing.divides``; the ring holds the masks).
+
+The guard bit caps the total degree at ``PolyRing.max_degree`` = 2^31 - 1.
+Nothing wraps past it: packing an exponent tuple, ``__mul__``, ``power``,
+``frobenius`` and the lcm of two monomials raise InfeasibleError when the
+degree of their result would exceed it, checked on the degrees alone before
+anything is formed.
+
+The public interface speaks exponent tuples: the constructor takes
+{exponent tuple: coefficient}, and ``terms()``, ``leading_monomial()``,
+``coefficient()``, ``str`` and the read-only ``_terms`` view give tuples
+back.  Only this module and the kernels in ``groebner`` and ``froot`` read
+the packed dict.
 """
 
 from __future__ import annotations
 
-from .basep import require_prime
-from .errors import DomainError
+from types import MappingProxyType
 
-__all__ = ["PolyRing", "Polynomial", "power", "partial_derivative", "grevlex_key"]
+from .basep import require_prime
+from .errors import DomainError, InfeasibleError
+
+__all__ = ["PolyRing", "Polynomial", "power", "partial_derivative"]
 
 Monomial = tuple[int, ...]
 
-
-def grevlex_key(m: Monomial):
-    """Sort key: larger key means larger monomial in grevlex."""
-    total = 0
-    for e in m:
-        total += e
-    return (total, tuple(-e for e in reversed(m)))
+FIELD_BITS = 32
 
 
 class PolyRing:
-    """Descriptor of F_p[x_1, ..., x_n]: a prime and an ordered variable list."""
+    """Descriptor of F_p[x_1, ..., x_n]: a prime and an ordered variable list.
 
-    __slots__ = ("prime", "variables", "_index")
+    It also holds the layout of the packed monomials of the ring: the shift
+    of each field and of the total-degree field, and the masks of one
+    field's value bits, of every guard bit, of all n fields, and of the n
+    field units.
+    """
+
+    __slots__ = ("prime", "variables", "_index", "max_degree", "_shifts", "_top", "_value",
+                 "_guards", "_fields", "_ones")
 
     def __init__(self, prime: int, variables):
         require_prime(prime)
@@ -43,13 +72,78 @@ class PolyRing:
         self.prime = prime
         self.variables = variables
         self._index = {name: i for i, name in enumerate(variables)}
+        n = len(variables)
+        self.max_degree = (1 << (FIELD_BITS - 1)) - 1
+        self._shifts = tuple(i * FIELD_BITS for i in range(n))
+        self._top = self._shifts[-1]
+        self._value = self.max_degree
+        self._ones = sum(1 << (i * FIELD_BITS) for i in range(n))
+        self._guards = self._ones << (FIELD_BITS - 1)
+        self._fields = (1 << (n * FIELD_BITS)) - 1
 
     @property
     def dimension(self) -> int:
         return len(self.variables)
 
+    # -- packed monomials ---------------------------------------------------
+
+    def pack(self, m) -> int:
+        """The packed int of an exponent vector."""
+        m = tuple(m)
+        if len(m) != len(self.variables) or any(e < 0 for e in m):
+            raise DomainError(f"bad exponent vector {m}")
+        self._check_degree(sum(m))
+        key = total = 0
+        for e, shift in zip(m, self._shifts):
+            total += e
+            key |= total << shift
+        return key
+
+    def unpack(self, key: int) -> Monomial:
+        """The exponent vector of a packed int."""
+        out = []
+        prev = 0
+        value = self._value
+        for _ in self.variables:
+            total = key & value
+            out.append(total - prev)
+            prev = total
+            key >>= FIELD_BITS
+        return tuple(out)
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether the packed monomial a divides the packed monomial b."""
+        guards = self._guards
+        d = (b | guards) - a
+        if d & guards != guards:
+            return False
+        d ^= guards
+        return ((d | guards) - ((d << FIELD_BITS) & self._fields)) & guards == guards
+
+    def lcm(self, a: int, b: int) -> int:
+        """The packed lcm of two packed monomials, all fields at once: each
+        is turned into its exponent fields, the larger of each pair of
+        fields is kept, and prefix sums are rebuilt by one multiplication."""
+        fields, guards = self._fields, self._guards
+        ea = a - ((a << FIELD_BITS) & fields)
+        eb = b - ((b << FIELD_BITS) & fields)
+        wins = ((ea | guards) - eb) & guards  # guard bits of the fields where ea >= eb
+        keep = wins - (wins >> (FIELD_BITS - 1))
+        out = (((ea & keep) | (eb & ~keep & fields)) * self._ones) & fields
+        self._check_degree(out >> self._top)
+        return out
+
+    def _check_degree(self, degree: int) -> None:
+        """Raise InfeasibleError for a total degree past the packed limit."""
+        if degree > self.max_degree:
+            raise InfeasibleError(
+                f"degree {degree} exceeds the packed-monomial limit {self.max_degree}"
+            )
+
+    # -- constructors -------------------------------------------------------
+
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {}, _normalized=True)
+        return Polynomial._from_packed(self, {})
 
     def one(self) -> "Polynomial":
         return self.constant(1)
@@ -58,7 +152,7 @@ class PolyRing:
         c %= self.prime
         if c == 0:
             return self.zero()
-        return Polynomial(self, {(0,) * self.dimension: c}, _normalized=True)
+        return Polynomial._from_packed(self, {0: c})
 
     def variable(self, i) -> "Polynomial":
         if isinstance(i, str):
@@ -67,9 +161,7 @@ class PolyRing:
             i = self._index[i]
         if not 0 <= i < self.dimension:
             raise DomainError(f"variable index {i} out of range")
-        m = [0] * self.dimension
-        m[i] = 1
-        return Polynomial(self, {tuple(m): 1}, _normalized=True)
+        return Polynomial._from_packed(self, {self._fields & (self._ones << (i * FIELD_BITS)): 1})
 
     def monomial(self, exponents, coeff: int = 1) -> "Polynomial":
         return Polynomial(self, {tuple(exponents): coeff})
@@ -93,7 +185,7 @@ class PolyRing:
         return out
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and self.prime == other.prime
             and self.variables == other.variables
@@ -112,67 +204,89 @@ def _require_same_ring(a: "Polynomial", b: "Polynomial"):
 
 
 class Polynomial:
-    __slots__ = ("ring", "_terms", "_ordered", "_lm", "_hash")
+    __slots__ = ("ring", "_packed", "_ordered", "_lm", "_hash")
 
-    def __init__(self, ring: PolyRing, terms: dict, _normalized: bool = False):
-        if not _normalized:
-            p = ring.prime
-            n = ring.dimension
-            clean = {}
-            for m, c in terms.items():
-                m = tuple(m)
-                if len(m) != n or any(e < 0 for e in m):
-                    raise DomainError(f"bad exponent vector {m}")
-                c %= p
-                if c:
-                    clean[m] = c
-            terms = clean
+    def __init__(self, ring: PolyRing, terms: dict):
+        p = ring.prime
+        pack = ring.pack
+        packed = {}
+        for m, c in terms.items():
+            m = pack(m)
+            c %= p
+            if c:
+                packed[m] = c
         self.ring = ring
-        self._terms = terms
+        self._packed = packed
         self._ordered = None
         self._lm = None
         self._hash = None
 
+    @classmethod
+    def _from_packed(cls, ring: PolyRing, packed: dict) -> "Polynomial":
+        """A polynomial on a dict of packed monomials with coefficients in
+        1 .. p-1, taken as it is."""
+        self = cls.__new__(cls)
+        self.ring = ring
+        self._packed = packed
+        self._ordered = None
+        self._lm = None
+        self._hash = None
+        return self
+
     # -- inspection ---------------------------------------------------------
+
+    @property
+    def _terms(self):
+        """Read-only {exponent tuple: coefficient} view of the terms."""
+        unpack = self.ring.unpack
+        return MappingProxyType({unpack(m): c for m, c in self._packed.items()})
 
     def terms(self) -> tuple[tuple[Monomial, int], ...]:
         """Terms in canonical (descending grevlex) order."""
         if self._ordered is None:
+            unpack = self.ring.unpack
             self._ordered = tuple(
-                sorted(self._terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
+                (unpack(m), c) for m, c in sorted(self._packed.items(), reverse=True)
             )
         return self._ordered
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._packed
 
     def is_one(self) -> bool:
-        zero = (0,) * self.ring.dimension
-        return len(self._terms) == 1 and self._terms.get(zero) == 1
+        return len(self._packed) == 1 and self._packed.get(0) == 1
 
     def constant_term(self) -> int:
-        return self._terms.get((0,) * self.ring.dimension, 0)
+        return self._packed.get(0, 0)
 
     def total_degree(self) -> int:
-        if not self._terms:
+        if not self._packed:
             return 0
-        return max(sum(m) for m in self._terms)
+        return self._lead() >> self.ring._top
 
     def term_count(self) -> int:
-        return len(self._terms)
+        return len(self._packed)
 
-    def leading_monomial(self) -> Monomial:
+    def _lead(self) -> int:
+        """The packed leading monomial; the largest int is the grevlex-largest."""
         if self._lm is None:
-            if not self._terms:
+            if not self._packed:
                 raise DomainError("the zero polynomial has no leading monomial")
-            self._lm = max(self._terms, key=grevlex_key)
+            self._lm = max(self._packed)
         return self._lm
 
+    def leading_monomial(self) -> Monomial:
+        return self.ring.unpack(self._lead())
+
     def leading_coefficient(self) -> int:
-        return self._terms[self.leading_monomial()]
+        return self._packed[self._lead()]
 
     def coefficient(self, m: Monomial) -> int:
-        return self._terms.get(tuple(m), 0)
+        m = tuple(m)
+        ring = self.ring
+        if len(m) != ring.dimension or any(e < 0 for e in m) or sum(m) > ring.max_degree:
+            return 0
+        return self._packed.get(ring.pack(m), 0)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -181,20 +295,20 @@ class Polynomial:
             other = self.ring.constant(other)
         _require_same_ring(self, other)
         p = self.ring.prime
-        out = dict(self._terms)
-        for m, c in other._terms.items():
+        out = dict(self._packed)
+        for m, c in other._packed.items():
             s = (out.get(m, 0) + c) % p
             if s:
                 out[m] = s
             elif m in out:
                 del out[m]
-        return Polynomial(self.ring, out, _normalized=True)
+        return Polynomial._from_packed(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         p = self.ring.prime
-        return Polynomial(self.ring, {m: p - c for m, c in self._terms.items()}, _normalized=True)
+        return Polynomial._from_packed(self.ring, {m: p - c for m, c in self._packed.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -208,20 +322,21 @@ class Polynomial:
         if isinstance(other, int):
             other = self.ring.constant(other)
         _require_same_ring(self, other)
-        p = self.ring.prime
-        a, b = self._terms, other._terms
+        ring = self.ring
+        a, b = self._packed, other._packed
+        if not a or not b:
+            return ring.zero()
+        ring._check_degree(self.total_degree() + other.total_degree())
         if len(a) > len(b):
             a, b = b, a
         out: dict = {}
+        get = out.get
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
-                s = (out.get(m, 0) + c1 * c2) % p
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
-        return Polynomial(self.ring, out, _normalized=True)
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        p = ring.prime
+        return Polynomial._from_packed(ring, {m: r for m, c in out.items() if (r := c % p)})
 
     __rmul__ = __mul__
 
@@ -236,39 +351,28 @@ class Polynomial:
         if e < 0:
             raise DomainError("frobenius exponent must be >= 0")
         q = self.ring.prime**e
-        return Polynomial(
-            self.ring,
-            {tuple(x * q for x in m): c for m, c in self._terms.items()},
-            _normalized=True,
-        )
+        self.ring._check_degree(self.total_degree() * q)
+        return Polynomial._from_packed(self.ring, {m * q: c for m, c in self._packed.items()})
 
     def monic(self) -> "Polynomial":
-        if not self._terms:
+        if not self._packed:
             return self
         lc = self.leading_coefficient()
         if lc == 1:
             return self
         p = self.ring.prime
         inv = pow(lc, p - 2, p)
-        out = Polynomial(
-            self.ring, {m: c * inv % p for m, c in self._terms.items()}, _normalized=True
+        out = Polynomial._from_packed(
+            self.ring, {m: c * inv % p for m, c in self._packed.items()}
         )
         out._lm = self._lm
         return out
 
-    def scale_term(self, coeff: int, m: Monomial) -> "Polynomial":
-        """Multiply by a single term coeff * x^m."""
-        p = self.ring.prime
-        coeff %= p
-        if coeff == 0:
-            return self.ring.zero()
-        return Polynomial(
-            self.ring,
-            {
-                tuple(x + y for x, y in zip(mm, m)): c * coeff % p
-                for mm, c in self._terms.items()
-            },
-            _normalized=True,
+    def truncate(self, degree: int) -> "Polynomial":
+        """The terms of total degree below degree."""
+        bound = max(degree, 0) << self.ring._top
+        return Polynomial._from_packed(
+            self.ring, {m: c for m, c in self._packed.items() if m < bound}
         )
 
     # -- comparison / hashing ------------------------------------------------
@@ -281,18 +385,18 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.ring == other.ring
-            and self._terms == other._terms
+            and self._packed == other._packed
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash(frozenset(self._packed.items()))
         return self._hash
 
     # -- printing -------------------------------------------------------------
 
     def __str__(self):
-        if not self._terms:
+        if not self._packed:
             return "0"
         names = self.ring.variables
         parts = []
@@ -325,6 +429,7 @@ def power(f: Polynomial, n: int) -> Polynomial:
         raise DomainError("polynomial powers must be >= 0")
     if n == 0:
         return f.ring.one()
+    f.ring._check_degree(f.total_degree() * n)
     p = f.ring.prime
     if n % p == 0:
         return power(f, n // p).frobenius()
@@ -338,19 +443,14 @@ def power(f: Polynomial, n: int) -> Polynomial:
 
 def partial_derivative(f: Polynomial, i: int) -> Polynomial:
     """Formal partial derivative with respect to the i-th variable."""
-    if not 0 <= i < f.ring.dimension:
+    ring = f.ring
+    if not 0 <= i < ring.dimension:
         raise DomainError(f"variable index {i} out of range")
-    p = f.ring.prime
+    p = ring.prime
+    x_i = ring.variable(i)._lead()
     out: dict = {}
-    for m, c in f._terms.items():
-        e = m[i]
-        cc = c * e % p
-        if e == 0 or cc == 0:
-            continue
-        mm = m[:i] + (e - 1,) + m[i + 1 :]
-        s = (out.get(mm, 0) + cc) % p
-        if s:
-            out[mm] = s
-        elif mm in out:
-            del out[mm]
-    return Polynomial(f.ring, out, _normalized=True)
+    for m, c in f._packed.items():
+        cc = c * ring.unpack(m)[i] % p
+        if cc:
+            out[m - x_i] = cc  # distinct monomials have distinct quotients by x_i
+    return Polynomial._from_packed(ring, out)

@@ -61,6 +61,8 @@ def stabilization_exponent(lam, bound: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class TestIdealResult:
+    __test__ = False  # a result type, not a pytest test class
+
     lam: Fraction
     ideal: Ideal
     stabilization_exponent: int
@@ -121,6 +123,8 @@ class TestIdealComputer:
     through this computer.  The searches (is_jump, fpt, f_threshold) are
     methods, so all questions asked of one computer share its engine.
     """
+
+    __test__ = False  # a computation, not a pytest test class
 
     def __init__(self, f: Polynomial, bound: int | None = None):
         if f.is_zero():

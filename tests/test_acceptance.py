@@ -15,6 +15,7 @@ from fptkit import (
     FrobeniusRootEngine,
     Ideal,
     PolyRing,
+    TestIdealComputer,
     candidate_set,
     canonical_pair,
     constancy_report,
@@ -29,7 +30,6 @@ from fptkit import (
     power,
     singularity_profile,
 )
-from fptkit import TestIdealComputer as Computer
 
 from conftest import random_poly
 
@@ -73,7 +73,7 @@ def corpus_fpts(fuzz_corpus, reference_case):
     _, f, walk, _ = reference_case
     values = [(f, walk.fpt)]
     for g in fuzz_corpus:
-        values.append((g, Computer(g).fpt()))
+        values.append((g, TestIdealComputer(g).fpt()))
     return values
 
 
@@ -107,7 +107,7 @@ def test_criterion_2_oracle_equivalence(fuzz_corpus):
         e = rng.randint(1, 2)
         q = p**e
         lam = F(rng.randint(1, 2 * q), q)
-        via_engine = Computer(f, default_bound(f)).ideal_at(lam).ideal
+        via_engine = TestIdealComputer(f, default_bound(f)).ideal_at(lam).ideal
         via_expansion = frobenius_root(power(f, int(q * lam)), e)
         if via_engine != via_expansion:
             ok = False
@@ -285,8 +285,8 @@ def _test_ideal_constancy_for(h_exponent: int) -> tuple[bool, int]:
     from fptkit import local_ideal_equal
 
     for lam in base.jumping_numbers:
-        a = Computer(f, 2).ideal_at(lam).ideal
-        b = Computer(perturbed_poly, 2).ideal_at(lam).ideal
+        a = TestIdealComputer(f, 2).ideal_at(lam).ideal
+        b = TestIdealComputer(perturbed_poly, 2).ideal_at(lam).ideal
         ok = ok and local_ideal_equal(a, b, 2)
         checked += 1
     return ok, checked

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fptkit import (
     DomainError,
     ExponentPair,
+    TestIdealComputer,
     candidate_set,
     canonical_pair,
     equal_by_truncation,
@@ -18,7 +19,6 @@ from fptkit import (
     stabilization_exponent,
     truncate,
 )
-from fptkit import TestIdealComputer as Computer
 from fptkit.basep import candidates_left_open, is_prime
 
 F = Fraction
@@ -130,7 +130,7 @@ class TestBoundCheck:
         [
             lambda f, bound: candidate_set(5, bound, (F(0), F(1))),
             lambda f, bound: stabilization_exponent(F(1, 2), bound, 5),
-            lambda f, bound: Computer(f, bound),
+            lambda f, bound: TestIdealComputer(f, bound),
         ],
         ids=["candidate_set", "stabilization_exponent", "TestIdealComputer"],
     )

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import subprocess
@@ -6,8 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from fptkit import PolyRing, cli, constancy, default_bound, parse_polynomial
-from fptkit import TestIdealComputer as Computer
+from fptkit import PolyRing, TestIdealComputer, cli, constancy, default_bound, parse_polynomial
 from fptkit.cli import main
 from fptkit.froot import FrobeniusRootEngine
 
@@ -371,7 +371,7 @@ def test_one_context_per_query(monkeypatch, capsys, query, engines, computers):
     """A query builds one TestIdealComputer per polynomial and asks it every
     question; only nu, which needs no bound, builds a bare engine (verify runs
     it for e = 1, 2, 3)."""
-    built = {FrobeniusRootEngine: 0, Computer: 0}
+    built = {FrobeniusRootEngine: 0, TestIdealComputer: 0}
     for cls in built:
 
         def counting_init(self, *args, cls=cls, real=cls.__init__):
@@ -383,4 +383,41 @@ def test_one_context_per_query(monkeypatch, capsys, query, engines, computers):
         query()
     else:
         assert main([*query, "--json"]) == 0
-    assert (built[FrobeniusRootEngine], built[Computer]) == (engines, computers)
+    assert (built[FrobeniusRootEngine], built[TestIdealComputer]) == (engines, computers)
+
+
+EVERY_COMMAND = [
+    ("fpt", *QUARTIC),
+    ("jn", *QUARTIC),
+    ("tau", *QUARTIC, "--lambda", "4/5"),
+    ("nu", *QUARTIC, "--e", "2"),
+    ("ft", *QUARTIC, "--ideal", "x^2; y"),
+    ("candidates", "--char", "5", "--bound", "3"),
+    ("profile", *QUARTIC),
+    ("constancy", "--char", "7", "--vars", "x,y", "x^2+y^3"),
+    ("verify", *QUARTIC),
+]
+
+
+def module_container_sizes() -> dict:
+    """The size of every dict, list and set bound at module level in fptkit."""
+    return {
+        f"{name}.{attr}": len(value)
+        for name, module in list(sys.modules.items())
+        if name == "fptkit" or name.startswith("fptkit.")
+        for attr, value in vars(module).items()
+        if isinstance(value, (dict, list, set))
+    }
+
+
+def test_no_module_level_cache(capsys):
+    """Any memo a query needs lives on its ring, engine or computer: running
+    every command leaves each module-level container of fptkit as it was."""
+    commands = next(
+        a.choices for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert sorted(argv[0] for argv in EVERY_COMMAND) == sorted(commands)
+    before = module_container_sizes()
+    for argv in EVERY_COMMAND:
+        assert main([*argv, "--json"]) == 0, argv
+    assert module_container_sizes() == before

@@ -6,6 +6,7 @@ import pytest
 from fptkit import (
     DomainError,
     Ideal,
+    PolyRing,
     StabilityError,
     canonical_pair,
     constancy_report,
@@ -18,6 +19,8 @@ from fptkit import (
     singularity_profile,
     threshold_ideal_consistency,
 )
+
+from fptkit.constancy import _equal_mod_m_power
 
 from conftest import random_poly
 
@@ -180,6 +183,37 @@ class TestJacobianStability:
         profile = singularity_profile(parse_polynomial("x^2", ring5))
         with pytest.raises(DomainError):
             jacobian_stability_check(profile, ring5.monomial((9, 0)))
+
+    @pytest.mark.parametrize(
+        "p, text",
+        [(7, "x^2 + y^3"), (5, "x^4 + y^3 + x^2*y^2"), (3, "x^2 + y^4"), (2, "x^3 + y^5")],
+    )
+    def test_matches_global_basis_comparison(self, p, text):
+        # the check cuts Jac(f+h)'s generators; the comparison it replaced
+        # took Jac(f+h)'s global reduced basis
+        ring = PolyRing(p, ["x", "y"])
+        f = parse_polynomial(text, ring)
+        profile = singularity_profile(f)
+        k = profile.ell + 3
+        for idx in range(4):
+            h = random_perturbation(ring, k, k + 2, 3, (text, idx))
+            expected = local_ideal_equal(profile.jacobian, jacobian(f + h), profile.ell)
+            assert jacobian_stability_check(profile, h) == expected
+
+    def test_cut_generators_at_every_order(self, quartic5, ring5):
+        # Jac(f+h) + m^k from the generators cut below degree k equals it
+        # from the global basis; h of low order makes both answers occur
+        jac_f = jacobian(quartic5)
+        seen = set()
+        for idx in range(15):
+            k = 2 + idx % 5
+            h = random_perturbation(ring5, 2, 5, 3, ("cut", idx))
+            jac = jacobian(quartic5 + h)
+            cut = Ideal(ring5, tuple(g.truncate(k) for g in jac.generators))
+            equal = _equal_mod_m_power(jac_f, jac, k)
+            assert _equal_mod_m_power(jac_f, cut, k) == equal
+            seen.add(equal)
+        assert seen == {True, False}
 
 
 class TestRandomPerturbation:

@@ -8,6 +8,7 @@ from fptkit import (
     Ideal,
     PolyRing,
     Polynomial,
+    TestIdealComputer,
     bracket_power,
     frobenius_root,
     frobenius_root_ideal,
@@ -17,7 +18,6 @@ from fptkit import (
     parse_polynomial,
     power,
 )
-from fptkit import TestIdealComputer as Computer
 from fptkit.froot import FrobeniusRootEngine
 
 from conftest import random_poly
@@ -186,5 +186,5 @@ class TestEngineFixedWork:
 
         monkeypatch.setattr(Polynomial, "__mul__", counted)
         cusp = parse_polynomial("x^2 + y^3", PolyRing(101, ["x", "y"]))
-        assert Computer(cusp).fpt() == Fraction(84, 101)
+        assert TestIdealComputer(cusp).fpt() == Fraction(84, 101)
         assert len(products) <= 60

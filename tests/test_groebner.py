@@ -1,3 +1,4 @@
+import heapq
 import random
 from itertools import combinations
 
@@ -20,11 +21,10 @@ from fptkit import (
 )
 from fptkit import groebner
 from fptkit.froot import _split_terms
-from fptkit.groebner import _extend_ring, _heap_key, _lift, _reduce_full, _spoly, radical_member
-from fptkit.poly import grevlex_key
+from fptkit.groebner import _extend_ring, _lift, _reduce_full, _spoly, radical_member
 
 from conftest import random_poly
-from groebner_oracle import oracle_basis
+from groebner_oracle import grevlex_key, oracle_basis
 
 
 def ideal_of(ring, *texts):
@@ -127,10 +127,13 @@ class TestReducedBasis:
         assert J.to_json() == ["x + y + z", "y^2 + y*z + z^2", "z^3"]
 
     def test_heap_key_pops_largest_first(self):
+        # the division heap holds negated packed monomials in heapq's min-heap
         ring = PolyRing(5, ["x", "y", "z", "w"])
         monomials = [m for d in range(4) for m in ring.monomials_of_degree(d)]
-        by_heap = sorted(monomials, key=_heap_key)
-        assert by_heap == sorted(monomials, key=grevlex_key, reverse=True)
+        heap = [-ring.pack(m) for m in monomials]
+        heapq.heapify(heap)
+        popped = [ring.unpack(-heapq.heappop(heap)) for _ in monomials]
+        assert popped == sorted(monomials, key=grevlex_key, reverse=True)
 
 
 class TestNormalForm:

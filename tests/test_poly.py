@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fptkit import (
     DomainError,
+    InfeasibleError,
     ParseError,
     Polynomial,
     PolyRing,
@@ -15,9 +16,10 @@ from fptkit import (
     partial_derivative,
     power,
 )
-from fptkit.poly import grevlex_key
+from fptkit.cli import main
 
 from conftest import random_poly, src_env
+from groebner_oracle import grevlex_key
 
 
 @st.composite
@@ -89,7 +91,7 @@ class TestArithmetic:
     def test_hash_agrees_with_equality(self, data):
         ring, (a, b) = data
         assert hash(a * b) == hash(b * a)
-        reordered = Polynomial(ring, dict(reversed(list(a._terms.items()))), _normalized=True)
+        reordered = Polynomial(ring, dict(reversed(list(a._terms.items()))))
         assert reordered == a and hash(reordered) == hash(a)
 
     def test_hash_ignores_hash_seed(self):
@@ -173,11 +175,133 @@ def grevlex_greater(a, b) -> bool:
 class TestTermOrder:
     @pytest.mark.parametrize("n", [3, 4])
     def test_grevlex_key_matches_definition(self, n):
+        # the packed ints of the kernel, and the oracle's tuple key
         ring = PolyRing(5, [f"x{i}" for i in range(n)])
         monomials = [m for d in range(4) for m in ring.monomials_of_degree(d)]
         for a in monomials:
             for b in monomials:
+                assert (ring.pack(a) > ring.pack(b)) == grevlex_greater(a, b), (a, b)
                 assert (grevlex_key(a) > grevlex_key(b)) == grevlex_greater(a, b), (a, b)
+
+
+@st.composite
+def monomials(draw, n, limit):
+    """An exponent tuple in n variables of total degree at most limit."""
+    d = draw(st.integers(0, limit))
+    cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, d]))
+
+
+@st.composite
+def ring_and_monomials(draw):
+    """A ring in 1 to 4 variables, a monomial a, and a monomial b with
+    deg a + deg b within the packed limit."""
+    n = draw(st.integers(1, 4))
+    ring = PolyRing(5, [f"x{i}" for i in range(n)])
+    a = draw(monomials(n, ring.max_degree))
+    b = draw(monomials(n, ring.max_degree - sum(a)))
+    return ring, a, b
+
+
+class TestPackedMonomials:
+    """The packed kernel's monomials against their definition on tuples."""
+
+    @given(data=ring_and_monomials())
+    @settings(max_examples=200)
+    def test_order_is_grevlex(self, data):
+        ring, a, b = data
+        assert (ring.pack(a) > ring.pack(b)) == grevlex_greater(a, b)
+        assert (ring.pack(a) == ring.pack(b)) == (a == b)
+
+    @given(data=ring_and_monomials())
+    @settings(max_examples=200)
+    def test_product_is_addition(self, data):
+        ring, a, b = data
+        assert ring.pack(tuple(x + y for x, y in zip(a, b))) == ring.pack(a) + ring.pack(b)
+
+    @given(data=ring_and_monomials(), multiple=st.booleans())
+    @settings(max_examples=200)
+    def test_divisibility_is_componentwise(self, data, multiple):
+        ring, a, b = data
+        if multiple:  # b = a * b, so that about half the pairs divide
+            b = tuple(x + y for x, y in zip(a, b))
+        assert ring.divides(ring.pack(a), ring.pack(b)) == all(x <= y for x, y in zip(a, b))
+        assert ring.divides(ring.pack(b), ring.pack(a)) == all(y <= x for x, y in zip(a, b))
+
+    @given(data=ring_and_monomials())
+    @settings(max_examples=200)
+    def test_unpack_inverts_pack(self, data):
+        ring, a, b = data
+        assert ring.unpack(ring.pack(a)) == a
+        assert ring.unpack(ring.pack(b)) == b
+
+    @given(data=ring_and_monomials())
+    @settings(max_examples=200)
+    def test_lcm_is_componentwise_max(self, data):
+        ring, a, b = data
+        assert ring.lcm(ring.pack(a), ring.pack(b)) == ring.pack(tuple(map(max, a, b)))
+
+
+    def test_public_views_speak_tuples(self, quartic5):
+        view = quartic5._terms  # read as a tuple-keyed dict by perfbench/build_reference.py
+        assert dict(view) == {(4, 0): 1, (0, 3): 1, (2, 2): 1}
+        with pytest.raises(TypeError):
+            view[(1, 1)] = 1
+        assert quartic5.terms() == (((4, 0), 1), ((2, 2), 1), ((0, 3), 1))
+        assert quartic5.leading_monomial() == (4, 0)
+        assert quartic5.coefficient((2, 2)) == 1 and quartic5.coefficient((1, 1)) == 0
+
+
+class TestDegreeLimit:
+    """A degree past the packed limit raises InfeasibleError; nothing wraps."""
+
+    def test_limit(self):
+        ring = PolyRing(5, ["x", "y"])
+        assert ring.max_degree == 2**31 - 1
+        top = ring.monomial((2**31 - 1, 0))
+        assert top.leading_monomial() == (2**31 - 1, 0)
+        with pytest.raises(InfeasibleError):
+            ring.monomial((2**31, 0))
+        with pytest.raises(InfeasibleError):
+            ring.monomial((2**30, 2**30))
+
+    def test_parsed_exponent(self, ring5):
+        assert parse_polynomial("x^2147483647", ring5).total_degree() == 2**31 - 1
+        with pytest.raises(InfeasibleError):
+            parse_polynomial(f"x^{2**40} + y", ring5)
+        with pytest.raises(InfeasibleError):
+            parse_polynomial("x^1073741824 * y^1073741824", ring5)
+
+    def test_cli_exit_code(self, capsys):
+        assert main(["fpt", "--char", "5", "--vars", "x,y", f"x^{2**40} + y^3"]) == 4
+        assert "infeasible" in capsys.readouterr().err
+
+    def test_product(self, ring5):
+        x, y = ring5.gens()
+        half = power(x, 2**30)
+        assert (half * power(y, 2**30 - 1)).total_degree() == 2**31 - 1
+        with pytest.raises(InfeasibleError):
+            half * power(y, 2**30)
+        with pytest.raises(InfeasibleError):
+            (half + y) * (half + 1)
+
+    def test_power_and_frobenius(self, ring5):
+        x, y = ring5.gens()
+        with pytest.raises(InfeasibleError):
+            power(x + y, 2**31)
+        with pytest.raises(InfeasibleError):
+            power(x * y + 1, 2**30)
+        with pytest.raises(InfeasibleError):
+            power(x, 2**29).frobenius(1)
+        assert power(x, 5**13).frobenius(0).total_degree() == 5**13
+        with pytest.raises(InfeasibleError):
+            power(x, 5**13).frobenius(1)
+
+    def test_lcm(self, ring5):
+        big = ring5.pack((2**30, 0))
+        assert ring5.lcm(big, ring5.pack((2**30, 2**30 - 1))) == ring5.pack((2**30, 2**30 - 1))
+        with pytest.raises(InfeasibleError):
+            ring5.lcm(big, ring5.pack((0, 2**30)))
 
 
 class TestPrinting:

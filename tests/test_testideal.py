@@ -11,6 +11,7 @@ from fptkit import (
     Ideal,
     InfeasibleError,
     PolyRing,
+    TestIdealComputer,
     bracket_power,
     default_bound,
     degree_bound,
@@ -24,8 +25,6 @@ from fptkit import (
     singularity_profile,
     stabilization_exponent,
 )
-
-from fptkit import TestIdealComputer as Computer
 
 import walk_oracle
 from conftest import random_poly
@@ -57,18 +56,18 @@ class TestStabilizationExponent:
 
 class TestTestIdeal:
     def test_known_values(self, ring5, quartic5):
-        c = Computer(quartic5, 6)
+        c = TestIdealComputer(quartic5, 6)
         assert c.ideal_at(F(7, 12)).ideal == ideal_of(ring5, "x", "y")
         assert c.ideal_at(F(4, 5)).ideal == ideal_of(ring5, "x^2", "y")
         assert c.ideal_at(F(11, 12)).ideal == ideal_of(ring5, "x^2", "x*y", "y^2")
 
     def test_unit_cases(self, ring5):
         x = ring5.variable("x")
-        assert Computer(x, 1).ideal_at(F(1, 2)).ideal.is_unit()
-        assert Computer(x, 1).ideal_at(F(0)).ideal.is_unit()
+        assert TestIdealComputer(x, 1).ideal_at(F(1, 2)).ideal.is_unit()
+        assert TestIdealComputer(x, 1).ideal_at(F(0)).ideal.is_unit()
 
     def test_result_metadata(self, ring5, quartic5):
-        c = Computer(quartic5, 6)
+        c = TestIdealComputer(quartic5, 6)
         res = c.ideal_at(F(4, 5))
         assert res.stabilization_exponent == 7
         assert c.bound == 6
@@ -77,21 +76,21 @@ class TestTestIdeal:
 
     def test_zero_polynomial_rejected(self, ring5):
         with pytest.raises(DomainError):
-            Computer(ring5.zero(), 1).ideal_at(F(1, 2))
+            TestIdealComputer(ring5.zero(), 1).ideal_at(F(1, 2))
         with pytest.raises(DomainError):
-            Computer(ring5.zero()).fpt()
+            TestIdealComputer(ring5.zero()).fpt()
         with pytest.raises(DomainError):
-            Computer(ring5.zero()).f_threshold(maximal_ideal(ring5))
+            TestIdealComputer(ring5.zero()).f_threshold(maximal_ideal(ring5))
         with pytest.raises(DomainError):
-            Computer(ring5.zero()).f_threshold(Ideal.unit(ring5))
+            TestIdealComputer(ring5.zero()).f_threshold(Ideal.unit(ring5))
 
     @pytest.mark.parametrize("lam", ["abc", "1/0", "7/12", 0.5])
     @pytest.mark.parametrize(
         "compute",
         [
-            lambda f, lam: Computer(f, 6).ideal_at(lam),
-            lambda f, lam: Computer(f, 6).left_limit_at(lam),
-            lambda f, lam: Computer(f, 6).f_threshold(maximal_ideal(f.ring), cap=lam),
+            lambda f, lam: TestIdealComputer(f, 6).ideal_at(lam),
+            lambda f, lam: TestIdealComputer(f, 6).left_limit_at(lam),
+            lambda f, lam: TestIdealComputer(f, 6).f_threshold(maximal_ideal(f.ring), cap=lam),
         ],
         ids=["test_ideal", "test_ideal_left_limit", "f_threshold"],
     )
@@ -111,7 +110,7 @@ class TestTestIdeal:
                 e = rng.randint(1, 2)
                 mu = F(rng.randint(1, p**e - 1), p**e)
                 for lam in (1 + mu, 2 + mu, F(1), F(2)):
-                    folded = Computer(f, default_bound(f)).ideal_at(lam)
+                    folded = TestIdealComputer(f, default_bound(f)).ideal_at(lam)
                     direct = frobenius_root(power(f, int(p**e * lam)), e)
                     assert folded.ideal == direct
                     if lam.denominator == 1:
@@ -123,7 +122,7 @@ class TestTestIdeal:
         values = candidate_set(5, 2, (F(0), F(1))).values
         prev = None
         for lam in values:
-            cur = Computer(quartic5, 6).ideal_at(lam).ideal
+            cur = TestIdealComputer(quartic5, 6).ideal_at(lam).ideal
             if prev is not None:
                 assert prev.contains_ideal(cur)
             prev = cur
@@ -131,11 +130,11 @@ class TestTestIdeal:
 
 class TestLeftLimit:
     def test_known_values(self, ring5, quartic5):
-        c = Computer(quartic5, 6)
+        c = TestIdealComputer(quartic5, 6)
         assert c.left_limit_at(F(7, 12)).is_unit()
         assert c.left_limit_at(F(4, 5)) == ideal_of(ring5, "x", "y")
         x = ring5.variable("x")
-        assert Computer(x, 1).left_limit_at(F(1)).is_unit()
+        assert TestIdealComputer(x, 1).left_limit_at(F(1)).is_unit()
 
     def test_above_one(self, ring5, quartic5):
         # the left limit at k + mu is f^k times the one at mu, and at an
@@ -144,7 +143,7 @@ class TestLeftLimit:
         def times_power(k, J):
             return Ideal(ring5, tuple(power(quartic5, k) * g for g in J.basis()))
 
-        c = Computer(quartic5, 6)
+        c = TestIdealComputer(quartic5, 6)
         at_one = c.left_limit_at(F(1))
         at_fpt = c.left_limit_at(F(7, 12))
         assert at_one == c.ideal_at(F(11, 12)).ideal
@@ -159,16 +158,16 @@ class TestLeftLimit:
 
 class TestJumpDetection:
     def test_examples(self, ring5, quartic5):
-        c = Computer(quartic5, 6)
+        c = TestIdealComputer(quartic5, 6)
         assert c.is_jump(F(7, 12))
         assert not c.is_jump(F(1, 2))
         x = ring5.variable("x")
-        assert not Computer(x, 1).is_jump(F(1, 2))
+        assert not TestIdealComputer(x, 1).is_jump(F(1, 2))
 
     def test_non_candidate_rejected(self, ring5, quartic5):
         # ord of 5 mod 23 is 22, far beyond the bound
         with pytest.raises(DomainError):
-            Computer(quartic5, 6).is_jump(F(1, 23))
+            TestIdealComputer(quartic5, 6).is_jump(F(1, 23))
 
 
 class TestUnitIntervalReport:
@@ -269,24 +268,24 @@ class TestNu:
 class TestFThreshold:
     def test_known_values(self, ring5, quartic5):
         m = maximal_ideal(ring5)
-        c = Computer(quartic5, 6)
+        c = TestIdealComputer(quartic5, 6)
         assert c.f_threshold(m) == F(7, 12)
         assert c.f_threshold(ideal_of(ring5, "x^2", "y")) == F(4, 5)
         assert c.f_threshold(Ideal.unit(ring5)) == 0
 
     def test_agrees_with_fpt(self, ring5, quartic5):
-        c = Computer(quartic5, 6)
+        c = TestIdealComputer(quartic5, 6)
         assert c.f_threshold(maximal_ideal(ring5)) == c.fpt()
 
     def test_cap_exhaustion(self, ring5):
         x = ring5.variable("x")
         with pytest.raises(InfeasibleError):
-            Computer(x, 1).f_threshold(ideal_of(ring5, "y"), cap=F(3))
+            TestIdealComputer(x, 1).f_threshold(ideal_of(ring5, "y"), cap=F(3))
 
     def test_above_one(self, ring5, quartic5):
         # tau drops inside (f)*m only beyond the first Skoda translate
         target = Ideal(ring5, tuple(quartic5 * g for g in maximal_ideal(ring5).generators))
-        value = Computer(quartic5, 6).f_threshold(target, cap=F(3))
+        value = TestIdealComputer(quartic5, 6).f_threshold(target, cap=F(3))
         assert value == 1 + F(7, 12)
 
 
@@ -304,20 +303,20 @@ class TestBounds:
         assert default_bound(cusp7) == 2
         assert default_bound(ring5.variable("x")) == 3
         for f in (quartic5, cusp7, ring5.variable("x")):
-            assert Computer(f).bound == default_bound(f)
+            assert TestIdealComputer(f).bound == default_bound(f)
         with pytest.raises(DomainError):
-            Computer(quartic5, 0).fpt()
+            TestIdealComputer(quartic5, 0).fpt()
         with pytest.raises(DomainError):
-            Computer(quartic5, 0).f_threshold(maximal_ideal(ring5))
+            TestIdealComputer(quartic5, 0).f_threshold(maximal_ideal(ring5))
         with pytest.raises(DomainError):
-            Computer(quartic5, 0).f_threshold(Ideal.unit(ring5))
+            TestIdealComputer(quartic5, 0).f_threshold(Ideal.unit(ring5))
 
 
 class TestFastFpt:
     def test_known_values(self, ring5, ring7, quartic5, cusp7):
-        assert Computer(quartic5).fpt() == F(7, 12)
-        assert Computer(cusp7).fpt() == F(5, 6)
-        assert Computer(ring5.variable("x")).fpt() == 1
+        assert TestIdealComputer(quartic5).fpt() == F(7, 12)
+        assert TestIdealComputer(cusp7).fpt() == F(5, 6)
+        assert TestIdealComputer(ring5.variable("x")).fpt() == 1
 
     def test_agrees_with_walk(self, ring7, quartic5, cusp7):
         cases = [
@@ -340,13 +339,13 @@ class TestFastFpt:
             assert report.jumping_numbers == jumps
             assert report.test_ideals == ideals
             assert report.fpt == threshold
-            c = Computer(f, bound)
+            c = TestIdealComputer(f, bound)
             assert c.fpt() == threshold
             assert c.f_threshold(maximal_ideal(f.ring)) == threshold
 
     def test_rejects_nonvanishing(self, ring5):
         with pytest.raises(DomainError):
-            Computer(parse_polynomial("x + 1", ring5)).fpt()
+            TestIdealComputer(parse_polynomial("x + 1", ring5)).fpt()
 
 
 class TestDiagonalClosedForm:
@@ -358,7 +357,7 @@ class TestDiagonalClosedForm:
                 for b in range(a, 10):
                     if a % p and b % p:
                         f = parse_polynomial(f"x^{a} + y^{b}", ring)
-                        assert Computer(f).fpt() == diagonal_fpt(a, b, p), (p, a, b)
+                        assert TestIdealComputer(f).fpt() == diagonal_fpt(a, b, p), (p, a, b)
                         cases += 1
         assert cases == 113
 
@@ -366,7 +365,7 @@ class TestDiagonalClosedForm:
         f = parse_polynomial("x^12 + y^13", ring5)
         assert default_bound(f) == 105
         assert diagonal_fpt(12, 13, 5) == F(4, 25)
-        assert Computer(f).fpt() == F(4, 25)
+        assert TestIdealComputer(f).fpt() == F(4, 25)
 
 
 class TestMonomialClosedForm:
@@ -381,7 +380,7 @@ class TestMonomialClosedForm:
     def test_agrees_with_test_ideal(self, p, a, b, lam):
         assume(a + b > 0)
         f = PolyRing(p, ["x", "y"]).monomial((a, b))
-        basis = Computer(f).ideal_at(lam).ideal.basis()
+        basis = TestIdealComputer(f).ideal_at(lam).ideal.basis()
         assert [g.terms() for g in basis] == [(((floor(a * lam), floor(b * lam)), 1),)]
 
 
@@ -401,16 +400,16 @@ class TestCuspClosedForm:
             else:
                 expected = F(5, 6) - F(1, 6 * p)
             f = parse_polynomial("x^2 + y^3", PolyRing(p, ["x", "y"]))
-            assert Computer(f).fpt() == expected, p
+            assert TestIdealComputer(f).fpt() == expected, p
 
 
 class TestBoundTooSmall:
     # A bound below the number of jumps must fail, never answer wrongly.
     def test_fpt(self):
         f = parse_polynomial("x^3*y^2 + x*y^4", PolyRing(2, ["x", "y"]))
-        assert Computer(f).fpt() == F(3, 8)
+        assert TestIdealComputer(f).fpt() == F(3, 8)
         with pytest.raises(DomainError, match="too small"):
-            Computer(f, 2).fpt()
+            TestIdealComputer(f, 2).fpt()
 
     def test_walk(self):
         f = parse_polynomial("2*x*y^3 + x^2*y + 2*y^3", PolyRing(3, ["x", "y"]))
