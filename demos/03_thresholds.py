@@ -4,11 +4,11 @@
 from fractions import Fraction
 
 from fptkit import (
+    FrobeniusRootEngine,
     Ideal,
     PolyRing,
     TestIdealComputer,
     maximal_ideal,
-    nu,
     parse_polynomial,
 )
 
@@ -16,11 +16,12 @@ ring = PolyRing(7, ["x", "y"])
 f = parse_polynomial("x^2 + y^3", ring)
 m = maximal_ideal(ring)
 
-# nu(f, m, e) is the largest N with f^N outside (x^{7^e}, y^{7^e}).
+# nu(f, m, e), asked of f's root engine, is the largest N with f^N outside (x^{7^e}, y^{7^e}).
 # The ratios nu/7^e squeeze the F-pure threshold from below.
 print(f"f = {f}  over F_7")
+engine = FrobeniusRootEngine(f)
 for e in range(1, 5):
-    v = nu(f, m, e)
+    v = engine.nu(m, e)
     print(f"  e={e}:  nu = {v:>4}   nu/7^e = {Fraction(v, 7**e)}  ~ {v / 7**e:.6f}")
 
 c = TestIdealComputer(f)

@@ -10,7 +10,8 @@ polynomials in F_p[x_1..x_n] with exact rational arithmetic throughout:
 * perturbation-constancy harnesses for isolated singularities.
 
 A query builds one TestIdealComputer(f, bound) and asks it every question:
-ideal_at, left_limit_at, is_jump, fpt and f_threshold share its root engine.
+ideal_at, left_limit_at, is_jump, fpt and f_threshold share its root engine,
+and the nu invariants are FrobeniusRootEngine(f).nu(b, e).
 """
 
 from .basep import (
@@ -68,7 +69,6 @@ from .testideal import (
     degree_bound,
     jumping_numbers_unit_interval,
     least_parameter,
-    nu,
     stabilization_exponent,
 )
 
@@ -114,7 +114,6 @@ __all__ = [
     "maximal_ideal",
     "maximal_ideal_power",
     "normal_form",
-    "nu",
     "parse_polynomial",
     "parse_rational",
     "partial_derivative",

@@ -22,6 +22,7 @@ __all__ = [
     "truncate",
     "canonical_pair",
     "is_exponent_pair",
+    "is_candidate",
     "candidate_set",
     "frac_orbit",
     "equal_by_truncation",
@@ -199,6 +200,19 @@ def is_exponent_pair(lam, pair: ExponentPair, p: int) -> bool:
     return (p**u * (p**v - 1) * lam).denominator == 1
 
 
+def is_candidate(lam, p: int, bound: int) -> bool:
+    """True iff lam is a candidate jumping number for (p, bound): 0, or the
+    minimal pair (u, v) of lam has u + v <= bound.  Every pair of lam is
+    (u + a, v * b), so this holds exactly when the denominator of lam divides
+    some p^a * (p^b - 1) with a + b <= bound, the rule candidate_set
+    enumerates."""
+    lam = _as_fraction(lam)
+    if lam == 0:
+        return True
+    pair = canonical_pair(lam, p)
+    return pair.u + pair.v <= bound
+
+
 def _check_window(window) -> tuple[Fraction, Fraction]:
     lo, hi = window
     if hi is None:
@@ -239,11 +253,21 @@ def candidates_left_open(p: int, bound: int, lo, hi) -> tuple[Fraction, ...]:
     """Candidates in the interval (lo, hi]; used by interval-narrowing searches."""
     lo, hi = _as_fraction(lo), _as_fraction(hi)
     values = [x for x in candidate_set(p, bound, (lo, hi)) if x != lo]
-    if hi > lo:
-        pair = canonical_pair(hi, p)
-        if pair.u + pair.v <= bound:
-            values.append(hi)
+    if hi > lo and is_candidate(hi, p, bound):
+        values.append(hi)
     return tuple(values)
+
+
+def _least_integer(holds, lo: int, hi: int) -> int:
+    """Least n in (lo, hi] with holds(n), for holds monotone, false at lo and
+    true at hi; found by bisection."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def frac_orbit(lam, count: int, p: int) -> list[Fraction]:

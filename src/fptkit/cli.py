@@ -7,7 +7,8 @@ default is a small aligned human report.  Error classes map to distinct
 exit codes: parse errors 2, domain errors 3, cap/infeasibility 4, anything
 unexpected 70.  The parser is built once, at import.  A command that needs
 a bound builds one TestIdealComputer, which resolves an omitted --bound, and
-reports the bound it used; verify checks on the computer its walk built.
+reports the bound it used; verify formats the checks of the jn report
+(JumpingNumberReport.checks), and nu is asked of a bare root engine.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from fractions import Fraction
 
 from . import constancy as constancy_mod
 from . import testideal
-from .basep import candidate_set, canonical_pair, format_rational, parse_rational
+from .basep import candidate_set, format_rational, parse_rational
 from .errors import DomainError, EngineError, InfeasibleError, ParseError
-from .groebner import Ideal, bracket_power, maximal_ideal, normal_form
+from .froot import FrobeniusRootEngine
+from .groebner import Ideal, maximal_ideal
 from .parsing import parse_polynomial
 from .poly import PolyRing
 
@@ -131,7 +133,7 @@ def _cmd_tau(args) -> int:
 def _cmd_nu(args) -> int:
     f = _poly(args)
     b = _ideal(args.ideal, f.ring) if args.ideal else maximal_ideal(f.ring)
-    value = testideal.nu(f, b, args.e)
+    value = FrobeniusRootEngine(f).nu(b, args.e)
     payload = {
         "prime": f.ring.prime,
         "poly": str(f),
@@ -217,7 +219,7 @@ def _cmd_constancy(args) -> int:
 def _cmd_verify(args) -> int:
     f = _poly(args)
     report = testideal.jumping_numbers_unit_interval(f, args.bound)
-    checks = _run_verification(report)
+    checks = report.checks()
     passed = all(ok for _, ok in checks)
     payload = {
         "prime": f.ring.prime,
@@ -230,52 +232,6 @@ def _cmd_verify(args) -> int:
     lines.append("all checks passed" if passed else "verification FAILED")
     _emit(args, payload, lines)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
-
-
-def _run_verification(report) -> list[tuple[str, bool]]:
-    c = report.computer
-    f, bound, p = c.f, c.bound, c.p
-    checks = []
-
-    positive = [x for x in report.jumping_numbers if x > 0]
-    pairs = [canonical_pair(lam, p) for lam in positive]
-    shape_ok = all(pair.u + pair.v <= bound for pair in pairs)
-    checks.append(("jumping numbers lie in the candidate set", shape_ok))
-
-    jn_set = set(report.jumping_numbers)
-    closure_ok = all((p * lam) - int(p * lam) in jn_set for lam in positive)
-    checks.append(("closed under lam -> frac(p*lam)", closure_ok))
-
-    descend_ok = all(
-        a.contains_ideal(b) and a != b
-        for a, b in zip(report.test_ideals, report.test_ideals[1:])
-    )
-    checks.append(("test ideals strictly descend", descend_ok))
-
-    profile = constancy_mod.singularity_profile(f)
-    if profile.is_isolated:
-        jac_ok = all(ideal.contains_ideal(profile.jacobian) for ideal in report.test_ideals)
-        checks.append(("jacobian contained in every test ideal on [0,1)", jac_ok))
-
-    m = maximal_ideal(f.ring)
-    nus = {e: testideal.nu(f, m, e) for e in (1, 2, 3)}
-    sandwich_ok = all(
-        Fraction(v, p**e) < report.fpt <= Fraction(v + 1, p**e) for e, v in nus.items()
-    )
-    checks.append(("nu sandwich brackets the fpt (e = 1..3)", sandwich_ok))
-
-    fast = c.fpt()
-    checks.append(("interval-narrowed fpt matches the candidate walk", fast == report.fpt))
-
-    jump_ok = all(c.is_jump(lam) for lam in positive)
-    checks.append(("left limits differ exactly at the jumps", jump_ok))
-
-    member_ok = all(
-        normal_form(f, bracket_power(c.engine.root_power(1, e), e)).is_zero() for e in (1, 2)
-    )
-    checks.append(("f lies in the bracket power of its own root", member_ok))
-
-    return checks
 
 
 def _build_parser() -> argparse.ArgumentParser:

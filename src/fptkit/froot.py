@@ -21,13 +21,15 @@ expanded, so N may vastly exceed p^e.
 
 A FrobeniusRootEngine holds the digit-transition cache for one f, its
 interned start state (1) and its table of powers f^d; the TestIdealComputer
-of a query owns one, so every evaluation of that query shares them.
+of a query owns one, so every evaluation of that query shares them.  The
+nu invariants are a question asked of the engine too (engine.nu(b, e)).
 """
 
 from __future__ import annotations
 
+from .basep import _least_integer
 from .errors import DomainError
-from .groebner import Ideal
+from .groebner import Ideal, radical_member
 from .poly import Polynomial, power
 
 __all__ = [
@@ -142,3 +144,28 @@ class FrobeniusRootEngine:
             return state
         fN = self._f_power(N)
         return self._intern(Ideal(self.ring, tuple(fN * g for g in state.basis())))
+
+    def nu(self, b: Ideal, e: int) -> int:
+        """Largest N with f^N outside b^[p^e]; 0 when already f in b^[p^e].
+
+        f^N lies in b^[p^e] exactly when root_e(f^N) is contained in b, so no
+        large power of f is ever expanded.  The search doubles then bisects.
+        It ends because f is first checked to lie in sqrt(b): then f^k is in
+        b for some k, and f^(k * p^e) in b^[p^e].
+        """
+        if e < 0:
+            raise DomainError("nu requires e >= 0")
+        if self.ring != b.ring:
+            raise DomainError("polynomial/ideal ring mismatch")
+        if b.is_unit():
+            raise DomainError("nu is undefined for the unit ideal")
+        if not radical_member(self.f, b):
+            raise DomainError("no power of f lies in b: f is not in the radical of b")
+
+        def member(n: int) -> bool:
+            return b.contains_ideal(self.root_power(n, e))
+
+        hi = 1  # member(0) is false: f^0 = 1 and b is proper
+        while not member(hi):
+            hi *= 2
+        return _least_integer(member, hi // 2, hi) - 1

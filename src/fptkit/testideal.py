@@ -23,7 +23,9 @@ enumerated.
 
 TestIdealComputer is the one context a query builds: it holds f, the
 checked bound and the root engine, and every question of the query (ideal_at,
-left_limit_at, is_jump, fpt, f_threshold) is one of its methods.
+left_limit_at, is_jump, fpt, f_threshold) is one of its methods.  The
+invariants a walk's output must satisfy are JumpingNumberReport.checks,
+asked of the walk's own computer and engine.
 """
 
 from __future__ import annotations
@@ -31,12 +33,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, floor
+from math import ceil, comb
 
-from .basep import _as_fraction, _check_bound, candidates_left_open, canonical_pair, format_rational
+from .basep import (
+    _as_fraction,
+    _check_bound,
+    _least_integer,
+    candidates_left_open,
+    canonical_pair,
+    format_rational,
+    is_candidate,
+)
 from .errors import DomainError, InfeasibleError, NotMPrimaryError
 from .froot import FrobeniusRootEngine
-from .groebner import Ideal, artinian_length, jacobian
+from .groebner import Ideal, artinian_length, bracket_power, jacobian, maximal_ideal
 from .poly import Polynomial
 
 __all__ = [
@@ -46,7 +56,6 @@ __all__ = [
     "stabilization_exponent",
     "least_parameter",
     "jumping_numbers_unit_interval",
-    "nu",
     "degree_bound",
     "default_bound",
 ]
@@ -111,17 +120,51 @@ class JumpingNumberReport:
             "elapsedMs": int(self.elapsed * 1000),
         }
 
+    def checks(self) -> list[tuple[str, bool]]:
+        """The invariants of the walk's output, as (name, passed) in order.
+
+        Every jump is a candidate and the jumps are closed under
+        lam -> frac(p*lam) (Blickle-Mustata-Smith); the test ideals strictly
+        descend and, at an isolated singularity, contain the Jacobian ideal;
+        nu(p^e)/p^e < fpt <= (nu(p^e)+1)/p^e (Mustata-Takagi-Watanabe).  The
+        questions are asked of the walk's own computer and engine.
+        """
+        c, ideals, jumps = self.computer, self.test_ideals, self.jumping_numbers
+        f, p, engine = c.f, c.p, c.engine
+        candidates = all(is_candidate(x, p, c.bound) for x in jumps)
+        descends = all(a.contains_ideal(b) and a != b for a, b in zip(ideals, ideals[1:]))
+        checks = [
+            ("jumping numbers lie in the candidate set", candidates),
+            ("closed under lam -> frac(p*lam)", all(p * x % 1 in jumps for x in jumps)),
+            ("test ideals strictly descend", descends),
+        ]
+        jac = jacobian(f)
+        if _isolated_length(jac) is not None:
+            jac_ok = all(ideal.contains_ideal(jac) for ideal in ideals)
+            checks.append(("jacobian contained in every test ideal on [0,1)", jac_ok))
+        nus = {p**e: engine.nu(maximal_ideal(f.ring), e) for e in (1, 2, 3)}
+        sandwich = all(Fraction(v, q) < self.fpt <= Fraction(v + 1, q) for q, v in nus.items())
+        return checks + [
+            ("nu sandwich brackets the fpt (e = 1..3)", sandwich),
+            ("interval-narrowed fpt matches the candidate walk", c.fpt() == self.fpt),
+            ("left limits differ exactly at the jumps", all(c.is_jump(x) for x in jumps[1:])),
+            (
+                "f lies in the bracket power of its own root",
+                all(bracket_power(engine.root_power(1, e), e).contains(f) for e in (1, 2)),
+            ),
+        ]
+
 
 class TestIdealComputer:
     """Shared evaluation context: one polynomial, one bound, one root engine.
 
     The one place that checks f and resolves the bound: f must be nonzero,
     a bound of None means default_bound(f), and any other bound must be an
-    int >= 1.  Every
-    evaluation is root_s(f^N) through the engine, whose final carry folds
-    parameters >= 1 (Skoda).  evaluations counts the ideal_at calls made
-    through this computer.  The searches (is_jump, fpt, f_threshold) are
-    methods, so all questions asked of one computer share its engine.
+    int >= 1.  Every evaluation is root_s(f^N) through the engine, whose
+    final carry folds parameters >= 1 (Skoda).  evaluations counts the
+    ideal_at calls made through this computer.  The searches (is_jump, fpt,
+    f_threshold) are methods, so all questions asked of one computer share
+    its engine.
     """
 
     __test__ = False  # a computation, not a pytest test class
@@ -169,12 +212,8 @@ class TestIdealComputer:
         lam = _as_fraction(lam)
         if lam <= 0:
             raise DomainError("jumping-number tests require a positive parameter")
-        pair = canonical_pair(lam, self.p)
-        if pair.u + pair.v > self.bound:
-            raise DomainError(
-                f"{lam} is not a candidate for bound {self.bound}: its minimal pair "
-                f"({pair.u}, {pair.v}) exceeds the bound"
-            )
+        if not is_candidate(lam, self.p, self.bound):
+            raise DomainError(f"{lam} is not a candidate for bound {self.bound}")
         return self.left_limit_at(lam) != self.ideal_at(lam).ideal
 
     def fpt(self) -> Fraction:
@@ -188,24 +227,20 @@ class TestIdealComputer:
         return least_parameter(self, _inside_m, 0, 1)
 
     def f_threshold(self, b: Ideal, cap=None) -> Fraction:
-        """Least parameter lam with tau(f^lam) contained in b.
+        """Least parameter lam <= cap with tau(f^lam) contained in b.
 
-        Searches the windows (k, k+1] in turn for k = 0, 1, ... up to the cap.
-        A window is searched only when the predicate failed at its left end k:
-        at k = 0 because b is proper, later because the previous window came
-        back empty.  Requires f in sqrt(b) for termination below the cap.
+        One least_parameter search over (0, max(ceil(cap), 1)]; the
+        predicate is false at 0 because b is proper.  Requires f in sqrt(b)
+        for an answer below the cap.
         """
         if self.f.ring != b.ring:
             raise DomainError("polynomial/ideal ring mismatch")
         if b.is_unit():
             return Fraction(0)
         cap = Fraction(self.f.ring.dimension) if cap is None else _as_fraction(cap)
-        for k in range(floor(cap) + 1):
-            lam = least_parameter(self, b.contains_ideal, k, k + 1)
-            if lam is not None:
-                if lam <= cap:
-                    return lam
-                break
+        lam = least_parameter(self, b.contains_ideal, 0, max(ceil(cap), 1))
+        if lam is not None and lam <= cap:
+            return lam
         raise InfeasibleError(
             f"no parameter at or below the cap {format_rational(cap)} "
             "drops the test ideal into b"
@@ -217,38 +252,32 @@ def _inside_m(ideal: Ideal) -> bool:
     return all(g.constant_term() == 0 for g in ideal.basis())
 
 
-def _least_integer(holds, lo: int, hi: int) -> int:
-    """Least n in (lo, hi] with holds(n), for holds monotone, false at lo and
-    true at hi; found by bisection."""
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def least_parameter(computer: TestIdealComputer, predicate, lo, hi) -> Fraction | None:
     """Least lam in (lo, hi] with predicate(tau(f^lam)), or None when the
     predicate is false at hi.
 
     The predicate must be monotone along the descending family: false at
-    lo, and once true for some lam, true for every larger one.  The window
-    may be at most 1 wide.  The least lam is a jumping number, so it is a
-    candidate for the computer's bound B, and candidates lie more than
-    p^(-2B) apart: 2B+1 levels of p-adic narrowing, each a bisection over
-    the p sub-intervals, leave a window that holds it as its only candidate.
+    lo, and once true for some lam, true for every larger one.  A window
+    wider than 1 is first cut to the unit step (lo + n - 1, lo + n] that
+    holds the answer, by bisection over the integers n.  The least lam is a
+    jumping number, so it is a candidate for the computer's bound B, and
+    candidates lie more than p^(-2B) apart: 2B+1 levels of p-adic narrowing,
+    each a bisection over the p sub-intervals, leave a window that holds it
+    as its only candidate.
     """
     lo, hi = _as_fraction(lo), _as_fraction(hi)
-    if not 0 <= lo < hi <= lo + 1:
-        raise DomainError(f"search window ({lo}, {hi}] must lie in [0, oo) and be at most 1 wide")
+    if not 0 <= lo < hi:
+        raise DomainError(f"search window ({lo}, {hi}] must lie in [0, oo) and be nonempty")
 
     def holds(lam: Fraction) -> bool:
         return predicate(computer.ideal_at(lam).ideal)
 
     if not holds(hi):
         return None
+    if hi - lo > 1:
+        # true at lo + ceil(hi - lo) >= hi by monotonicity, so never evaluated there
+        n = _least_integer(lambda n: holds(lo + n), 0, ceil(hi - lo))
+        lo, hi = lo + n - 1, min(lo + n, hi)
     p, bound = computer.p, computer.bound
     for _ in range(2 * bound + 1):
         step = (hi - lo) / p
@@ -290,11 +319,8 @@ def jumping_numbers_unit_interval(f: Polynomial, bound: int) -> JumpingNumberRep
             break
         jumps.append(lam)
         ideals.append(computer.ideal_at(lam).ideal)
-    fpt_value = Fraction(1)
-    for lam, ideal in zip(jumps[1:], ideals[1:]):
-        if _inside_m(ideal):
-            fpt_value = lam
-            break
+    inside_m = (lam for lam, ideal in zip(jumps[1:], ideals[1:]) if _inside_m(ideal))
+    fpt_value = next(inside_m, Fraction(1))
     elapsed = time.perf_counter() - start
     return JumpingNumberReport(
         jumping_numbers=tuple(jumps),
@@ -304,40 +330,6 @@ def jumping_numbers_unit_interval(f: Polynomial, bound: int) -> JumpingNumberRep
         elapsed=elapsed,
         computer=computer,
     )
-
-
-def nu(f: Polynomial, b: Ideal, e: int) -> int:
-    """Largest N with f^N outside b^[p^e]; 0 when already f in b^[p^e].
-
-    Membership is decided through the root engine: f^N lies in b^[p^e]
-    exactly when root_e(f^N) is contained in b, so no large power of f is
-    ever expanded.  The search doubles then bisects, guarded by a cap.
-    """
-    if e < 0:
-        raise DomainError("nu requires e >= 0")
-    if f.ring != b.ring:
-        raise DomainError("polynomial/ideal ring mismatch")
-    if b.is_unit():
-        raise DomainError("nu is undefined for the unit ideal")
-    engine = FrobeniusRootEngine(f)
-
-    def member(n: int) -> bool:
-        return b.contains_ideal(engine.root_power(n, e))
-
-    cap = f.ring.prime**e * (1 + sum(g.total_degree() for g in b.generators))
-    if member(1):
-        return 0
-    lo = 1
-    hi = 2
-    while not member(hi):
-        lo = hi
-        hi *= 2
-        if hi > cap:
-            raise DomainError(
-                f"no power of f entered the bracket ideal below the cap {cap}; "
-                "is f in the radical of b?"
-            )
-    return _least_integer(member, lo, hi) - 1
 
 
 def degree_bound(f: Polynomial) -> int:

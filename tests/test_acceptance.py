@@ -25,7 +25,6 @@ from fptkit import (
     jacobian,
     jumping_numbers_unit_interval,
     maximal_ideal,
-    nu,
     parse_polynomial,
     power,
     singularity_profile,
@@ -124,8 +123,9 @@ def test_criterion_3_nu_sandwich(corpus_fpts):
     for f, value in corpus_fpts:
         p = f.ring.prime
         m = maximal_ideal(f.ring)
+        engine = FrobeniusRootEngine(f)
         for e in (1, 2, 3, 4):
-            v = nu(f, m, e)
+            v = engine.nu(m, e)
             q = p**e
             checked += 1
             if not (F(v, q) < value <= F(v + 1, q)):

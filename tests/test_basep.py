@@ -19,7 +19,7 @@ from fptkit import (
     stabilization_exponent,
     truncate,
 )
-from fptkit.basep import candidates_left_open, is_prime
+from fptkit.basep import candidates_left_open, is_candidate, is_prime
 
 F = Fraction
 
@@ -174,6 +174,20 @@ class TestCandidateSet:
                 assert (probe in expected) == (u + vv <= 2)
                 assert (probe in cs) == (u + vv <= 2)
             probe += step
+
+    @given(
+        lam=st.fractions(min_value=0, max_value=F(3), max_denominator=400),
+        p=small_primes,
+        bound=st.integers(1, 3),
+        width=st.fractions(min_value=F(1, 50), max_value=F(1, 2), max_denominator=50),
+    )
+    def test_is_candidate_matches_windows(self, lam, p, bound, width):
+        # the one-line rule agrees with the enumeration, whichever window holds lam
+        assert is_candidate(lam, p, bound) == (lam in candidate_set(p, bound, (lam, lam + width)))
+        lo = max(F(0), lam - width)
+        assert is_candidate(lam, p, bound) == (lam in candidate_set(p, bound, (lo, lam + width)))
+        if lam > lo:
+            assert is_candidate(lam, p, bound) == (lam in candidates_left_open(p, bound, lo, lam))
 
     def test_rejects_bad_windows(self):
         with pytest.raises(DomainError):

@@ -69,6 +69,12 @@ class TestSubcommands:
                        "x^4+y^3+x^2*y^2", "--json")
         assert json.loads(proc.stdout)["nu"] == 2
 
+    def test_nu_beyond_the_degree_cap(self):
+        proc = run_cli("nu", "--char", "5", "--vars", "x,y", "--e", "1",
+                       "--ideal", "x^3; x - y^3", "y", "--json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["nu"] == 44
+
     def test_ft(self):
         proc = run_cli(
             "ft", "--char", "5", "--vars", "x,y", "--ideal", "x^2; y",
@@ -208,6 +214,11 @@ class TestExitCodes:
         proc = run_cli("jn", "--char", "5", "--vars", "x,y", "x^4+y^3+x^2*y^2", "--bound", "1")
         assert proc.returncode == 3
         assert "too small" in proc.stderr
+
+    def test_nu_outside_radical(self):
+        proc = run_cli("nu", "--char", "5", "--vars", "x,y", "--e", "1", "--ideal", "y", "x")
+        assert proc.returncode == 3
+        assert "radical" in proc.stderr
 
     def test_infeasible(self):
         proc = run_cli(
@@ -362,15 +373,15 @@ def quartic_consistency():
         (("tau", *QUARTIC, "--lambda", "4/5"), 1, 1),
         (("nu", *QUARTIC, "--e", "2"), 1, 0),
         (("ft", *QUARTIC, "--ideal", "x^2; y"), 1, 1),
-        (("verify", *QUARTIC), 4, 1),
+        (("verify", *QUARTIC), 1, 1),
         (quartic_consistency, 2, 2),
     ],
     ids=["fpt", "jn", "tau", "nu", "ft", "verify", "threshold_ideal_consistency"],
 )
 def test_one_context_per_query(monkeypatch, capsys, query, engines, computers):
     """A query builds one TestIdealComputer per polynomial and asks it every
-    question; only nu, which needs no bound, builds a bare engine (verify runs
-    it for e = 1, 2, 3)."""
+    question; only nu, which needs no bound, builds a bare engine.  verify asks
+    every check, nu for e = 1, 2, 3 included, of the computer its walk built."""
     built = {FrobeniusRootEngine: 0, TestIdealComputer: 0}
     for cls in built:
 

@@ -3,7 +3,8 @@ import sys
 import fptkit
 
 # One name per question: a query builds a TestIdealComputer and asks it
-# (ideal_at, left_limit_at, is_jump, fpt, f_threshold); ideal sums,
+# (ideal_at, left_limit_at, is_jump, fpt, f_threshold), and nu is asked of
+# a FrobeniusRootEngine; ideal sums,
 # products and equality are Ideal(...) and ==.  A name added here is a new
 # public entry point, not a second spelling of an existing one.
 PUBLIC = [
@@ -46,7 +47,6 @@ PUBLIC = [
     "maximal_ideal",
     "maximal_ideal_power",
     "normal_form",
-    "nu",
     "parse_polynomial",
     "parse_rational",
     "partial_derivative",

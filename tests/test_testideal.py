@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fptkit import (
     DomainError,
+    FrobeniusRootEngine,
     Ideal,
     InfeasibleError,
     PolyRing,
@@ -17,9 +18,9 @@ from fptkit import (
     degree_bound,
     frobenius_root,
     jumping_numbers_unit_interval,
+    least_parameter,
     maximal_ideal,
     normal_form,
-    nu,
     parse_polynomial,
     power,
     singularity_profile,
@@ -195,7 +196,7 @@ class TestUnitIntervalReport:
         assert report.fpt == F(5, 6)
         m = maximal_ideal(ring7)
         for e in (1, 2, 3):
-            v = nu(cusp7, m, e)
+            v = FrobeniusRootEngine(cusp7).nu(m, e)
             q = 7**e
             assert F(v, q) < report.fpt <= F(v + 1, q)
 
@@ -237,15 +238,15 @@ class TestNu:
         x = ring5.variable("x")
         m = maximal_ideal(ring5)
         for e in (1, 2, 3):
-            assert nu(x, m, e) == 5**e - 1
+            assert FrobeniusRootEngine(x).nu(m, e) == 5**e - 1
 
     def test_brute_force_oracles(self, ring5):
         r3 = PolyRing(3, ["x", "y"])
         g = parse_polynomial("x^2 + y^2", r3)
-        assert nu(g, maximal_ideal(r3), 1) == 2
+        assert FrobeniusRootEngine(g).nu(maximal_ideal(r3), 1) == 2
         assert brute_nu(g, maximal_ideal(r3), 1) == 2
         f = parse_polynomial("x^4 + y^3 + x^2*y^2", ring5)
-        assert nu(f, maximal_ideal(ring5), 1) == 2
+        assert FrobeniusRootEngine(f).nu(maximal_ideal(ring5), 1) == 2
         assert brute_nu(f, maximal_ideal(ring5), 1) == 2
 
     def test_matches_brute_force_randomly(self):
@@ -256,13 +257,23 @@ class TestNu:
             for _ in range(10):
                 f = random_poly(rng, ring, 3, 3, min_deg=1)
                 e = rng.randint(1, 2)
-                assert nu(f, m, e) == brute_nu(f, m, e)
+                assert FrobeniusRootEngine(f).nu(m, e) == brute_nu(f, m, e)
+
+    def test_beyond_the_degree_cap(self, ring5):
+        # y^9 lies in (x^3, x - y^3), far past the old cap 5^e * (1 + 3 + 1)
+        b = ideal_of(ring5, "x^3", "x - y^3")
+        engine = FrobeniusRootEngine(ring5.variable("y"))
+        for e, expected in ((0, 8), (1, 44), (2, 224)):
+            assert engine.nu(b, e) == expected
+        assert brute_nu(ring5.variable("y"), b, 1) == 44
 
     def test_unit_polynomial_rejected(self, ring5):
         with pytest.raises(DomainError):
-            nu(ring5.constant(2), maximal_ideal(ring5), 1)
+            FrobeniusRootEngine(ring5.constant(2)).nu(maximal_ideal(ring5), 1)
         with pytest.raises(DomainError):
-            nu(ring5.variable("x"), Ideal.unit(ring5), 1)
+            FrobeniusRootEngine(ring5.variable("x")).nu(Ideal.unit(ring5), 1)
+        with pytest.raises(DomainError, match="radical"):
+            FrobeniusRootEngine(ring5.variable("x")).nu(ideal_of(ring5, "y"), 1)
 
 
 class TestFThreshold:
@@ -287,6 +298,44 @@ class TestFThreshold:
         target = Ideal(ring5, tuple(quartic5 * g for g in maximal_ideal(ring5).generators))
         value = TestIdealComputer(quartic5, 6).f_threshold(target, cap=F(3))
         assert value == 1 + F(7, 12)
+
+    @pytest.mark.parametrize(
+        "poly, target, answers",
+        [
+            ("x^2", ("x",), [None, F(1, 2), F(1, 2), F(1, 2)]),
+            ("x^2", ("x^4",), [None, None, F(2), F(2)]),
+            ("x^2", ("x^5",), [None, None, None, F(5, 2)]),
+            ("x^2", ("x^6",), [None, None, None, None]),
+            ("x^4+y^3+x^2*y^2", ("x^2", "y"), [None, None, F(4, 5), F(4, 5)]),
+        ],
+    )
+    def test_caps(self, ring5, poly, target, answers):
+        # answers at the caps 0, 1/2, 2 and 5/2; None is InfeasibleError
+        c = TestIdealComputer(parse_polynomial(poly, ring5))
+        for cap, expected in zip((0, F(1, 2), 2, F(5, 2)), answers):
+            if expected is None:
+                with pytest.raises(InfeasibleError):
+                    c.f_threshold(ideal_of(ring5, *target), cap)
+            else:
+                assert c.f_threshold(ideal_of(ring5, *target), cap) == expected
+
+
+class TestLeastParameter:
+    @pytest.mark.parametrize("lo, hi", [(0, 3), (F(1, 2), 3), (0, F(5, 2)), (F(1, 3), F(7, 4))])
+    @pytest.mark.parametrize("target", [("x", "y"), ("x^2", "y"), ("x^5", "x*y", "y^2")])
+    def test_wide_window_matches_unit_scan(self, ring5, quartic5, lo, hi, target):
+        c = TestIdealComputer(quartic5, 6)
+        # f*b: its threshold is past the first Skoda translate
+        b = Ideal(ring5, tuple(quartic5 * g for g in ideal_of(ring5, *target).generators))
+        scan, k = None, F(lo)
+        while scan is None and k < hi:
+            scan = least_parameter(c, b.contains_ideal, k, min(k + 1, F(hi)))
+            k += 1
+        assert least_parameter(c, b.contains_ideal, lo, hi) == scan
+
+    def test_rejects_empty_window(self, quartic5):
+        with pytest.raises(DomainError):
+            least_parameter(TestIdealComputer(quartic5, 6), bool, 1, 1)
 
 
 class TestBounds:
