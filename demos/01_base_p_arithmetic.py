@@ -3,7 +3,14 @@
 
 from fractions import Fraction
 
-from fptkit import candidate_set, canonical_pair, frac_orbit, is_exponent_pair, truncate
+from fptkit import (
+    candidate_set,
+    canonical_pair,
+    format_rational,
+    frac_orbit,
+    is_exponent_pair,
+    truncate,
+)
 
 p = 5
 lam = Fraction(7, 12)
@@ -29,7 +36,7 @@ print(f"\nfractional orbit of {lam}: {[str(x) for x in orbit]}")
 
 # Small exponent pairs generate a finite, well-spaced candidate set.
 for bound in (1, 2):
-    cs = candidate_set(p, bound, (Fraction(0), Fraction(1)))
-    print(f"\ncandidates for bound {bound} in [0,1): {', '.join(cs.to_json())}")
-    gaps = [b - a for a, b in zip(cs.values, cs.values[1:])]
+    values = candidate_set(p, bound, (Fraction(0), Fraction(1)))
+    print(f"\ncandidates for bound {bound} in [0,1): {', '.join(map(format_rational, values))}")
+    gaps = [b - a for a, b in zip(values, values[1:])]
     print(f"  smallest gap {min(gaps)} vs guaranteed floor 1/{p**(2*bound)}")

@@ -15,7 +15,6 @@ and the nu invariants are FrobeniusRootEngine(f).nu(b, e).
 """
 
 from .basep import (
-    CandidateSet,
     ExponentPair,
     candidate_set,
     canonical_pair,
@@ -75,7 +74,6 @@ from .testideal import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateSet",
     "ConstancyReport",
     "DomainError",
     "EngineError",

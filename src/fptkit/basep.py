@@ -16,7 +16,6 @@ from .errors import DomainError
 
 __all__ = [
     "ExponentPair",
-    "CandidateSet",
     "is_prime",
     "require_prime",
     "truncate",
@@ -79,30 +78,6 @@ class ExponentPair:
 
     def __iter__(self):
         return iter((self.u, self.v))
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """A sorted window of the candidate jumping numbers for (p, bound).
-
-    values holds exactly the rationals in [lo, hi) whose denominator divides
-    p^a * (p^b - 1) for some a + b <= bound, together with 0 when the window
-    contains it.  Consecutive values differ by more than p^(-2*bound).
-    """
-
-    prime: int
-    bound: int
-    window: tuple[Fraction, Fraction]
-    values: tuple[Fraction, ...]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def to_json(self) -> list[str]:
-        return [format_rational(v) for v in self.values]
 
 
 def _as_fraction(lam) -> Fraction:
@@ -223,11 +198,15 @@ def _check_window(window) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def candidate_set(p: int, bound: int, window) -> CandidateSet:
-    """All candidate jumping numbers for (p, bound) inside [lo, hi).
+def candidate_set(p: int, bound: int, window) -> tuple[Fraction, ...]:
+    """All candidate jumping numbers for (p, bound) inside [lo, hi), sorted.
 
-    Enumerates c / (p^a * (p^b - 1)) over a + b <= bound, dedupes reduced
-    forms, and includes 0 when the window contains it.
+    The candidates are 0 and the rationals whose denominator divides
+    p^a * (p^b - 1) for some a + b <= bound.  One denominator per period b
+    lists them all: c / (p^a * (p^b - 1)) = c * p^(bound-b-a) / D_b with
+    D_b = p^(bound-b) * (p^b - 1), so the loop forms the bound denominators
+    D_1 .. D_bound.  Reduced forms are deduped, and 0 is included when the
+    window contains it.  Consecutive values differ by more than p^(-2*bound).
     """
     require_prime(p)
     _check_bound(bound)
@@ -235,18 +214,15 @@ def candidate_set(p: int, bound: int, window) -> CandidateSet:
     seen: set[Fraction] = set()
     if lo <= 0 < hi:
         seen.add(Fraction(0))
-    for a in range(bound):
-        pa = p**a
-        for b in range(1, bound - a + 1):
-            den = pa * (p**b - 1)
-            # smallest c with c/den >= lo, largest with c/den < hi
-            c = -((-lo.numerator * den) // lo.denominator)
-            top = hi.numerator * den
-            while c * hi.denominator < top:
-                if c > 0:
-                    seen.add(Fraction(c, den))
-                c += 1
-    return CandidateSet(p, bound, (lo, hi), tuple(sorted(seen)))
+    for b in range(1, bound + 1):
+        den = p ** (bound - b) * (p**b - 1)
+        # smallest c >= 1 with c/den >= lo, then every c with c/den < hi
+        c = max(-((-lo.numerator * den) // lo.denominator), 1)
+        top = hi.numerator * den
+        while c * hi.denominator < top:
+            seen.add(Fraction(c, den))
+            c += 1
+    return tuple(sorted(seen))
 
 
 def candidates_left_open(p: int, bound: int, lo, hi) -> tuple[Fraction, ...]:

@@ -163,8 +163,8 @@ def _cmd_ft(args) -> int:
 
 def _cmd_candidates(args) -> int:
     window = _window(args.window)
-    cs = candidate_set(args.char, args.bound, window)
-    return _emit(args, cs.to_json(), [", ".join(cs.to_json())])
+    values = [format_rational(x) for x in candidate_set(args.char, args.bound, window)]
+    return _emit(args, values, [", ".join(values)])
 
 
 def _cmd_profile(args) -> int:

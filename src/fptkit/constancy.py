@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .basep import format_rational
 from .errors import DomainError, StabilityError
-from .groebner import Ideal, jacobian, maximal_ideal_power
+from .groebner import Ideal, jacobian, maximal_ideal_power, radical_member
 from .poly import Polynomial, PolyRing
 from .testideal import TestIdealComputer, _isolated_length, jumping_numbers_unit_interval
 
@@ -323,8 +323,6 @@ def threshold_ideal_consistency(f: Polynomial, g: Polynomial, lam, bound: int, c
     holds on this instance.  A threshold whose radical precondition fails
     counts as "hypotheses not met", which makes the implication vacuous.
     """
-    from .groebner import radical_member
-
     if f.constant_term() != 0 or g.constant_term() != 0:
         raise DomainError("both polynomials must vanish at the origin")
     cf, cg = TestIdealComputer(f, bound), TestIdealComputer(g, bound)

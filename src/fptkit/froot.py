@@ -91,7 +91,7 @@ class FrobeniusRootEngine:
     powers f^d and the final carry come from one power table.
     """
 
-    __slots__ = ("f", "ring", "_fpow", "_states", "_steps", "_start")
+    __slots__ = ("f", "ring", "_fpow", "_states", "_steps", "_start", "_radical")
 
     def __init__(self, f: Polynomial):
         self.f = f
@@ -100,6 +100,7 @@ class FrobeniusRootEngine:
         self._states: dict = {}
         self._steps: dict = {}
         self._start = self._intern(Ideal.unit(self.ring))
+        self._radical: set[Ideal] = set()  # each b already certified to hold f in sqrt(b)
 
     def _f_power(self, d: int) -> Polynomial:
         """f^d from the power table: the largest cached f^c with c < d times
@@ -151,7 +152,8 @@ class FrobeniusRootEngine:
         f^N lies in b^[p^e] exactly when root_e(f^N) is contained in b, so no
         large power of f is ever expanded.  The search doubles then bisects.
         It ends because f is first checked to lie in sqrt(b): then f^k is in
-        b for some k, and f^(k * p^e) in b^[p^e].
+        b for some k, and f^(k * p^e) in b^[p^e].  The engine remembers each
+        b it has certified, so that check runs once per b.
         """
         if e < 0:
             raise DomainError("nu requires e >= 0")
@@ -159,8 +161,10 @@ class FrobeniusRootEngine:
             raise DomainError("polynomial/ideal ring mismatch")
         if b.is_unit():
             raise DomainError("nu is undefined for the unit ideal")
-        if not radical_member(self.f, b):
-            raise DomainError("no power of f lies in b: f is not in the radical of b")
+        if b not in self._radical:
+            if not radical_member(self.f, b):
+                raise DomainError("no power of f lies in b: f is not in the radical of b")
+            self._radical.add(b)
 
         def member(n: int) -> bool:
             return b.contains_ideal(self.root_power(n, e))

@@ -361,9 +361,9 @@ def artinian_length(J: Ideal) -> int:
     from the origin (detected by x_i^d notin J for d the standard-monomial
     count).
     """
-    basis = J.basis()
-    if len(basis) == 1 and basis[0].is_one():
+    if J.is_unit():
         return 0
+    basis = J.basis()
     ring = J.ring
     n = ring.dimension
     lms = [g._lead() for g in basis]
@@ -425,5 +425,4 @@ def radical_member(g: Polynomial, J: Ideal) -> bool:
     t = big.variable(0)
     gens = [_lift(f, big) for f in J.generators]
     gens.append(big.one() - t * _lift(g, big))
-    basis = _buchberger(gens)
-    return len(basis) == 1 and basis[0].is_one()
+    return Ideal(big, gens).is_unit()

@@ -33,6 +33,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, comb
 
 from .basep import (
@@ -138,8 +139,8 @@ class JumpingNumberReport:
             ("closed under lam -> frac(p*lam)", all(p * x % 1 in jumps for x in jumps)),
             ("test ideals strictly descend", descends),
         ]
-        jac = jacobian(f)
-        if _isolated_length(jac) is not None:
+        jac, ell = c.isolated_jacobian
+        if ell is not None:
             jac_ok = all(ideal.contains_ideal(jac) for ideal in ideals)
             checks.append(("jacobian contained in every test ideal on [0,1)", jac_ok))
         nus = {p**e: engine.nu(maximal_ideal(f.ring), e) for e in (1, 2, 3)}
@@ -164,7 +165,7 @@ class TestIdealComputer:
     final carry folds parameters >= 1 (Skoda).  evaluations counts the
     ideal_at calls made through this computer.  The searches (is_jump, fpt,
     f_threshold) are methods, so all questions asked of one computer share
-    its engine.
+    its engine, and the Jacobian length it resolved the bound from.
     """
 
     __test__ = False  # a computation, not a pytest test class
@@ -172,14 +173,21 @@ class TestIdealComputer:
     def __init__(self, f: Polynomial, bound: int | None = None):
         if f.is_zero():
             raise DomainError("test ideals of the zero polynomial are undefined")
-        if bound is None:
-            bound = default_bound(f)
-        _check_bound(bound)
         self.f = f
+        if bound is None:
+            bound = _default_bound(f, self.isolated_jacobian[1])
+        _check_bound(bound)
         self.bound = bound
         self.p = f.ring.prime
         self.engine = FrobeniusRootEngine(f)
         self.evaluations = 0
+
+    @cached_property
+    def isolated_jacobian(self) -> tuple[Ideal, int | None]:
+        """Jac(f), and the length of R/Jac(f) when f has an isolated
+        singularity at the origin (else None); computed once per computer."""
+        jac = jacobian(self.f)
+        return jac, _isolated_length(jac)
 
     def _exponent(self, lam: Fraction) -> tuple[int, int]:
         """(s, N) with N = ceil(p^s * lam) for the stabilized evaluation."""
@@ -350,9 +358,10 @@ def _isolated_length(jac: Ideal) -> int | None:
 
 def default_bound(f: Polynomial) -> int:
     """The smaller of the degree bound and (when defined) the length bound."""
+    return _default_bound(f, _isolated_length(jacobian(f)))
+
+
+def _default_bound(f: Polynomial, ell: int | None) -> int:
     b = degree_bound(f)
-    ell = _isolated_length(jacobian(f))
-    if ell is not None and ell < b:
-        return ell
-    return b
+    return b if ell is None else min(ell, b)
 

@@ -177,7 +177,7 @@ def test_criterion_5_candidate_gap():
     ok = True
     for p in (2, 3, 5):
         for bound in (1, 2, 3):
-            values = candidate_set(p, bound, (F(0), F(1))).values
+            values = candidate_set(p, bound, (F(0), F(1)))
             floor = F(1, p ** (2 * bound))
             for i in range(len(values)):
                 for j in range(i + 1, len(values)):

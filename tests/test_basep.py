@@ -21,6 +21,8 @@ from fptkit import (
 )
 from fptkit.basep import candidates_left_open, is_candidate, is_prime
 
+import candidate_oracle
+
 F = Fraction
 
 positive_fractions = st.fractions(min_value=F(1, 600), max_value=F(50), max_denominator=600)
@@ -143,16 +145,16 @@ class TestBoundCheck:
 
 class TestCandidateSet:
     def test_examples(self):
-        assert candidate_set(2, 2, (F(0), F(1))).values == (F(0), F(1, 3), F(1, 2), F(2, 3))
-        assert candidate_set(3, 1, (F(0), F(1))).values == (F(0), F(1, 2))
-        assert candidate_set(5, 1, (F(0), F(1))).values == (F(0), F(1, 4), F(1, 2), F(3, 4))
+        assert candidate_set(2, 2, (F(0), F(1))) == (F(0), F(1, 3), F(1, 2), F(2, 3))
+        assert candidate_set(3, 1, (F(0), F(1))) == (F(0), F(1, 2))
+        assert candidate_set(5, 1, (F(0), F(1))) == (F(0), F(1, 4), F(1, 2), F(3, 4))
         cs = candidate_set(2, 2, (F(0), F(1)))
         assert F(0) in cs and F(1, 3) in cs and 0 in cs
         assert F(1, 5) not in cs and F(1) not in cs
 
     def test_window_slicing(self):
-        full = candidate_set(2, 2, (F(0), F(1))).values
-        upper = candidate_set(2, 2, (F(1, 2), F(1))).values
+        full = candidate_set(2, 2, (F(0), F(1)))
+        upper = candidate_set(2, 2, (F(1, 2), F(1)))
         assert upper == tuple(v for v in full if v >= F(1, 2))
         # the left-open form drops lo and keeps hi
         assert candidates_left_open(2, 2, F(1, 3), F(2, 3)) == (F(1, 2), F(2, 3))
@@ -161,13 +163,13 @@ class TestCandidateSet:
     def test_membership_characterization(self):
         # exactly the rationals with a pair summing to <= B, plus 0
         cs = candidate_set(3, 2, (F(0), F(2)))
-        for v in cs.values:
+        for v in cs:
             if v > 0:
                 u, vv = canonical_pair(v, 3)
                 assert u + vv <= 2
         step = F(1, 3**2 * (3**2 - 1))
         probe = F(0)
-        expected = set(cs.values)
+        expected = set(cs)
         while probe < 2:
             if probe > 0:
                 u, vv = canonical_pair(probe, 3)
@@ -189,6 +191,35 @@ class TestCandidateSet:
         if lam > lo:
             assert is_candidate(lam, p, bound) == (lam in candidates_left_open(p, bound, lo, lam))
 
+    @settings(max_examples=150)
+    @given(
+        p=small_primes,
+        bound=st.integers(1, 4),
+        a=st.integers(0, 3),
+        b=st.integers(1, 4),
+        c=st.integers(0, 2000),
+        shift=st.fractions(min_value=0, max_value=1, max_denominator=30),
+        width=st.one_of(
+            st.none(), st.fractions(min_value=F(1, 40), max_value=F(1, 2), max_denominator=40)
+        ),
+    )
+    def test_matches_pairwise_oracle(self, p, bound, a, b, c, shift, width):
+        # windows around some c/(p^a(p^b-1)), wide or p^-(2B+1) narrow, which
+        # hold a candidate or not as the pair (a, b) is within the bound or not
+        if width is None:
+            width = F(1, p ** (2 * bound + 1))
+        lo = max(F(0), F(c, p**a * (p**b - 1)) - shift * width)
+        hi = lo + width
+        assert candidate_set(p, bound, (lo, hi)) == candidate_oracle.candidates(p, bound, lo, hi)
+
+    @pytest.mark.parametrize("x", [F(4, 25), F(12, 125), F(1, 24)])
+    def test_final_window_at_deep_bound(self, x):
+        # a search's last window is p^-(2B+1) wide, narrower than the gap
+        # p^-(2B) between candidates, so it holds the answer and nothing else
+        width = F(1, 5**81)
+        assert candidates_left_open(5, 40, x - width, x) == (x,)
+        assert candidates_left_open(5, 40, x, x + width) == ()
+
     def test_rejects_bad_windows(self):
         with pytest.raises(DomainError):
             candidate_set(2, 2, (F(0), None))
@@ -200,7 +231,7 @@ class TestCandidateSet:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("bound", [1, 2, 3])
     def test_gap_exhaustive(self, p, bound):
-        values = candidate_set(p, bound, (F(0), F(1))).values
+        values = candidate_set(p, bound, (F(0), F(1)))
         floor = F(1, p ** (2 * bound))
         for i in range(len(values)):
             for j in range(i + 1, len(values)):
@@ -217,7 +248,7 @@ class TestCandidateSet:
             left = truncate(lam, s, p)
             right = left + F(1, p**s)
             window = candidate_set(p, bound, (left, right + F(1, p**s)))
-            for value in window.values:
+            for value in window:
                 assert not (left < value < lam)
                 assert not (lam < value <= right)
 

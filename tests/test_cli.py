@@ -7,7 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from fptkit import PolyRing, TestIdealComputer, cli, constancy, default_bound, parse_polynomial
+from fptkit import (
+    PolyRing,
+    TestIdealComputer,
+    cli,
+    constancy,
+    default_bound,
+    froot,
+    parse_polynomial,
+    testideal,
+)
 from fptkit.cli import main
 from fptkit.froot import FrobeniusRootEngine
 
@@ -395,6 +404,25 @@ def test_one_context_per_query(monkeypatch, capsys, query, engines, computers):
     else:
         assert main([*query, "--json"]) == 0
     assert (built[FrobeniusRootEngine], built[TestIdealComputer]) == (engines, computers)
+
+
+@pytest.mark.parametrize(
+    "module, name", [(testideal, "artinian_length"), (froot, "radical_member")]
+)
+def test_verify_asks_fixed_questions_once(monkeypatch, capsys, module, name):
+    """verify without --bound reuses the Jacobian length its computer resolved
+    the bound from for the Jacobian check, and its engine certifies f in
+    sqrt(m) once for the three nu calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    assert main(["verify", *QUARTIC, "--json"]) == 0
+    assert len(calls) == 1
 
 
 EVERY_COMMAND = [

@@ -8,7 +8,6 @@ import fptkit
 # products and equality are Ideal(...) and ==.  A name added here is a new
 # public entry point, not a second spelling of an existing one.
 PUBLIC = [
-    "CandidateSet",
     "ConstancyReport",
     "DomainError",
     "EngineError",

@@ -120,7 +120,7 @@ class TestTestIdeal:
     def test_monotone_on_candidates(self, ring5, quartic5):
         from fptkit import candidate_set
 
-        values = candidate_set(5, 2, (F(0), F(1))).values
+        values = candidate_set(5, 2, (F(0), F(1)))
         prev = None
         for lam in values:
             cur = TestIdealComputer(quartic5, 6).ideal_at(lam).ideal

@@ -20,7 +20,7 @@ def walk(f, bound):
     computer = TestIdealComputer(f, bound)
     jumps = [Fraction(0)]
     ideals = [Ideal.unit(f.ring)]
-    for lam in candidate_set(f.ring.prime, bound, (Fraction(0), Fraction(1))).values[1:]:
+    for lam in candidate_set(f.ring.prime, bound, (Fraction(0), Fraction(1)))[1:]:
         cur = computer.ideal_at(lam).ideal
         if cur != ideals[-1]:
             jumps.append(lam)
