@@ -14,6 +14,7 @@ from fptkit import (
     jumping_numbers_unit_interval,
     parse_polynomial,
     singularity_profile,
+    stabilization_exponent,
 )
 
 ring = PolyRing(5, ["x", "y"])
@@ -41,11 +42,11 @@ print(f"F-pure threshold: {report.fpt}")
 c = report.computer
 for lam in (Fraction(7, 12), Fraction(4, 5)):
     left = c.left_limit_at(lam)
-    at = c.ideal_at(lam).ideal
+    at = c.ideal_at(lam)
     print(f"\nat {lam}: left limit {left}  vs  value {at}")
 
 # The huge Frobenius powers behind these answers are never expanded: the
 # evaluation at 7/12 works with f^142415365 through 12 digit steps.
-res = c.ideal_at(Fraction(7, 12))
-n = -((-(5**res.stabilization_exponent) * 7) // 12)
-print(f"\nstabilization exponent s = {res.stabilization_exponent}, so tau comes from f^{n}")
+s = stabilization_exponent(Fraction(7, 12), c.bound, 5)
+n = -((-(5**s) * 7) // 12)
+print(f"\nstabilization exponent s = {s}, so tau comes from f^{n}")

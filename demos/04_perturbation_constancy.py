@@ -32,8 +32,8 @@ print(f"\nh = x^{profile.bound_fpt}")
 print(f"  fpt(f)     = {base.fpt}")
 print(f"  fpt(f + h) = {pert.fpt}")
 for lam in base.jumping_numbers:
-    a = base.computer.ideal_at(lam).ideal
-    b = pert.computer.ideal_at(lam).ideal
+    a = base.computer.ideal_at(lam)
+    b = pert.computer.ideal_at(lam)
     print(f"  tau at {str(lam):>4}: locally equal = {local_ideal_equal(a, b, profile.ell)}")
 
 # Below the guaranteed order the threshold may move, but never by more

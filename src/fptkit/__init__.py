@@ -63,7 +63,6 @@ from .poly import Polynomial, PolyRing, partial_derivative, power
 from .testideal import (
     JumpingNumberReport,
     TestIdealComputer,
-    TestIdealResult,
     default_bound,
     degree_bound,
     jumping_numbers_unit_interval,
@@ -90,7 +89,6 @@ __all__ = [
     "SingularityProfile",
     "StabilityError",
     "TestIdealComputer",
-    "TestIdealResult",
     "artinian_length",
     "bracket_power",
     "candidate_set",

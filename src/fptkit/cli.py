@@ -111,22 +111,18 @@ def _cmd_tau(args) -> int:
     f = _poly(args)
     lam = parse_rational(args.lam)
     c = testideal.TestIdealComputer(f, args.bound)
-    result = c.ideal_at(lam)
+    ideal = c.ideal_at(lam)
+    s = testideal.stabilization_exponent(lam, c.bound, c.p)
     payload = {
         "prime": f.ring.prime,
         "poly": str(f),
         "bound": c.bound,
         "lambda": format_rational(lam),
-        "stabilizationExponent": result.stabilization_exponent,
-        "testIdeal": result.ideal.to_json(),
+        "stabilizationExponent": s,
+        "testIdeal": ideal.to_json(),
     }
     return _emit(
-        args,
-        payload,
-        [
-            f"tau(({f})^({format_rational(lam)})) = {result.ideal}   "
-            f"[s = {result.stabilization_exponent}]"
-        ],
+        args, payload, [f"tau(({f})^({format_rational(lam)})) = {ideal}   [s = {s}]"]
     )
 
 

@@ -257,9 +257,11 @@ def constancy_report(
 
     Each perturbation h has at most term_count terms, all of degree in
     [k, k+1].  Requires an isolated singularity and k >= ell + 3, so that
-    the bound B = ell is valid for f and for every sampled f + h, and the
-    two unit-interval reports are directly comparable.  ``exponents=None``
-    asks for the single order k = ell + 3.
+    the bound B = ell is valid for f and for the jumps of f + h at the
+    origin.  The walks are global, though: h can give f + h singular points
+    away from the origin, whose jumps need not be candidates for B = ell,
+    and the perturbed walk then finds them or raises DomainError.
+    ``exponents=None`` asks for the single order k = ell + 3.
     """
     profile = singularity_profile(f)
     if not profile.is_isolated:
@@ -326,8 +328,7 @@ def threshold_ideal_consistency(f: Polynomial, g: Polynomial, lam, bound: int, c
     if f.constant_term() != 0 or g.constant_term() != 0:
         raise DomainError("both polynomials must vanish at the origin")
     cf, cg = TestIdealComputer(f, bound), TestIdealComputer(g, bound)
-    a = cf.ideal_at(lam).ideal
-    b = cg.ideal_at(lam).ideal
+    a, b = cf.ideal_at(lam), cg.ideal_at(lam)
 
     def thresholds_match(target: Ideal) -> bool:
         if target.is_unit():

@@ -135,15 +135,10 @@ def _front_end(gens) -> list[Polynomial]:
                     terms[m] = s
                 else:
                     del terms[m]
-    out: list[Polynomial] = []
-    mono_lms: list = []
-    for lm in sorted(m for m, g in rows.items() if len(g._packed) == 1):
-        if lm == 0:
-            return [rows[lm]]
-        divides = rows[lm].ring.divides
-        if not any(divides(m, lm) for m in mono_lms):
-            out.append(rows[lm])
-            mono_lms.append(lm)
+    out = _minimal([g for g in rows.values() if len(g._packed) == 1])
+    if out and out[0].is_one():
+        return out
+    mono_lms = [g._lead() for g in out]
     for g in rows.values():
         if len(g._packed) == 1:
             continue
@@ -179,7 +174,7 @@ def _buchberger(gens) -> list[Polynomial]:
     """
     rows = _front_end(gens)
     if all(len(g._packed) == 1 for g in rows):
-        return _interreduce(rows)
+        return _minimal(rows)
     ring = rows[0].ring
     divides, lcm_of, top = ring.divides, ring.lcm, ring._top
     G: list[Polynomial] = []
@@ -229,16 +224,24 @@ def _buchberger(gens) -> list[Polynomial]:
     return _interreduce([G[k] for k in active])
 
 
+def _minimal(G) -> list[Polynomial]:
+    """The elements of G, ascending by leading monomial, whose leading
+    monomial no kept element's leading monomial divides.  On a Groebner
+    basis this is a minimal basis; on single terms, the minimal generators
+    of the monomial ideal they generate."""
+    kept: list[Polynomial] = []
+    lms: list = []
+    for g in sorted(G, key=Polynomial._lead):
+        lm = g._lead()
+        if not any(g.ring.divides(m, lm) for m in lms):
+            kept.append(g)
+            lms.append(lm)
+    return kept
+
+
 def _interreduce(G) -> list[Polynomial]:
     """Minimal then fully reduced basis, sorted ascending by leading monomial."""
-    G = sorted(G, key=Polynomial._lead)
-    minimal: list[Polynomial] = []
-    min_lms: list = []
-    for g in G:
-        lm = g._lead()
-        if not any(g.ring.divides(m, lm) for m in min_lms):
-            minimal.append(g)
-            min_lms.append(lm)
+    minimal = _minimal(G)
     reduced = []
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
@@ -273,10 +276,6 @@ class Ideal:
     @classmethod
     def unit(cls, ring: PolyRing) -> "Ideal":
         return cls(ring, (ring.one(),))
-
-    @classmethod
-    def zero(cls, ring: PolyRing) -> "Ideal":
-        return cls(ring, ())
 
     def basis(self) -> tuple[Polynomial, ...]:
         if self._basis is None:

@@ -9,10 +9,10 @@ contains no jumping number for s = u + v*B.  Hence
     left limit   = root_s(f^(ceil(p^s * lam) - 1))  (left end of the gap)
 
 with root_s evaluated by the digit recursion in froot, so the astronomical
-exponent ceil(p^s * lam) is never expanded.  This one formula serves every
-lam > 0, including lam >= 1: the engine's final carry multiplies by
-f^(N div p^s), which is Skoda's identity tau(f^(lam+1)) = f * tau(f^lam).
-An integer lam has tau(f^lam) = (f^lam), the formula at s = 0.
+exponent ceil(p^s * lam) is never expanded.  stabilization_exponent gives
+the s.  This one formula serves every lam > 0, including lam >= 1: the
+engine's final carry multiplies by f^(N div p^s), which is Skoda's identity
+tau(f^(lam+1)) = f * tau(f^lam).
 
 Every search here (the next jumping number, the fpt, an F-threshold) asks
 for the least lam where a monotone predicate of the descending family
@@ -51,7 +51,6 @@ from .groebner import Ideal, artinian_length, bracket_power, jacobian, maximal_i
 from .poly import Polynomial
 
 __all__ = [
-    "TestIdealResult",
     "JumpingNumberReport",
     "TestIdealComputer",
     "stabilization_exponent",
@@ -63,19 +62,17 @@ __all__ = [
 
 
 def stabilization_exponent(lam, bound: int, p: int) -> int:
-    """s = u + v * bound for the canonical pair (u, v) of lam."""
+    """The s with tau(f^lam) = root_s(f^ceil(p^s * lam)) for a valid bound.
+
+    An integer lam >= 0 has tau(f^lam) = (f^lam), the formula at s = 0.
+    Otherwise s = u + v * bound for the canonical pair (u, v) of lam.
+    """
     _check_bound(bound)
-    pair = canonical_pair(_as_fraction(lam), p)
+    lam = _as_fraction(lam)
+    if lam.denominator == 1 and lam >= 0:
+        return 0
+    pair = canonical_pair(lam, p)
     return pair.u + pair.v * bound
-
-
-@dataclass(frozen=True)
-class TestIdealResult:
-    __test__ = False  # a result type, not a pytest test class
-
-    lam: Fraction
-    ideal: Ideal
-    stabilization_exponent: int
 
 
 @dataclass(frozen=True)
@@ -189,31 +186,28 @@ class TestIdealComputer:
         jac = jacobian(self.f)
         return jac, _isolated_length(jac)
 
-    def _exponent(self, lam: Fraction) -> tuple[int, int]:
-        """(s, N) with N = ceil(p^s * lam) for the stabilized evaluation."""
-        s = stabilization_exponent(lam, self.bound, self.p)
+    def _root(self, lam: Fraction, s: int, below: int) -> Ideal:
+        """root_s(f^(ceil(p^s * lam) - below))."""
         N = -((-(self.p**s) * lam.numerator) // lam.denominator)
-        return s, N
+        return self.engine.root_power(N - below, s)
 
-    def ideal_at(self, lam) -> TestIdealResult:
+    def ideal_at(self, lam) -> Ideal:
         """tau(f^lam), exact, for any rational lam >= 0."""
         lam = _as_fraction(lam)
         if lam < 0:
             raise DomainError("test ideal parameters must be >= 0")
         self.evaluations += 1
-        if lam.denominator == 1:
-            s, N = 0, lam.numerator
-        else:
-            s, N = self._exponent(lam)
-        return TestIdealResult(lam, self.engine.root_power(N, s), s)
+        return self._root(lam, stabilization_exponent(lam, self.bound, self.p), 0)
 
     def left_limit_at(self, lam) -> Ideal:
         """The stable intersection of tau(f^(lam - eps)) over small eps > 0."""
         lam = _as_fraction(lam)
         if lam <= 0:
             raise DomainError("left limits require a positive parameter")
-        s, N = self._exponent(lam)
-        return self.engine.root_power(N - 1, s)
+        # the gap below an integer needs its full pair (0, 1), so s = bound
+        # there; only the ideal at the integer itself takes s = 0
+        s = stabilization_exponent(lam, self.bound, self.p) or self.bound
+        return self._root(lam, s, 1)
 
     def is_jump(self, lam) -> bool:
         """True iff the test ideal jumps at lam; lam must be a (p, bound) candidate."""
@@ -222,7 +216,7 @@ class TestIdealComputer:
             raise DomainError("jumping-number tests require a positive parameter")
         if not is_candidate(lam, self.p, self.bound):
             raise DomainError(f"{lam} is not a candidate for bound {self.bound}")
-        return self.left_limit_at(lam) != self.ideal_at(lam).ideal
+        return self.left_limit_at(lam) != self.ideal_at(lam)
 
     def fpt(self) -> Fraction:
         """The F-pure threshold of f at the origin (f in m, f != 0).
@@ -278,7 +272,7 @@ def least_parameter(computer: TestIdealComputer, predicate, lo, hi) -> Fraction 
         raise DomainError(f"search window ({lo}, {hi}] must lie in [0, oo) and be nonempty")
 
     def holds(lam: Fraction) -> bool:
-        return predicate(computer.ideal_at(lam).ideal)
+        return predicate(computer.ideal_at(lam))
 
     if not holds(hi):
         return None
@@ -326,7 +320,7 @@ def jumping_numbers_unit_interval(f: Polynomial, bound: int) -> JumpingNumberRep
         if lam is None or lam == 1:
             break
         jumps.append(lam)
-        ideals.append(computer.ideal_at(lam).ideal)
+        ideals.append(computer.ideal_at(lam))
     inside_m = (lam for lam, ideal in zip(jumps[1:], ideals[1:]) if _inside_m(ideal))
     fpt_value = next(inside_m, Fraction(1))
     elapsed = time.perf_counter() - start

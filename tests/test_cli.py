@@ -62,6 +62,16 @@ class TestSubcommands:
         assert doc["testIdeal"] == ["y", "x^2"]
         assert doc["stabilizationExponent"] == 7
 
+    def test_tau_at_integer(self):
+        # tau(f^2) = (f^2) is the evaluation formula at s = 0
+        proc = run_cli(
+            "tau", "--char", "5", "--vars", "x,y", "--lambda", "2",
+            "x^4+y^3+x^2*y^2", "--json",
+        )
+        doc = json.loads(proc.stdout)
+        assert doc["testIdeal"] == ["x^8 + 2x^6*y^2 + x^4*y^4 + 2x^4*y^3 + 2x^2*y^5 + y^6"]
+        assert doc["stabilizationExponent"] == 0
+
     def test_candidates(self):
         proc = run_cli("candidates", "--char", "2", "--bound", "2")
         assert proc.returncode == 0

@@ -278,6 +278,17 @@ class TestConstancyReport:
         assert record.fpt_equal
         assert not record.theorem_violation
 
+    @pytest.mark.xfail(strict=True, raises=DomainError, reason="global walk of f + h")
+    def test_perturbation_with_singular_points_off_the_origin(self):
+        # fptkit constancy --char 2 --vars x,y "x^3+y^3+x*y" --exponents 8
+        # --samples 3 --seed 0 (the CLI passes the seed as text): an h in m^8
+        # gives f + h singular points away from the origin, whose global jumps
+        # are no candidates for B = ell = 1, so the perturbed walk raises; the
+        # fpt at the origin stays 1
+        f = parse_polynomial("x^3+y^3+x*y", PolyRing(2, ["x", "y"]))
+        report = constancy_report(f, [8], 3, seed="0")
+        assert all(r.fpt_equal and not r.theorem_violation for r in report.records)
+
     def test_rejects_low_exponent(self, cusp7):
         with pytest.raises(DomainError):
             constancy_report(cusp7, [4], 1, seed=0)

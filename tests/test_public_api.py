@@ -24,7 +24,6 @@ PUBLIC = [
     "SingularityProfile",
     "StabilityError",
     "TestIdealComputer",
-    "TestIdealResult",
     "artinian_length",
     "bracket_power",
     "candidate_set",

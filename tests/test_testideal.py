@@ -58,21 +58,21 @@ class TestStabilizationExponent:
 class TestTestIdeal:
     def test_known_values(self, ring5, quartic5):
         c = TestIdealComputer(quartic5, 6)
-        assert c.ideal_at(F(7, 12)).ideal == ideal_of(ring5, "x", "y")
-        assert c.ideal_at(F(4, 5)).ideal == ideal_of(ring5, "x^2", "y")
-        assert c.ideal_at(F(11, 12)).ideal == ideal_of(ring5, "x^2", "x*y", "y^2")
+        assert c.ideal_at(F(7, 12)) == ideal_of(ring5, "x", "y")
+        assert c.ideal_at(F(4, 5)) == ideal_of(ring5, "x^2", "y")
+        assert c.ideal_at(F(11, 12)) == ideal_of(ring5, "x^2", "x*y", "y^2")
 
     def test_unit_cases(self, ring5):
         x = ring5.variable("x")
-        assert TestIdealComputer(x, 1).ideal_at(F(1, 2)).ideal.is_unit()
-        assert TestIdealComputer(x, 1).ideal_at(F(0)).ideal.is_unit()
+        assert TestIdealComputer(x, 1).ideal_at(F(1, 2)).is_unit()
+        assert TestIdealComputer(x, 1).ideal_at(F(0)).is_unit()
 
     def test_result_metadata(self, ring5, quartic5):
         c = TestIdealComputer(quartic5, 6)
-        res = c.ideal_at(F(4, 5))
-        assert res.stabilization_exponent == 7
+        s = stabilization_exponent(F(4, 5), c.bound, 5)
+        assert s == 7
         assert c.bound == 6
-        scaled = 5**res.stabilization_exponent * res.lam
+        scaled = 5**s * F(4, 5)
         assert scaled.denominator == 1
 
     def test_zero_polynomial_rejected(self, ring5):
@@ -100,9 +100,18 @@ class TestTestIdeal:
         with pytest.raises(DomainError):
             compute(quartic5, lam)
 
-    def test_skoda_against_direct_oracle(self):
+    def test_skoda_against_direct_oracle(self, monkeypatch):
         # tau at 1 + mu, 2 + mu, 1 and 2, computed through the engine's carry,
-        # must match a direct stabilized evaluation at denominator p^e
+        # must match a direct stabilized evaluation at denominator p^e; an
+        # integer is evaluated at s = 0
+        exponents = []
+        root_power = FrobeniusRootEngine.root_power
+
+        def spy(engine, N, e):
+            exponents.append(e)
+            return root_power(engine, N, e)
+
+        monkeypatch.setattr(FrobeniusRootEngine, "root_power", spy)
         rng = random.Random(31)
         for p in (2, 3, 5):
             ring = PolyRing(p, ["x", "y"])
@@ -111,11 +120,14 @@ class TestTestIdeal:
                 e = rng.randint(1, 2)
                 mu = F(rng.randint(1, p**e - 1), p**e)
                 for lam in (1 + mu, 2 + mu, F(1), F(2)):
-                    folded = TestIdealComputer(f, default_bound(f)).ideal_at(lam)
+                    c = TestIdealComputer(f, default_bound(f))
+                    exponents.clear()
+                    folded = c.ideal_at(lam)
                     direct = frobenius_root(power(f, int(p**e * lam)), e)
-                    assert folded.ideal == direct
+                    assert folded == direct
                     if lam.denominator == 1:
-                        assert folded.stabilization_exponent == 0
+                        assert stabilization_exponent(lam, c.bound, p) == 0
+                        assert exponents == [0]
 
     def test_monotone_on_candidates(self, ring5, quartic5):
         from fptkit import candidate_set
@@ -123,7 +135,7 @@ class TestTestIdeal:
         values = candidate_set(5, 2, (F(0), F(1)))
         prev = None
         for lam in values:
-            cur = TestIdealComputer(quartic5, 6).ideal_at(lam).ideal
+            cur = TestIdealComputer(quartic5, 6).ideal_at(lam)
             if prev is not None:
                 assert prev.contains_ideal(cur)
             prev = cur
@@ -147,7 +159,7 @@ class TestLeftLimit:
         c = TestIdealComputer(quartic5, 6)
         at_one = c.left_limit_at(F(1))
         at_fpt = c.left_limit_at(F(7, 12))
-        assert at_one == c.ideal_at(F(11, 12)).ideal
+        assert at_one == c.ideal_at(F(11, 12))
         cases = [
             (F(2), times_power(1, at_one)),
             (1 + F(7, 12), times_power(1, at_fpt)),
@@ -155,6 +167,14 @@ class TestLeftLimit:
         ]
         for lam, expected in cases:
             assert c.left_limit_at(lam) == expected
+
+
+    def test_integer_gap_uses_full_pair(self, quartic5):
+        # the gap below 1 needs s = u + v*B = B for the pair (0, 1); at s = 0
+        # the left limit at 1 would be (f^0) = (1), not the last jump's ideal
+        report = jumping_numbers_unit_interval(quartic5, 6)
+        assert report.jumping_numbers[-1] == F(11, 12)
+        assert report.computer.left_limit_at(1) == report.test_ideals[-1]
 
 
 class TestJumpDetection:
@@ -429,7 +449,7 @@ class TestMonomialClosedForm:
     def test_agrees_with_test_ideal(self, p, a, b, lam):
         assume(a + b > 0)
         f = PolyRing(p, ["x", "y"]).monomial((a, b))
-        basis = TestIdealComputer(f).ideal_at(lam).ideal.basis()
+        basis = TestIdealComputer(f).ideal_at(lam).basis()
         assert [g.terms() for g in basis] == [(((floor(a * lam), floor(b * lam)), 1),)]
 
 

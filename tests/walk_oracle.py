@@ -21,7 +21,7 @@ def walk(f, bound):
     jumps = [Fraction(0)]
     ideals = [Ideal.unit(f.ring)]
     for lam in candidate_set(f.ring.prime, bound, (Fraction(0), Fraction(1)))[1:]:
-        cur = computer.ideal_at(lam).ideal
+        cur = computer.ideal_at(lam)
         if cur != ideals[-1]:
             jumps.append(lam)
             ideals.append(cur)
