@@ -181,6 +181,8 @@ def is_candidate(lam, p: int, bound: int) -> bool:
     (u + a, v * b), so this holds exactly when the denominator of lam divides
     some p^a * (p^b - 1) with a + b <= bound, the rule candidate_set
     enumerates."""
+    require_prime(p)
+    _check_bound(bound)
     lam = _as_fraction(lam)
     if lam == 0:
         return True

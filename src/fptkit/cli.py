@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -48,7 +49,15 @@ def _poly(args):
 
 
 def _ideal(text, ring) -> Ideal:
-    gens = [parse_polynomial(part, ring) for part in text.split(";") if part.strip()]
+    """The ideal of the ';'-separated generators in text; an error offset
+    counts from the start of text, not of the generator."""
+    gens = []
+    for part in re.finditer(r"[^;]+", text):
+        if part[0].strip():
+            try:
+                gens.append(parse_polynomial(part[0], ring))
+            except ParseError as exc:
+                raise ParseError(exc.message, part.start() + exc.position) from None
     if not gens:
         raise ParseError("no ideal generators given", 0)
     return Ideal(ring, gens)

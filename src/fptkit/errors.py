@@ -17,6 +17,7 @@ class ParseError(EngineError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (offset {position})")
+        self.message = message
         self.position = position
 
 

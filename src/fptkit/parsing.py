@@ -6,121 +6,68 @@ Grammar (whitespace insignificant):
     term  := coefficient? ('*'? var ('^' natural)?)*
     var   := a declared variable name (longest match wins)
 
-Coefficients are integers of any sign and are reduced mod p.  Printing is
-handled by Polynomial.__str__; parse(str(f)) == f.
+Coefficients and exponents are ASCII digit strings; coefficients carry the
+sign of their term and are reduced mod p.  A ParseError's offset is a
+0-based index into the text given.  Printing is handled by
+Polynomial.__str__; parse(str(f)) == f.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import ParseError
 from .poly import Polynomial, PolyRing
 
 __all__ = ["parse_polynomial"]
 
+_NUMBER, _NAME = 1, 2
+
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     if not isinstance(text, str):
         raise ParseError("polynomial input must be a string", 0)
-    parser = _Parser(text, ring)
-    return parser.parse()
-
-
-class _Parser:
-    def __init__(self, text: str, ring: PolyRing):
-        self.text = text
-        self.ring = ring
-        self.pos = 0
-        # longest-match variable lookup
-        self.names = sorted(ring.variables, key=len, reverse=True)
-
-    def parse(self) -> Polynomial:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            raise ParseError("empty polynomial", self.pos)
-        terms: dict = {}
-        p = self.ring.prime
-        sign = self._read_sign(optional=True)
-        while True:
-            mono, coeff = self._read_term()
-            c = (terms.get(mono, 0) + sign * coeff) % p
-            if c:
-                terms[mono] = c
-            elif mono in terms:
-                del terms[mono]
-            self._skip_ws()
-            if self.pos >= len(self.text):
-                break
-            sign = self._read_sign(optional=False)
-        return Polynomial(self.ring, terms)
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _read_sign(self, optional: bool) -> int:
-        self._skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            ch = self.text[self.pos]
-            self.pos += 1
-            return -1 if ch == "-" else 1
-        if optional:
-            return 1
-        raise ParseError("expected '+' or '-' between terms", self.pos)
-
-    def _read_natural(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected a number", start)
-        return int(self.text[start : self.pos])
-
-    def _match_variable(self):
-        for name in self.names:
-            if self.text.startswith(name, self.pos):
-                self.pos += len(name)
-                return self.ring._index[name]
-        return None
-
-    def _read_term(self) -> tuple[tuple[int, ...], int]:
-        self._skip_ws()
-        start = self.pos
-        coeff = 1
-        have_any = False
-        if self.pos < len(self.text) and self.text[self.pos].isdigit():
-            coeff = self._read_natural()
-            have_any = True
-        exps = [0] * self.ring.dimension
-        while True:
-            self._skip_ws()
-            mark = self.pos
-            if self.pos < len(self.text) and self.text[self.pos] == "*":
-                self.pos += 1
-                self._skip_ws()
-                idx = self._match_variable()
-                if idx is None:
-                    raise ParseError("expected a variable after '*'", self.pos)
-            else:
-                idx = self._match_variable()
-                if idx is None:
-                    if (
-                        self.pos < len(self.text)
-                        and self.text[self.pos] not in "+-"
-                        and not self.text[self.pos].isspace()
-                    ):
-                        raise ParseError(
-                            f"unknown variable or symbol {self.text[self.pos]!r}", self.pos
-                        )
-                    self.pos = mark
-                    break
-            e = 1
-            self._skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == "^":
-                self.pos += 1
-                self._skip_ws()
-                e = self._read_natural()
-            exps[idx] += e
-            have_any = True
-        if not have_any:
-            raise ParseError("expected a term", start)
-        return tuple(exps), coeff
+    if not text.strip():
+        raise ParseError("empty polynomial", len(text))
+    names = "|".join(re.escape(v) for v in sorted(ring.variables, key=len, reverse=True))
+    tokens = [
+        (m.lastindex, m.start(m.lastindex), m[m.lastindex])
+        for m in re.finditer(rf"\s*(?:([0-9]+)|({names})|(\S))", text)
+    ]
+    tokens.append((None, len(text), ""))  # the end closes the last term, as a sign does
+    terms: dict = {}
+    sign, coeff, exps = 1, 1, [0] * ring.dimension
+    # what the previous token was: "start" of the text, a "sign", a
+    # "factor" (coefficient or exponent), a "var", a "star" or a "caret"
+    state = "start"
+    for kind, at, token in tokens:
+        if state == "star" and kind != _NAME:
+            raise ParseError("expected a variable after '*'", at)
+        if state == "caret":
+            if kind != _NUMBER:
+                raise ParseError("expected a number", at)
+            exps[var] += int(token) - 1  # the variable already counted once
+            state = "factor"
+        elif kind == _NAME:
+            var = ring._index[token]
+            exps[var] += 1
+            state = "var"
+        elif kind == _NUMBER and state in ("start", "sign"):
+            coeff = int(token)
+            state = "factor"
+        elif token == "*":
+            state = "star"
+        elif token == "^" and state == "var":
+            state = "caret"
+        elif kind is None or token in "+-":
+            if state == "sign":
+                raise ParseError("expected a term", at)
+            if state != "start":
+                mono = tuple(exps)
+                terms[mono] = terms.get(mono, 0) + sign * coeff
+                coeff, exps = 1, [0] * ring.dimension
+            sign = -1 if token == "-" else 1
+            state = "sign"
+        else:
+            raise ParseError(f"unknown variable or symbol {token[0]!r}", at)
+    return Polynomial(ring, {m: c for m, c in terms.items() if c % ring.prime})

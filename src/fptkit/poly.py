@@ -378,11 +378,7 @@ class Polynomial:
     # -- comparison / hashing ------------------------------------------------
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        if isinstance(other, int):
-            return self == self.ring.constant(other)
-        return (
+        return self is other or (
             isinstance(other, Polynomial)
             and self.ring == other.ring
             and self._packed == other._packed

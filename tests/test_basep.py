@@ -53,6 +53,9 @@ class TestPrimality:
     def test_reject_composite_characteristic(self):
         with pytest.raises(DomainError):
             truncate(F(1, 2), 1, 4)
+        # 0 is a candidate for every (p, bound), so this checks p before lam
+        with pytest.raises(DomainError, match="characteristic must be prime"):
+            is_candidate(0, 4, 3)
 
 
 class TestTruncate:
@@ -133,8 +136,9 @@ class TestBoundCheck:
             lambda f, bound: candidate_set(5, bound, (F(0), F(1))),
             lambda f, bound: stabilization_exponent(F(1, 2), bound, 5),
             lambda f, bound: TestIdealComputer(f, bound),
+            lambda f, bound: is_candidate(F(1, 4), 5, bound),
         ],
-        ids=["candidate_set", "stabilization_exponent", "TestIdealComputer"],
+        ids=["candidate_set", "stabilization_exponent", "TestIdealComputer", "is_candidate"],
     )
     def test_rejects_bad_bounds(self, quartic5, entry, bound):
         # a bound is an int >= 1: bool, float and str are rejected, not coerced

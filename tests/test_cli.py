@@ -213,6 +213,12 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "offset" in proc.stderr
 
+    def test_ideal_error_offset_counts_from_the_whole_argument(self, capsys):
+        # "y^" is the second generator of "x; y^": its missing exponent is at
+        # index 5 of the argument (index 3 of " y^")
+        assert main(["ft", "--char", "5", "--ideal", "x; y^", "x^2+y^3"]) == 2
+        assert capsys.readouterr().err == "parse error: expected a number (offset 5)\n"
+
     def test_domain_error(self):
         proc = run_cli("fpt", "--char", "5", "--vars", "x,y", "x + 1")
         assert proc.returncode == 3

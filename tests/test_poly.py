@@ -93,6 +93,9 @@ class TestArithmetic:
         assert hash(a * b) == hash(b * a)
         reordered = Polynomial(ring, dict(reversed(list(a._terms.items()))))
         assert reordered == a and hash(reordered) == hash(a)
+        # an int is never equal to a polynomial, whose hash it need not share
+        three = ring.constant(3)
+        assert three != 3 and 3 != three and len({three, 3}) == 2
 
     def test_hash_ignores_hash_seed(self):
         code = (
@@ -318,6 +321,65 @@ class TestPrinting:
             assert parse_polynomial(str(f), ring5) == f
 
 
+# The golden parser corpus: each input with the polynomial it prints as, or
+# the (message, offset) of the ParseError it raises.  Digits are ASCII, so a
+# superscript or Arabic-Indic digit is an unknown symbol or a missing number.
+F5 = PolyRing(5, ["x", "y"])
+F3 = PolyRing(3, ["x", "xy", "y", "y_1"])
+GOLDEN = [
+    (F5, "x^4 + y^3 + x^2*y^2", "x^4 + x^2*y^2 + y^3"),
+    (F5, "x y", "x*y"),
+    (F5, "x*y", "x*y"),
+    (F5, "*x", "x"),
+    (F5, " x ^ 2 * y ^ 3 ", "x^2*y^3"),
+    (F5, "x\t^\n2", "x^2"),
+    (F5, "-x + y", "4x + y"),
+    (F5, "+x", "x"),
+    (F5, "- 3x", "2x"),
+    (F5, "7x", "2x"),
+    (F5, "x - 6x", "0"),
+    (F5, "5x^2 + y", "y"),
+    (F5, "3x^2y + 2x^2y", "0"),
+    (F5, "x^2x^3", "x^5"),
+    (F5, "x^0", "1"),
+    (F5, "0", "0"),
+    (F5, "13", "3"),
+    (F5, "x^10 + 12x*y - 2", "x^10 + 2x*y + 3"),
+    (F3, "xy", "xy"),
+    (F3, "x y", "x*y"),
+    (F3, "xyy", "xy*y"),
+    (F3, "x*xy", "x*xy"),
+    (F3, "y_1y + xy^2", "xy^2 + y*y_1"),
+    (F5, None, ("polynomial input must be a string", 0)),
+    (F5, b"x", ("polynomial input must be a string", 0)),
+    (F5, "", ("empty polynomial", 0)),
+    (F5, " \t\n", ("empty polynomial", 3)),
+    (F5, "x+", ("expected a term", 2)),
+    (F5, "x + -y", ("expected a term", 4)),
+    (F5, "-", ("expected a term", 1)),
+    (F5, "+ ", ("expected a term", 2)),
+    (F5, "x^", ("expected a number", 2)),
+    (F5, "x^ y", ("expected a number", 3)),
+    (F5, "x^-2", ("expected a number", 2)),
+    (F5, "2 ** x", ("expected a variable after '*'", 3)),
+    (F5, "x*", ("expected a variable after '*'", 2)),
+    (F5, "x*3", ("expected a variable after '*'", 2)),
+    (F5, "*", ("expected a variable after '*'", 1)),
+    (F5, "x + w", ("unknown variable or symbol 'w'", 4)),
+    (F5, "3 4", ("unknown variable or symbol '4'", 2)),
+    (F5, "x 2", ("unknown variable or symbol '2'", 2)),
+    (F5, "x2", ("unknown variable or symbol '2'", 1)),
+    (F5, "x^2^3", ("unknown variable or symbol '^'", 3)),
+    (F5, "3^2", ("unknown variable or symbol '^'", 1)),
+    (F5, "(x)", ("unknown variable or symbol '('", 0)),
+    (F3, "xy_1", ("unknown variable or symbol '_'", 2)),
+    (F5, "\u00b2x", ("unknown variable or symbol '\u00b2'", 0)),
+    (F5, "x^\u00b2", ("expected a number", 2)),
+    (F5, "\u0663x", ("unknown variable or symbol '\u0663'", 0)),
+    (F5, "x^\u0663", ("expected a number", 2)),
+]
+
+
 class TestParsing:
     def test_reference_quartic(self, ring5, quartic5):
         assert parse_polynomial("x^4 + y^3 + x^2*y^2", ring5) == quartic5
@@ -331,6 +393,19 @@ class TestParsing:
     def test_signs_and_whitespace(self, ring5):
         assert parse_polynomial("- x + y", ring5) == parse_polynomial("4x + y", ring5)
         assert parse_polynomial("x y", ring5) == parse_polynomial("x*y", ring5)
+
+    @pytest.mark.parametrize(
+        "ring, text, expected", GOLDEN, ids=[repr(text) for _, text, _ in GOLDEN]
+    )
+    def test_golden_corpus(self, ring, text, expected):
+        if isinstance(expected, str):
+            assert str(parse_polynomial(text, ring)) == expected
+            return
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, ring)
+        message, offset = expected
+        assert str(err.value) == f"{message} (offset {offset})"
+        assert (err.value.message, err.value.position) == expected
 
     def test_error_positions(self, ring5):
         with pytest.raises(ParseError) as err:

@@ -1,4 +1,6 @@
+import ast
 import sys
+from pathlib import Path
 
 import fptkit
 
@@ -64,3 +66,18 @@ def test_public_surface_is_pinned():
         module = sys.modules[obj.__module__]
         assert module.__name__.startswith("fptkit."), name
         assert name in module.__all__, (name, module.__name__)
+
+
+def test_imports_name_only_fptkit_and_the_standard_library():
+    # the package has no runtime dependencies
+    for path in sorted(Path(fptkit.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one, which names fptkit
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "fptkit" or top in sys.stdlib_module_names, (path.name, name)
