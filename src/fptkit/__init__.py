@@ -14,109 +14,21 @@ ideal_at, left_limit_at, is_jump, fpt and f_threshold share its root engine,
 and the nu invariants are FrobeniusRootEngine(f).nu(b, e).
 """
 
-from .basep import (
-    ExponentPair,
-    candidate_set,
-    canonical_pair,
-    equal_by_truncation,
-    format_rational,
-    frac_orbit,
-    is_exponent_pair,
-    parse_rational,
-    truncate,
-)
-from .constancy import (
-    ConstancyReport,
-    PerturbationRecord,
-    SingularityProfile,
-    constancy_report,
-    jacobian_stability_check,
-    local_ideal_equal,
-    random_perturbation,
-    singularity_profile,
-    threshold_ideal_consistency,
-)
-from .errors import (
-    DomainError,
-    EngineError,
-    InfeasibleError,
-    NotMPrimaryError,
-    ParseError,
-    StabilityError,
-)
-from .froot import (
-    FrobeniusRootEngine,
-    frobenius_root,
-    frobenius_root_ideal,
-)
-from .groebner import (
-    Ideal,
-    artinian_length,
-    bracket_power,
-    jacobian,
-    maximal_ideal,
-    maximal_ideal_power,
-    normal_form,
-)
-from .parsing import parse_polynomial
-from .poly import Polynomial, PolyRing, partial_derivative, power
-from .testideal import (
-    JumpingNumberReport,
-    TestIdealComputer,
-    default_bound,
-    degree_bound,
-    jumping_numbers_unit_interval,
-    least_parameter,
-    stabilization_exponent,
-)
+from . import basep, constancy, errors, froot, groebner, parsing, poly, testideal
+from .basep import *
+from .constancy import *
+from .errors import *
+from .froot import *
+from .groebner import *
+from .parsing import *
+from .poly import *
+from .testideal import *
 
 __version__ = "0.1.0"
 
+# each module's __all__ is its public surface; the package re-exports exactly those names
 __all__ = [
-    "ConstancyReport",
-    "DomainError",
-    "EngineError",
-    "ExponentPair",
-    "FrobeniusRootEngine",
-    "Ideal",
-    "InfeasibleError",
-    "JumpingNumberReport",
-    "NotMPrimaryError",
-    "ParseError",
-    "PerturbationRecord",
-    "Polynomial",
-    "PolyRing",
-    "SingularityProfile",
-    "StabilityError",
-    "TestIdealComputer",
-    "artinian_length",
-    "bracket_power",
-    "candidate_set",
-    "canonical_pair",
-    "constancy_report",
-    "default_bound",
-    "degree_bound",
-    "equal_by_truncation",
-    "format_rational",
-    "frac_orbit",
-    "frobenius_root",
-    "frobenius_root_ideal",
-    "is_exponent_pair",
-    "jacobian",
-    "jacobian_stability_check",
-    "jumping_numbers_unit_interval",
-    "least_parameter",
-    "local_ideal_equal",
-    "maximal_ideal",
-    "maximal_ideal_power",
-    "normal_form",
-    "parse_polynomial",
-    "parse_rational",
-    "partial_derivative",
-    "power",
-    "random_perturbation",
-    "singularity_profile",
-    "stabilization_exponent",
-    "threshold_ideal_consistency",
-    "truncate",
+    name
+    for module in (basep, constancy, errors, froot, groebner, parsing, poly, testideal)
+    for name in module.__all__
 ]

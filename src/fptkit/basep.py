@@ -16,12 +16,9 @@ from .errors import DomainError
 
 __all__ = [
     "ExponentPair",
-    "is_prime",
-    "require_prime",
     "truncate",
     "canonical_pair",
     "is_exponent_pair",
-    "is_candidate",
     "candidate_set",
     "frac_orbit",
     "equal_by_truncation",

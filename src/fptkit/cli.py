@@ -137,7 +137,7 @@ def _cmd_tau(args) -> int:
 
 def _cmd_nu(args) -> int:
     f = _poly(args)
-    b = _ideal(args.ideal, f.ring) if args.ideal else maximal_ideal(f.ring)
+    b = maximal_ideal(f.ring) if args.ideal is None else _ideal(args.ideal, f.ring)
     value = FrobeniusRootEngine(f).nu(b, args.e)
     payload = {
         "prime": f.ring.prime,
@@ -308,7 +308,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (DomainError, EngineError, OSError) as exc:
+    except (EngineError, OSError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except Exception as exc:  # pragma: no cover - defensive

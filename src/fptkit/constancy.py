@@ -26,7 +26,7 @@ from .basep import format_rational
 from .errors import DomainError, StabilityError
 from .groebner import Ideal, jacobian, maximal_ideal_power, radical_member
 from .poly import Polynomial, PolyRing
-from .testideal import TestIdealComputer, _isolated_length, jumping_numbers_unit_interval
+from .testideal import TestIdealComputer, isolated_jacobian, jumping_numbers_unit_interval
 
 __all__ = [
     "SingularityProfile",
@@ -73,8 +73,7 @@ def singularity_profile(f: Polynomial) -> SingularityProfile:
     """ell, N = p^(2*ell) * dim R, and M = p^(2*ell+1) * (ell+1) * dim R."""
     if f.is_zero() or f.constant_term() != 0:
         raise DomainError("the polynomial must be nonzero and vanish at the origin")
-    jac = jacobian(f)
-    ell = _isolated_length(jac)
+    jac, ell = isolated_jacobian(f)
     if ell is None:
         return SingularityProfile(f, jac, False, None, None, None)
     p = f.ring.prime
@@ -253,7 +252,7 @@ def constancy_report(
     seed,
     term_count: int = 3,
 ) -> ConstancyReport:
-    """Perturb f inside m^k for each requested k and compare both engines' output.
+    """Perturb f inside m^k for each requested k and compare the walks of f and f + h.
 
     Each perturbation h has at most term_count terms, all of degree in
     [k, k+1].  Requires an isolated singularity and k >= ell + 3, so that

@@ -6,9 +6,10 @@ Grammar (whitespace insignificant):
     term  := coefficient? ('*'? var ('^' natural)?)*
     var   := a declared variable name (longest match wins)
 
-Coefficients and exponents are ASCII digit strings; coefficients carry the
-sign of their term and are reduced mod p.  A ParseError's offset is a
-0-based index into the text given.  Printing is handled by
+Coefficients and exponents are ASCII digit strings of any length;
+coefficients carry the sign of their term and are reduced mod p, and a
+degree past PolyRing.max_degree raises InfeasibleError.  A ParseError's
+offset is a 0-based index into the text given.  Printing is handled by
 Polynomial.__str__; parse(str(f)) == f.
 """
 
@@ -16,12 +17,24 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import InfeasibleError, ParseError
 from .poly import Polynomial, PolyRing
 
 __all__ = ["parse_polynomial"]
 
 _NUMBER, _NAME = 1, 2
+# int() of a longer digit string may exceed Python's conversion limit,
+# whose smallest setting is 640 digits
+_CHUNK = 512
+
+
+def _residue(digits: str, p: int) -> int:
+    """The decimal digit string mod p, read _CHUNK digits at a time."""
+    value = 0
+    for i in range(0, len(digits), _CHUNK):
+        chunk = digits[i : i + _CHUNK]
+        value = (value * pow(10, len(chunk), p) + int(chunk)) % p
+    return value
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
@@ -46,14 +59,20 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
         if state == "caret":
             if kind != _NUMBER:
                 raise ParseError("expected a number", at)
-            exps[var] += int(token) - 1  # the variable already counted once
+            digits = token.lstrip("0") or "0"
+            if len(digits) > _CHUNK:
+                raise InfeasibleError(
+                    f"exponent of {len(digits)} digits exceeds the packed-monomial "
+                    f"limit {ring.max_degree}"
+                )
+            exps[var] += int(digits) - 1  # the variable already counted once
             state = "factor"
         elif kind == _NAME:
             var = ring._index[token]
             exps[var] += 1
             state = "var"
         elif kind == _NUMBER and state in ("start", "sign"):
-            coeff = int(token)
+            coeff = _residue(token, ring.prime)
             state = "factor"
         elif token == "*":
             state = "star"

@@ -172,7 +172,7 @@ class TestIdealComputer:
             raise DomainError("test ideals of the zero polynomial are undefined")
         self.f = f
         if bound is None:
-            bound = _default_bound(f, self.isolated_jacobian[1])
+            bound = default_bound(f, self.isolated_jacobian)
         _check_bound(bound)
         self.bound = bound
         self.p = f.ring.prime
@@ -181,10 +181,8 @@ class TestIdealComputer:
 
     @cached_property
     def isolated_jacobian(self) -> tuple[Ideal, int | None]:
-        """Jac(f), and the length of R/Jac(f) when f has an isolated
-        singularity at the origin (else None); computed once per computer."""
-        jac = jacobian(self.f)
-        return jac, _isolated_length(jac)
+        """isolated_jacobian(f), computed once per computer."""
+        return isolated_jacobian(self.f)
 
     def _root(self, lam: Fraction, s: int, below: int) -> Ideal:
         """root_s(f^(ceil(p^s * lam) - below))."""
@@ -340,22 +338,23 @@ def degree_bound(f: Polynomial) -> int:
     return comb(n + f.total_degree(), n)
 
 
-def _isolated_length(jac: Ideal) -> int | None:
-    """Length of R/jac when the Jacobian ideal jac is proper and primary to
-    the origin, i.e. when f has an isolated singularity there; else None."""
+def isolated_jacobian(f: Polynomial) -> tuple[Ideal, int | None]:
+    """Jac(f), and the length ell of R/Jac(f) when Jac(f) is proper and
+    primary to the origin, i.e. when f has an isolated singularity there;
+    else ell is None."""
+    jac = jacobian(f)
     try:
         ell = artinian_length(jac)
     except NotMPrimaryError:
-        return None
-    return ell if ell >= 1 else None
+        return jac, None
+    return jac, ell or None
 
 
-def default_bound(f: Polynomial) -> int:
-    """The smaller of the degree bound and (when defined) the length bound."""
-    return _default_bound(f, _isolated_length(jacobian(f)))
+def default_bound(f: Polynomial, isolated: tuple[Ideal, int | None] | None = None) -> int:
+    """The smaller of the degree bound and (when defined) the length bound.
 
-
-def _default_bound(f: Polynomial, ell: int | None) -> int:
+    isolated is isolated_jacobian(f) when the caller already holds it.
+    """
+    ell = (isolated or isolated_jacobian(f))[1]
     b = degree_bound(f)
     return b if ell is None else min(ell, b)
-

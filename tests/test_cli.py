@@ -219,6 +219,13 @@ class TestExitCodes:
         assert main(["ft", "--char", "5", "--ideal", "x; y^", "x^2+y^3"]) == 2
         assert capsys.readouterr().err == "parse error: expected a number (offset 5)\n"
 
+    @pytest.mark.parametrize("command, extra", [("nu", ("--e", "1")), ("ft", ())])
+    @pytest.mark.parametrize("ideal", ["", " ", ";"])
+    def test_empty_ideal(self, capsys, command, extra, ideal):
+        # an empty --ideal is an error, not the maximal ideal nu defaults to
+        assert main([command, "--char", "5", *extra, "--ideal", ideal, "x^2+y^3"]) == 2
+        assert capsys.readouterr().err == "parse error: no ideal generators given (offset 0)\n"
+
     def test_domain_error(self):
         proc = run_cli("fpt", "--char", "5", "--vars", "x,y", "x + 1")
         assert proc.returncode == 3

@@ -279,6 +279,16 @@ class TestDegreeLimit:
         assert main(["fpt", "--char", "5", "--vars", "x,y", f"x^{2**40} + y^3"]) == 4
         assert "infeasible" in capsys.readouterr().err
 
+    def test_exponent_past_the_int_conversion_limit(self, ring5, capsys):
+        # 5,000 digits is past Python's default limit of 4,300 for int()
+        with pytest.raises(InfeasibleError):
+            parse_polynomial("x^" + "9" * 5000, ring5)
+        assert parse_polynomial("x^" + "0" * 5000 + "2", ring5) == power(ring5.variable("x"), 2)
+        assert main(["fpt", "--char", "5", "--vars", "x,y", "x^" + "9" * 5000 + " + y^3"]) == 4
+        assert capsys.readouterr().err == (
+            "infeasible: exponent of 5000 digits exceeds the packed-monomial limit 2147483647\n"
+        )
+
     def test_product(self, ring5):
         x, y = ring5.gens()
         half = power(x, 2**30)
@@ -389,6 +399,19 @@ class TestParsing:
         ring = PolyRing(5, ["x"])
         assert parse_polynomial("7x", ring) == parse_polynomial("2x", ring)
         assert parse_polynomial("x - 6x", ring).is_zero()
+
+    def test_long_coefficient(self, capsys):
+        # 5,000 digits is past Python's default limit of 4,300 for int()
+        ring = PolyRing(7, ["x", "y"])
+        big = "1" + "0" * 4999
+        expected = parse_polynomial(f"{pow(10, 4999, 7)}x - y", ring)
+        assert parse_polynomial(f"{big}x - y", ring) == expected
+        assert parse_polynomial(f"-{big}x", ring) == parse_polynomial(f"{-pow(10, 4999, 7)}x", ring)
+        # 10^5000 + 1 is 1 mod 5, so the CLI answers as for x^2 + y^3
+        assert main(["fpt", "--char", "5", f"{big}1x^2 + y^3"]) == 0
+        long_out = capsys.readouterr()
+        assert main(["fpt", "--char", "5", "x^2 + y^3"]) == 0
+        assert long_out == capsys.readouterr()
 
     def test_signs_and_whitespace(self, ring5):
         assert parse_polynomial("- x + y", ring5) == parse_polynomial("4x + y", ring5)

@@ -81,3 +81,11 @@ def test_imports_name_only_fptkit_and_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "fptkit" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def test_package_reexports_every_module_name():
+    # each module's __all__ is its public surface, and fptkit re-exports all of it
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("fptkit.") and hasattr(module, "__all__"):
+            missing = set(module.__all__) - set(fptkit.__all__)
+            assert not missing, (name, sorted(missing))

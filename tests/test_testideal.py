@@ -380,6 +380,16 @@ class TestBounds:
         with pytest.raises(DomainError):
             TestIdealComputer(quartic5, 0).f_threshold(Ideal.unit(ring5))
 
+    def test_default_bound_without_a_computer(self, ring5):
+        # Jac(f) is zero or the unit ideal, so ell is None and the bound is
+        # the degree bound C(2 + deg f, 2); a computer would reject the zero
+        # polynomial, default_bound does not
+        assert default_bound(ring5.zero()) == 1
+        assert default_bound(ring5.one()) == 1
+        assert default_bound(parse_polynomial("x + 1", ring5)) == 3
+        with pytest.raises(DomainError):
+            TestIdealComputer(ring5.zero())
+
 
 class TestFastFpt:
     def test_known_values(self, ring5, ring7, quartic5, cusp7):
