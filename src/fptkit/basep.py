@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, InfeasibleError
 
 __all__ = [
     "ExponentPair",
@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# candidate_set refuses a window with more candidate numerators than this; a
+# search's final window holds at most two candidates
+MAX_CANDIDATES = 1_000_000
 
 
 def is_prime(n: int) -> bool:
@@ -194,6 +197,8 @@ def _check_window(window) -> tuple[Fraction, Fraction]:
     lo, hi = _as_fraction(lo), _as_fraction(hi)
     if lo < 0:
         raise DomainError("window must lie inside [0, oo)")
+    if hi < lo:
+        raise DomainError(f"window [{lo}, {hi}) is inverted: hi is below lo")
     return lo, hi
 
 
@@ -206,21 +211,29 @@ def candidate_set(p: int, bound: int, window) -> tuple[Fraction, ...]:
     D_b = p^(bound-b) * (p^b - 1), so the loop forms the bound denominators
     D_1 .. D_bound.  Reduced forms are deduped, and 0 is included when the
     window contains it.  Consecutive values differ by more than p^(-2*bound).
+    Raises InfeasibleError, before any value is formed, when more than
+    MAX_CANDIDATES numerators would be tried.
     """
     require_prime(p)
     _check_bound(bound)
     lo, hi = _check_window(window)
-    seen: set[Fraction] = set()
-    if lo <= 0 < hi:
-        seen.add(Fraction(0))
+    spans = []
     for b in range(1, bound + 1):
         den = p ** (bound - b) * (p**b - 1)
-        # smallest c >= 1 with c/den >= lo, then every c with c/den < hi
-        c = max(-((-lo.numerator * den) // lo.denominator), 1)
-        top = hi.numerator * den
-        while c * hi.denominator < top:
-            seen.add(Fraction(c, den))
-            c += 1
+        # every c >= 1 with lo <= c/den < hi: from ceil(lo*den) up to ceil(hi*den)
+        first = max(-((-lo.numerator * den) // lo.denominator), 1)
+        stop = -((-hi.numerator * den) // hi.denominator)
+        if first < stop:
+            spans.append((den, first, stop))
+    count = sum(stop - first for _, first, stop in spans)
+    if count > MAX_CANDIDATES:
+        raise InfeasibleError(
+            f"window [{lo}, {hi}) holds {count} candidate numerators at p = {p}, "
+            f"bound = {bound}, more than the limit {MAX_CANDIDATES}"
+        )
+    seen = {Fraction(c, den) for den, first, stop in spans for c in range(first, stop)}
+    if lo <= 0 < hi:
+        seen.add(Fraction(0))
     return tuple(sorted(seen))
 
 

@@ -38,7 +38,7 @@ EXIT_INTERNAL = 70
 
 def _poly(args):
     ring = PolyRing(args.char, [v.strip() for v in args.vars.split(",") if v.strip()])
-    if args.input_file:
+    if args.input_file is not None:
         with open(args.input_file, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
@@ -152,7 +152,7 @@ def _cmd_nu(args) -> int:
 def _cmd_ft(args) -> int:
     f = _poly(args)
     b = _ideal(args.ideal, f.ring)
-    cap = parse_rational(args.cap) if args.cap else Fraction(f.ring.dimension)
+    cap = Fraction(f.ring.dimension) if args.cap is None else parse_rational(args.cap)
     c = testideal.TestIdealComputer(f, args.bound)
     bound, value = c.bound, c.f_threshold(b, cap)
     payload = {
@@ -192,7 +192,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_constancy(args) -> int:
     f = _poly(args)
-    exponents = _exponents(args.exponents) if args.exponents else None
+    exponents = None if args.exponents is None else _exponents(args.exponents)
     report = constancy_mod.constancy_report(
         f, exponents, args.samples, args.seed, term_count=args.term_count
     )

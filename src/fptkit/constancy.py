@@ -142,37 +142,24 @@ def random_perturbation(
     """A seeded random polynomial whose monomials have degree in [k, max_degree].
 
     Deterministic in seed, at most term_count terms, nonzero unless
-    term_count is 0.
+    term_count is 0: a draw whose terms all cancel mod p is redrawn.
     """
     if max_degree < k:
         raise DomainError("max_degree must be >= k")
     if term_count < 0:
         raise DomainError("term_count must be >= 0")
-    if term_count == 0:
-        return ring.zero()
     rng = random.Random(repr(seed))
-    n = ring.dimension
     p = ring.prime
     while True:
         terms: dict = {}
         for _ in range(term_count):
             d = rng.randint(k, max_degree)
-            cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
-            exps = []
-            prev = 0
-            for c in cuts:
-                exps.append(c - prev)
-                prev = c
-            exps.append(d - prev)
-            coeff = rng.randrange(1, p) if p > 2 else 1
-            m = tuple(exps)
-            merged = (terms.get(m, 0) + coeff) % p
-            if merged:
-                terms[m] = merged
-            elif m in terms:
-                del terms[m]
-        if terms:
-            return Polynomial(ring, terms)
+            cuts = [0, *sorted(rng.randint(0, d) for _ in range(ring.dimension - 1)), d]
+            m = tuple(b - a for a, b in zip(cuts, cuts[1:]))
+            terms[m] = terms.get(m, 0) + (rng.randrange(1, p) if p > 2 else 1)
+        h = Polynomial(ring, terms)
+        if not h.is_zero() or not terms:
+            return h
 
 
 @dataclass(frozen=True)

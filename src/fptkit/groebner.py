@@ -358,44 +358,30 @@ def artinian_length(J: Ideal) -> int:
     Returns 0 for the unit ideal.  Raises NotMPrimaryError when the quotient
     is not finite-dimensional, or is finite-dimensional but supported away
     from the origin (detected by x_i^d notin J for d the standard-monomial
-    count).
+    count).  Standard monomials form an order ideal, so a walk up from 1 that
+    raises no variable before the last one raised reaches each once.
     """
     if J.is_unit():
         return 0
-    basis = J.basis()
     ring = J.ring
-    n = ring.dimension
-    lms = [g._lead() for g in basis]
-    caps = [None] * n
-    for m in map(ring.unpack, lms):
-        support = [i for i, e in enumerate(m) if e > 0]
-        if len(support) == 1:
-            i = support[0]
-            if caps[i] is None or m[i] < caps[i]:
-                caps[i] = m[i]
-    if any(c is None for c in caps):
+    top, divides = ring._top, ring.divides
+    lms = [g._lead() for g in J.basis()]
+    xs = [ring.variable(i)._lead() for i in range(ring.dimension)]
+    if not all(any(lm == (lm >> top) * x for lm in lms) for x in xs):  # x^d is d * x
         raise NotMPrimaryError(
             "quotient is not zero-dimensional: some variable has no pure power "
             "in the leading ideal"
         )
-    standard = []
-
-    def rec(prefix, i):
-        if i == n:
-            standard.append(tuple(prefix))
-            return
-        for e in range(caps[i]):
-            prefix.append(e)
-            m = ring.pack(tuple(prefix) + (0,) * (n - i - 1))
-            if not any(ring.divides(lm, m) for lm in lms):
-                rec(prefix, i + 1)
-            prefix.pop()
-
-    rec([], 0)
+    standard = [(0, 0)]  # (monomial, index of the last variable raised)
+    for m, first in standard:
+        for i in range(first, len(xs)):
+            s = m + xs[i]
+            if not any(divides(lm, s) for lm in lms):
+                standard.append((s, i))
     d = len(standard)
-    for i in range(n):
-        xi_d = ring.monomial([d if j == i else 0 for j in range(n)])
-        if not normal_form(xi_d, J).is_zero():
+    ring._check_degree(d)
+    for x in xs:
+        if not normal_form(Polynomial._from_packed(ring, {d * x: 1}), J).is_zero():
             raise NotMPrimaryError(
                 "quotient is zero-dimensional but not supported only at the origin"
             )

@@ -35,6 +35,7 @@ the packed dict.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from types import MappingProxyType
 
 from .basep import require_prime
@@ -170,19 +171,11 @@ class PolyRing:
         return tuple(self.variable(i) for i in range(self.dimension))
 
     def monomials_of_degree(self, d: int) -> list[Monomial]:
-        """All exponent tuples of total degree exactly d."""
-        n = self.dimension
-        out: list[Monomial] = []
-
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                out.append(prefix + (remaining,))
-                return
-            for e in range(remaining + 1):
-                rec(prefix + (e,), remaining - e, slots - 1)
-
-        rec((), d, n)
-        return out
+        """All exponent tuples of total degree exactly d, in no set order."""
+        if d < 0:
+            return []
+        indices = range(self.dimension)
+        return [tuple(map(c.count, indices)) for c in combinations_with_replacement(indices, d)]
 
     def __eq__(self, other):
         return self is other or (

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fptkit import (
     DomainError,
     ExponentPair,
+    InfeasibleError,
     TestIdealComputer,
     candidate_set,
     canonical_pair,
@@ -19,6 +20,7 @@ from fptkit import (
     stabilization_exponent,
     truncate,
 )
+from fptkit import basep
 from fptkit.basep import candidates_left_open, is_candidate, is_prime
 
 import candidate_oracle
@@ -231,6 +233,18 @@ class TestCandidateSet:
             candidate_set(2, 0, (F(0), F(1)))
         with pytest.raises(DomainError):
             candidate_set(2, 2, (F(-1), F(1)))
+        with pytest.raises(DomainError):
+            candidate_set(2, 2, (F(1), F(0)))
+        assert candidate_set(2, 2, (F(1, 2), F(1, 2))) == ()
+
+    def test_count_cap(self):
+        # the cap counts numerators before any is formed; the windows a search
+        # asks about stay far below it
+        count = sum(2 ** (20 - b) * (2**b - 1) - 1 for b in range(1, 21))
+        assert count > basep.MAX_CANDIDATES
+        with pytest.raises(InfeasibleError, match=str(count)):
+            candidate_set(2, 20, (F(0), F(1)))
+        assert len(candidate_set(2, 20, (F(1, 3), F(1, 3) + F(1, 2**20)))) < 30
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("bound", [1, 2, 3])

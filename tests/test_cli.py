@@ -226,6 +226,32 @@ class TestExitCodes:
         assert main([command, "--char", "5", *extra, "--ideal", ideal, "x^2+y^3"]) == 2
         assert capsys.readouterr().err == "parse error: no ideal generators given (offset 0)\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("constancy", "--exponents", ""), "at least one perturbation exponent"),
+            (("ft", "--ideal", "x; y", "--cap", ""), "invalid rational ''"),
+            (("fpt", "--input-file", ""), "No such file or directory: ''"),
+        ],
+        ids=["constancy-exponents", "ft-cap", "input-file"],
+    )
+    def test_empty_option_value(self, capsys, argv, message):
+        # an empty value is an error, not the option's default
+        command, *options = argv
+        assert main([command, "--char", "7", *options, "x^2+y^3"]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_inverted_candidate_window(self, capsys):
+        assert main(["candidates", "--char", "2", "--bound", "2", "--window", "1:0"]) == 3
+        assert "inverted" in capsys.readouterr().err
+        assert main(["candidates", "--char", "2", "--bound", "2", "--window", "1:1"]) == 0
+        assert capsys.readouterr().out == "\n"
+
+    def test_candidate_count_cap(self, capsys):
+        # about 4e13 numerators: refused before one is formed
+        assert main(["candidates", "--char", "2", "--bound", "40"]) == 4
+        assert "more than the limit" in capsys.readouterr().err
+
     def test_domain_error(self):
         proc = run_cli("fpt", "--char", "5", "--vars", "x,y", "x + 1")
         assert proc.returncode == 3

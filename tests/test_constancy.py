@@ -8,6 +8,7 @@ from fptkit import (
     Ideal,
     PolyRing,
     StabilityError,
+    artinian_length,
     canonical_pair,
     constancy_report,
     jacobian,
@@ -15,6 +16,7 @@ from fptkit import (
     jumping_numbers_unit_interval,
     local_ideal_equal,
     parse_polynomial,
+    power,
     random_perturbation,
     singularity_profile,
     threshold_ideal_consistency,
@@ -139,6 +141,19 @@ class TestSingularityProfile:
             assert brute_length(jacobian(f)) == prof.ell
             found += 1
 
+    @pytest.mark.parametrize("names", ["x,y", "x,y,z"])
+    def test_artinian_length_against_linear_algebra(self, names):
+        # pure powers make each ideal primary to the origin; the other
+        # generators cut the box x^a * y^b (* z^c) down
+        rng = random.Random(17)
+        for p in (2, 3, 5, 7) * 4:
+            ring = PolyRing(p, names.split(","))
+            caps = 4 if ring.dimension == 2 else 2
+            pure = [power(x, rng.randint(1, caps)) for x in ring.gens()]
+            extra = [random_poly(rng, ring, 3, 3, min_deg=1) for _ in range(rng.randint(0, 2))]
+            J = Ideal(ring, (*pure, *extra))
+            assert artinian_length(J) == brute_length(J)
+
 
 class TestLocalIdealEqual:
     def test_examples(self, ring5):
@@ -234,6 +249,25 @@ class TestRandomPerturbation:
 
     def test_empty(self, ring5):
         assert random_perturbation(ring5, 3, 3, 0, seed=1).is_zero()
+
+    @pytest.mark.parametrize(
+        "p, names, k, max_degree, term_count, seed, expected",
+        [
+            # the first draw, x^4 + x^4, cancels mod 2 and is redrawn
+            (2, "x", 3, 4, 2, 1, "x^4 + x^3"),
+            # 2y*z^2 of the first draw vanishes mod 2; x*y*z stays
+            (2, "x,y,z", 2, 3, 3, 2, "x*y*z"),
+            (3, "x,y", 4, 5, 3, ("s", 4, 0), "x^3*y^2 + 2y^5 + x*y^3"),
+            (5, "x,y,z", 5, 6, 5, 7, "2x^3*y^3 + x^3*y*z^2 + 2x*y^4 + 3x^2*y^2*z + 4x*y*z^3"),
+            (7, "x", 2, 6, 4, "seven", "3x^6 + 3x^5 + x^4 + 3x^3"),
+            (5, "x,y", 3, 3, 0, 1, "0"),
+            (2, "x,y,z", 3, 3, 0, "zero", "0"),
+        ],
+    )
+    def test_golden_draws(self, p, names, k, max_degree, term_count, seed, expected):
+        # every draw is pinned: constancy records print h
+        ring = PolyRing(p, names.split(","))
+        assert str(random_perturbation(ring, k, max_degree, term_count, seed)) == expected
 
     def test_rejects_bad_window(self, ring5):
         with pytest.raises(DomainError):

@@ -211,6 +211,20 @@ class TestLength:
         with pytest.raises(NotMPrimaryError):
             artinian_length(ideal_of(ring5, "x - 1", "y"))
 
+    @pytest.mark.parametrize(
+        "gens, message",
+        [
+            (("x",), "not zero-dimensional"),
+            (("x - 1", "y"), "not supported only at the origin"),
+            (("x^2 - x", "y"), "not supported only at the origin"),
+        ],
+    )
+    def test_not_m_primary(self, ring5, gens, message):
+        # (x) has no pure power of y; (x - 1, y) lies away from the origin;
+        # (x^2 - x, y) meets it and the point (1, 0) too
+        with pytest.raises(NotMPrimaryError, match=message):
+            artinian_length(ideal_of(ring5, *gens))
+
     @pytest.mark.parametrize("a", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
     def test_monomial_box(self, ring5, a, b):

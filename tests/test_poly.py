@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,14 @@ class TestRing:
     def test_monomials_of_degree(self):
         ring = PolyRing(5, ["x", "y"])
         assert sorted(ring.monomials_of_degree(2)) == [(0, 2), (1, 1), (2, 0)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_monomials_of_degree_all(self, n):
+        ring = PolyRing(5, [f"x{i}" for i in range(n)])
+        for d in range(7):
+            got = ring.monomials_of_degree(d)
+            expected = {m for m in product(range(d + 1), repeat=n) if sum(m) == d}
+            assert len(got) == len(expected) and set(got) == expected
 
 
 class TestArithmetic:

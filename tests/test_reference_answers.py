@@ -78,3 +78,28 @@ def test_trace_targets_resolve():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "", f"trace targets not found: {done.stdout.split()}"
+
+
+@pytest.mark.parametrize("workload", ["walk", "sweep", "constancy"])
+def test_traced_workload_reaches_every_layer(workload):
+    # The traced benchmark stops when a layer it requires reads zero calls
+    # (perfbench/spans.MUST_COUNT); replay the seed-1 query list under the
+    # same tracer, in a fresh interpreter, so that a bypassed layer fails here.
+    script = (
+        "import json, sys, run, spans\n"
+        f"cli = run.fresh_fptkit({str(ROOT)!r})\n"
+        "with open(run.REFERENCE, encoding='utf-8') as fh:\n"
+        f"    queries = run.select(json.load(fh), {workload!r}, 1)\n"
+        "tracer = spans.Tracer()\n"
+        "tracer.install()\n"
+        "codes = [run.call_cli(cli.main, q['argv'])[0] for q in queries]\n"
+        "if any(codes):\n"
+        "    sys.exit(f'exit codes {codes}')\n"
+        f"spans.check_layers({workload!r}, tracer.metrics(len(queries)))\n"
+    )
+    path = [str(ROOT / "perfbench"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
