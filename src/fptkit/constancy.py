@@ -142,14 +142,20 @@ def random_perturbation(
     """A seeded random polynomial whose monomials have degree in [k, max_degree].
 
     Deterministic in seed, at most term_count terms, nonzero unless
-    term_count is 0: a draw whose terms all cancel mod p is redrawn.
+    term_count is 0: a draw whose terms all cancel mod p is redrawn.  Over
+    F_2 with one admissible monomial an even term_count cancels in every
+    draw, so that case raises DomainError.
     """
     if max_degree < k:
         raise DomainError("max_degree must be >= k")
     if term_count < 0:
         raise DomainError("term_count must be >= 0")
-    rng = random.Random(repr(seed))
     p = ring.prime
+    if p == 2 and term_count and term_count % 2 == 0 and k == max_degree and (
+        ring.dimension == 1 or k == 0
+    ):
+        raise DomainError("every draw of an even term_count of one monomial over F_2 cancels")
+    rng = random.Random(repr(seed))
     while True:
         terms: dict = {}
         for _ in range(term_count):

@@ -30,9 +30,10 @@ grevlex there too.
 from __future__ import annotations
 
 import heapq
+from itertools import combinations_with_replacement
 
 from .errors import DomainError, NotMPrimaryError
-from .poly import Polynomial, PolyRing, partial_derivative
+from .poly import FIELD_BITS, Polynomial, PolyRing, _add_multiple, partial_derivative
 
 __all__ = [
     "Ideal",
@@ -94,16 +95,9 @@ def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     monic polynomials."""
     lf, lg = f._lead(), g._lead()
     lcm = f.ring.lcm(lf, lg)
-    p = f.ring.prime
     sf, sg = lcm - lf, lcm - lg
     out = {m + sf: c for m, c in f._packed.items()}
-    for m, c in g._packed.items():
-        m += sg
-        s = (out.get(m, 0) - c) % p
-        if s:
-            out[m] = s
-        else:
-            del out[m]
+    _add_multiple(out, {m + sg: c for m, c in g._packed.items()}, -1, f.ring.prime)
     return Polynomial._from_packed(f.ring, out)
 
 
@@ -120,7 +114,6 @@ def _front_end(gens) -> list[Polynomial]:
     """
     rows: dict = {}
     for g in gens:
-        p = g.ring.prime
         terms = dict(g._packed)
         while terms:
             lm = max(terms)
@@ -128,13 +121,8 @@ def _front_end(gens) -> list[Polynomial]:
             if row is None:
                 rows[lm] = Polynomial._from_packed(g.ring, terms).monic()
                 break
-            c = terms[lm]  # cancel it with the monic row
-            for m, rc in row._packed.items():
-                s = (terms.get(m, 0) - c * rc) % p
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
+            # cancel lm with the monic row
+            _add_multiple(terms, row._packed, -terms[lm], g.ring.prime)
     out = _minimal([g for g in rows.values() if len(g._packed) == 1])
     if out and out[0].is_one():
         return out
@@ -344,12 +332,15 @@ def maximal_ideal(ring: PolyRing) -> Ideal:
 
 
 def maximal_ideal_power(ring: PolyRing, k: int) -> Ideal:
-    """m^k, generated by every monomial of total degree k."""
+    """m^k, generated by every monomial of total degree k: each is the sum
+    of the packed ints of k variables."""
     if k < 0:
         raise DomainError("power must be >= 0")
-    if k == 0:
-        return Ideal.unit(ring)
-    return Ideal(ring, tuple(ring.monomial(m) for m in ring.monomials_of_degree(k)))
+    ring._check_degree(k)
+    xs = [x._lead() for x in ring.gens()]
+    return Ideal(ring, tuple(
+        Polynomial._from_packed(ring, {sum(c): 1}) for c in combinations_with_replacement(xs, k)
+    ))
 
 
 def artinian_length(J: Ideal) -> int:
@@ -399,7 +390,9 @@ def _extend_ring(ring: PolyRing) -> PolyRing:
 
 
 def _lift(f: Polynomial, big: PolyRing) -> Polynomial:
-    return Polynomial(big, {(0,) + m: c for m, c in f.terms()})
+    """f in the ring extended in front: the new variable's exponent field is
+    0, so each prefix-sum field moves up one field."""
+    return Polynomial._from_packed(big, {m << FIELD_BITS: c for m, c in f._packed.items()})
 
 
 def radical_member(g: Polynomial, J: Ideal) -> bool:

@@ -30,12 +30,13 @@ The public interface speaks exponent tuples: the constructor takes
 {exponent tuple: coefficient}, and ``terms()``, ``leading_monomial()``,
 ``coefficient()``, ``str`` and the read-only ``_terms`` view give tuples
 back.  Only this module and the kernels in ``groebner`` and ``froot`` read
-the packed dict.
+the packed dict.  ``_add_multiple`` is the one rule for updating a packed
+term dict by a multiple of another; ``Polynomial.__add__`` and the
+S-polynomials and row echelon of ``groebner`` share it.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
 from types import MappingProxyType
 
 from .basep import require_prime
@@ -170,13 +171,6 @@ class PolyRing:
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.variable(i) for i in range(self.dimension))
 
-    def monomials_of_degree(self, d: int) -> list[Monomial]:
-        """All exponent tuples of total degree exactly d, in no set order."""
-        if d < 0:
-            return []
-        indices = range(self.dimension)
-        return [tuple(map(c.count, indices)) for c in combinations_with_replacement(indices, d)]
-
     def __eq__(self, other):
         return self is other or (
             isinstance(other, PolyRing)
@@ -189,6 +183,17 @@ class PolyRing:
 
     def __repr__(self):
         return f"PolyRing({self.prime}, {list(self.variables)})"
+
+
+def _add_multiple(out: dict, terms: dict, c: int, p: int) -> None:
+    """out += c * terms over F_p, in place, on packed term dicts; a
+    coefficient that becomes 0 is dropped."""
+    for m, tc in terms.items():
+        s = (out.get(m, 0) + c * tc) % p
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
 
 
 def _require_same_ring(a: "Polynomial", b: "Polynomial"):
@@ -287,14 +292,8 @@ class Polynomial:
         if isinstance(other, int):
             other = self.ring.constant(other)
         _require_same_ring(self, other)
-        p = self.ring.prime
         out = dict(self._packed)
-        for m, c in other._packed.items():
-            s = (out.get(m, 0) + c) % p
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
+        _add_multiple(out, other._packed, 1, self.ring.prime)
         return Polynomial._from_packed(self.ring, out)
 
     __radd__ = __add__

@@ -95,7 +95,7 @@ class JumpingNumberReport:
     test_ideals: tuple[Ideal, ...]
     fpt: Fraction
     candidate_count: int
-    elapsed: float
+    elapsed: float = field(compare=False)
     computer: TestIdealComputer = field(compare=False, repr=False)
 
     @property

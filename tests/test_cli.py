@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import random
 import subprocess
 import sys
@@ -246,6 +247,20 @@ class TestExitCodes:
         assert "inverted" in capsys.readouterr().err
         assert main(["candidates", "--char", "2", "--bound", "2", "--window", "1:1"]) == 0
         assert capsys.readouterr().out == "\n"
+
+    def test_malformed_candidate_window(self, capsys):
+        assert main(["candidates", "--char", "5", "--bound", "2", "--window", "1/2"]) == 3
+        assert capsys.readouterr().err == (
+            "domain error: window must look like 'lo:hi', got '1/2'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [("fpt",), ("jn", "--input-file", os.devnull)], ids=["no-text", "empty-file"]
+    )
+    def test_no_polynomial(self, capsys, argv):
+        command, *options = argv
+        assert main([command, "--char", "5", "--vars", "x,y", *options]) == 2
+        assert capsys.readouterr().err == "parse error: no polynomial given (offset 0)\n"
 
     def test_candidate_count_cap(self, capsys):
         # about 4e13 numerators: refused before one is formed

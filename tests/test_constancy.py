@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -43,10 +44,7 @@ def brute_length(J: Ideal) -> int:
     n = ring.dimension
 
     def monomials_below(c):
-        out = []
-        for d in range(c):
-            out.extend(ring.monomials_of_degree(d))
-        return out
+        return [m for m in product(range(c), repeat=n) if sum(m) < c]
 
     def dim_mod(c):
         mons = monomials_below(c)
@@ -260,6 +258,8 @@ class TestRandomPerturbation:
             (3, "x,y", 4, 5, 3, ("s", 4, 0), "x^3*y^2 + 2y^5 + x*y^3"),
             (5, "x,y,z", 5, 6, 5, 7, "2x^3*y^3 + x^3*y*z^2 + 2x*y^4 + 3x^2*y^2*z + 4x*y*z^3"),
             (7, "x", 2, 6, 4, "seven", "3x^6 + 3x^5 + x^4 + 3x^3"),
+            # one admissible monomial drawn an odd number of times stays
+            (2, "x", 3, 3, 3, 0, "x^3"),
             (5, "x,y", 3, 3, 0, 1, "0"),
             (2, "x,y,z", 3, 3, 0, "zero", "0"),
         ],
@@ -272,6 +272,13 @@ class TestRandomPerturbation:
     def test_rejects_bad_window(self, ring5):
         with pytest.raises(DomainError):
             random_perturbation(ring5, 4, 3, 1, seed=1)
+
+    @pytest.mark.parametrize("names, k", [(["x"], 3), (["x", "y"], 0)])
+    def test_rejects_draws_that_always_cancel(self, names, k):
+        # one admissible monomial, drawn an even number of times over F_2:
+        # every draw is 0, so redrawing would never end
+        with pytest.raises(DomainError, match="cancels"):
+            random_perturbation(PolyRing(2, names), k, k, 2, 0)
 
 
 class TestConstancyReport:

@@ -1,13 +1,17 @@
 import heapq
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fptkit import (
     DomainError,
     Ideal,
+    InfeasibleError,
     NotMPrimaryError,
+    Polynomial,
     PolyRing,
     artinian_length,
     bracket_power,
@@ -24,6 +28,8 @@ from fptkit.froot import _split_terms
 from fptkit.groebner import _extend_ring, _lift, _reduce_full, _spoly, radical_member
 
 from conftest import random_poly
+from groebner_oracle import _add_multiple as oracle_add_multiple
+from groebner_oracle import _spoly as oracle_spoly
 from groebner_oracle import grevlex_key, oracle_basis
 
 
@@ -129,7 +135,7 @@ class TestReducedBasis:
     def test_heap_key_pops_largest_first(self):
         # the division heap holds negated packed monomials in heapq's min-heap
         ring = PolyRing(5, ["x", "y", "z", "w"])
-        monomials = [m for d in range(4) for m in ring.monomials_of_degree(d)]
+        monomials = [m for m in product(range(4), repeat=4) if sum(m) < 4]
         heap = [-ring.pack(m) for m in monomials]
         heapq.heapify(heap)
         popped = [ring.unpack(-heapq.heappop(heap)) for _ in monomials]
@@ -247,6 +253,9 @@ class TestIdealOps:
         m3 = maximal_ideal_power(ring5, 3)
         assert [str(g) for g in m3.basis()] == ["y^3", "x*y^2", "x^2*y", "x^3"]
         assert maximal_ideal_power(ring5, 0).is_unit()
+        # refused on the degree, before any generator is formed
+        with pytest.raises(InfeasibleError):
+            maximal_ideal_power(ring5, 2**31)
 
 
 class TestColonAndRadical:
@@ -260,6 +269,56 @@ class TestColonAndRadical:
         J = ideal_of(ring, "_t^2", "x^3")
         assert radical_member(parse_polynomial("_t + x", ring), J)
         assert not radical_member(parse_polynomial("_t + 1", ring), J)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lift_prepends_a_zero_exponent(self, n):
+        rng = random.Random(n)
+        ring = PolyRing(5, ["x", "y", "z"][:n])
+        big = _extend_ring(ring)
+        for _ in range(20):
+            f = random_poly(rng, ring, 4, 4)
+            assert _lift(f, big) == Polynomial(big, {(0,) + m: c for m, c in f.terms()})
+
+
+@st.composite
+def operand_pairs(draw):
+    """f and g over F_2, F_3 or F_5 in 1 to 3 variables; g is a random
+    polynomial, a multiple of f, or a multiple of f plus a random
+    polynomial, so that terms cancel in part or completely."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    ring = PolyRing(p, ["x", "y", "z"][:n])
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+
+    def poly():
+        return Polynomial(ring, draw(st.dictionaries(exponents, st.integers(1, p - 1), max_size=4)))
+
+    f = poly()
+    kind = draw(st.sampled_from(["random", "multiple", "shared"]))
+    if kind == "random":
+        return f, poly()
+    g = f * draw(st.integers(1, p - 1))
+    return f, (g if kind == "multiple" else g + poly())
+
+
+class TestCoefficientUpdate:
+    """Sums, differences and S-polynomials of the packed kernel against the
+    oracle's arithmetic on exponent tuples."""
+
+    @given(data=operand_pairs())
+    @settings(max_examples=300)
+    def test_matches_oracle(self, data):
+        f, g = data
+        ring = f.ring
+        p, origin = ring.prime, (0,) * ring.dimension
+        for c, got in ((1, f + g), (-1, f - g)):
+            expected = dict(f.terms())
+            oracle_add_multiple(expected, dict(g.terms()), c, origin, p)
+            assert got == Polynomial(ring, expected)
+        if not (f.is_zero() or g.is_zero()):
+            f, g = f.monic(), g.monic()
+            expected = oracle_spoly(dict(f.terms()), dict(g.terms()), p)
+            assert _spoly(f, g) == Polynomial(ring, expected)
 
 
 class TestPairUpdate:

@@ -205,6 +205,12 @@ class TestUnitIntervalReport:
         for got, want in zip(report.test_ideals, expected):
             assert got == want
 
+    def test_equal_walks_compare_equal(self, quartic5, quartic5_report):
+        # the wall time is reported, not compared
+        report = jumping_numbers_unit_interval(quartic5, 6)
+        assert report == quartic5_report and hash(report) == hash(quartic5_report)
+        assert "elapsedMs" in report.to_json()
+
     def test_smooth_coordinate(self, ring5):
         x = ring5.variable("x")
         report = jumping_numbers_unit_interval(x, 1)
