@@ -174,19 +174,14 @@ def _cmd_candidates(args) -> int:
 
 def _cmd_profile(args) -> int:
     profile = constancy_mod.singularity_profile(_poly(args))
+    lines = [f"isolated singularity at the origin: {'yes' if profile.is_isolated else 'no'}"]
     if profile.is_isolated:
-        lines = [
-            f"isolated singularity at the origin: yes",
+        lines += [
             f"ell = {profile.ell}",
             f"fpt-stability order N = {profile.bound_fpt}",
             f"test-ideal-stability order M = {profile.bound_test_ideals}",
-            f"jacobian = {profile.jacobian}",
         ]
-    else:
-        lines = [
-            "isolated singularity at the origin: no",
-            f"jacobian = {profile.jacobian}",
-        ]
+    lines.append(f"jacobian = {profile.jacobian}")
     return _emit(args, profile.to_json(), lines)
 
 
@@ -200,7 +195,8 @@ def _cmd_constancy(args) -> int:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(report.to_csv())
     lines = [
-        f"constancy report for {f}   [p = {f.ring.prime}, ell = {report.bound}, seed = {args.seed}]",
+        f"constancy report for {f}   [p = {f.ring.prime}, ell = {report.profile.ell}, "
+        f"seed = {args.seed}]",
         "k | sample | fpt(f) | fpt(f+h) | gap | bound | flags",
     ]
     for r in report.records:

@@ -211,17 +211,15 @@ _CSV_COLUMNS = {
 
 @dataclass(frozen=True)
 class ConstancyReport:
-    poly: Polynomial
     profile: SingularityProfile
-    bound: int
     seed: object
     records: tuple[PerturbationRecord, ...]
 
     def to_json(self) -> dict:
         return {
-            "prime": self.poly.ring.prime,
-            "poly": str(self.poly),
-            "bound": self.bound,
+            "prime": self.profile.poly.ring.prime,
+            "poly": str(self.profile.poly),
+            "bound": self.profile.ell,
             "seed": str(self.seed),
             "profile": self.profile.to_json(),
             "records": [r.to_json() for r in self.records],
@@ -305,7 +303,7 @@ def constancy_report(
                     theorem_violation=violation,
                 )
             )
-    return ConstancyReport(f, profile, ell, seed, tuple(records))
+    return ConstancyReport(profile, seed, tuple(records))
 
 
 def threshold_ideal_consistency(f: Polynomial, g: Polynomial, lam, bound: int, cap=None) -> bool:

@@ -4,9 +4,8 @@ frobenius_root_ideal(J, e) is the smallest ideal b with J in b^[p^e].  Over
 F_p it is read off the generators directly: split every exponent vector of
 each generator into its residue mu and quotient modulo p^e, and collect the
 quotient polynomials, one per residue (coefficient roots are trivial because
-Frobenius fixes F_p).  _root_generators is that one step; frobenius_root(f, e)
-is the case J = (f), and each digit step of the engine below applies it with
-q = p.
+Frobenius fixes F_p).  _root_generators is that one step, and each digit step
+of the engine below applies it with q = p.
 
 FrobeniusRootEngine(f).root_power(N, e) evaluates root_e(f^N) without ever
 expanding f^N.  It peels one base-p digit of N per level, starting from J = (1):
@@ -32,11 +31,7 @@ from .errors import DomainError
 from .groebner import Ideal, radical_member
 from .poly import Polynomial, power
 
-__all__ = [
-    "frobenius_root",
-    "frobenius_root_ideal",
-    "FrobeniusRootEngine",
-]
+__all__ = ["frobenius_root_ideal", "FrobeniusRootEngine"]
 
 
 def _split_terms(f: Polynomial, q: int) -> list[Polynomial]:
@@ -48,7 +43,7 @@ def _split_terms(f: Polynomial, q: int) -> list[Polynomial]:
     packing is linear.
     """
     ring = f.ring
-    value, shifts = ring._value, ring._shifts
+    value, shifts = ring.max_degree, ring._shifts
     buckets: dict = {}
     for m, c in f._packed.items():
         quo = total = prev = 0
@@ -65,11 +60,6 @@ def _root_generators(polys, q: int) -> tuple[Polynomial, ...]:
     """The distinct split terms of polys: generators of the root of the
     ideal they generate, q = p^e."""
     return tuple(dict.fromkeys(t for g in polys for t in _split_terms(g, q)))
-
-
-def frobenius_root(f: Polynomial, e: int) -> Ideal:
-    """Smallest ideal b with f in b^[p^e]; requires e >= 1."""
-    return frobenius_root_ideal(Ideal(f.ring, (f,)), e)
 
 
 def frobenius_root_ideal(J: Ideal, e: int) -> Ideal:
@@ -114,7 +104,6 @@ class FrobeniusRootEngine:
         return g
 
     def _intern(self, J: Ideal) -> Ideal:
-        J.basis()
         cached = self._states.get(J)
         if cached is None:
             self._states[J] = J

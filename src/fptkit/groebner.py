@@ -228,13 +228,13 @@ def _minimal(G) -> list[Polynomial]:
 
 
 def _interreduce(G) -> list[Polynomial]:
-    """Minimal then fully reduced basis, sorted ascending by leading monomial."""
+    """Minimal then fully reduced basis, sorted ascending by leading monomial:
+    reduction keeps each leading monomial, so _minimal's order stands."""
     minimal = _minimal(G)
     reduced = []
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
         reduced.append(_reduce_full(g, others).monic())
-    reduced.sort(key=Polynomial._lead)
     return reduced
 
 

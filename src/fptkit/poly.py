@@ -53,13 +53,13 @@ class PolyRing:
     """Descriptor of F_p[x_1, ..., x_n]: a prime and an ordered variable list.
 
     It also holds the layout of the packed monomials of the ring: the shift
-    of each field and of the total-degree field, and the masks of one
-    field's value bits, of every guard bit, of all n fields, and of the n
-    field units.
+    of each field and of the total-degree field, and the masks of every
+    guard bit, of all n fields, and of the n field units.  max_degree is
+    also the mask of one field's value bits.
     """
 
-    __slots__ = ("prime", "variables", "_index", "max_degree", "_shifts", "_top", "_value",
-                 "_guards", "_fields", "_ones")
+    __slots__ = ("prime", "variables", "_index", "max_degree", "_shifts", "_top", "_guards",
+                 "_fields", "_ones")
 
     def __init__(self, prime: int, variables):
         require_prime(prime)
@@ -78,7 +78,6 @@ class PolyRing:
         self.max_degree = (1 << (FIELD_BITS - 1)) - 1
         self._shifts = tuple(i * FIELD_BITS for i in range(n))
         self._top = self._shifts[-1]
-        self._value = self.max_degree
         self._ones = sum(1 << (i * FIELD_BITS) for i in range(n))
         self._guards = self._ones << (FIELD_BITS - 1)
         self._fields = (1 << (n * FIELD_BITS)) - 1
@@ -105,7 +104,7 @@ class PolyRing:
         """The exponent vector of a packed int."""
         out = []
         prev = 0
-        value = self._value
+        value = self.max_degree
         for _ in self.variables:
             total = key & value
             out.append(total - prev)
@@ -202,7 +201,7 @@ def _require_same_ring(a: "Polynomial", b: "Polynomial"):
 
 
 class Polynomial:
-    __slots__ = ("ring", "_packed", "_ordered", "_lm", "_hash")
+    __slots__ = ("ring", "_packed", "_lm", "_hash")
 
     def __init__(self, ring: PolyRing, terms: dict):
         p = ring.prime
@@ -215,7 +214,6 @@ class Polynomial:
                 packed[m] = c
         self.ring = ring
         self._packed = packed
-        self._ordered = None
         self._lm = None
         self._hash = None
 
@@ -226,7 +224,6 @@ class Polynomial:
         self = cls.__new__(cls)
         self.ring = ring
         self._packed = packed
-        self._ordered = None
         self._lm = None
         self._hash = None
         return self
@@ -241,12 +238,8 @@ class Polynomial:
 
     def terms(self) -> tuple[tuple[Monomial, int], ...]:
         """Terms in canonical (descending grevlex) order."""
-        if self._ordered is None:
-            unpack = self.ring.unpack
-            self._ordered = tuple(
-                (unpack(m), c) for m, c in sorted(self._packed.items(), reverse=True)
-            )
-        return self._ordered
+        unpack = self.ring.unpack
+        return tuple((unpack(m), c) for m, c in sorted(self._packed.items(), reverse=True))
 
     def is_zero(self) -> bool:
         return not self._packed

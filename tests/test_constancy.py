@@ -341,6 +341,10 @@ class TestConstancyReport:
     def test_serialization(self, cusp7):
         report = constancy_report(cusp7, [5], 1, seed=3)
         doc = report.to_json()
+        assert doc["prime"] == 7
+        assert doc["poly"] == "y^3 + x^2"
+        assert doc["bound"] == 2  # ell of the cusp
+        assert doc["seed"] == "3"
         assert doc["records"][0]["k"] == 5
         assert "fptF" in doc["records"][0]
         csv_text = report.to_csv()

@@ -10,7 +10,6 @@ from fptkit import (
     Polynomial,
     TestIdealComputer,
     bracket_power,
-    frobenius_root,
     frobenius_root_ideal,
     groebner,
     jumping_numbers_unit_interval,
@@ -30,21 +29,21 @@ def ideal_of(ring, *texts):
 class TestRootOfPolynomial:
     def test_examples(self, ring5):
         x = ring5.variable("x")
-        assert frobenius_root(power(x, 7), 1) == ideal_of(ring5, "x")
-        assert frobenius_root(parse_polynomial("x^4*y^3", ring5), 1).is_unit()
-        root = frobenius_root(parse_polynomial("x^5 + y^5", ring5), 1)
+        assert frobenius_root_ideal(Ideal(ring5, (power(x, 7),)), 1) == ideal_of(ring5, "x")
+        assert frobenius_root_ideal(ideal_of(ring5, "x^4*y^3"), 1).is_unit()
+        root = frobenius_root_ideal(ideal_of(ring5, "x^5 + y^5"), 1)
         assert root == ideal_of(ring5, "x + y")
 
     def test_requires_positive_level(self, ring5):
         with pytest.raises(DomainError):
-            frobenius_root(ring5.one(), 0)
+            frobenius_root_ideal(Ideal.unit(ring5), 0)
 
     def test_minimality(self, ring5):
         rng = random.Random(21)
         for _ in range(30):
             f = random_poly(rng, ring5, 6, 4)
             for e in (1, 2):
-                root = frobenius_root(f, e)
+                root = frobenius_root_ideal(Ideal(ring5, (f,)), e)
                 assert normal_form(f, bracket_power(root, e)).is_zero()
                 basis = root.basis()
                 if len(basis) > 1:
@@ -105,9 +104,7 @@ class TestRootPower:
                 n = rng.randint(0, 40)
                 e = rng.randint(1, 3)
                 via_recursion = FrobeniusRootEngine(f).root_power(n, e)
-                via_expansion = frobenius_root(power(f, n), e) if n else frobenius_root_ideal(
-                    Ideal.unit(ring), e
-                )
+                via_expansion = frobenius_root_ideal(Ideal(ring, (power(f, n),)), e)
                 assert via_recursion == via_expansion, (p, str(f), n, e)
 
     def test_scaling_rule(self, ring5):
@@ -117,7 +114,8 @@ class TestRootPower:
             g = random_poly(rng, ring5, 3, 3)
             h = random_poly(rng, ring5, 3, 3)
             lhs = frobenius_root_ideal(Ideal(ring5, (power(g, 5) * h,)), 1)
-            rhs = Ideal(ring5, tuple(g * r for r in frobenius_root(h, 1).generators))
+            root_h = frobenius_root_ideal(Ideal(ring5, (h,)), 1)
+            rhs = Ideal(ring5, tuple(g * r for r in root_h.generators))
             assert lhs == rhs
 
     def test_monotone_in_exponent(self, ring5):

@@ -36,7 +36,6 @@ PUBLIC = [
     "equal_by_truncation",
     "format_rational",
     "frac_orbit",
-    "frobenius_root",
     "frobenius_root_ideal",
     "is_exponent_pair",
     "jacobian",

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import floor
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,7 +17,7 @@ from fptkit import (
     bracket_power,
     default_bound,
     degree_bound,
-    frobenius_root,
+    frobenius_root_ideal,
     jumping_numbers_unit_interval,
     least_parameter,
     maximal_ideal,
@@ -123,7 +124,7 @@ class TestTestIdeal:
                     c = TestIdealComputer(f, default_bound(f))
                     exponents.clear()
                     folded = c.ideal_at(lam)
-                    direct = frobenius_root(power(f, int(p**e * lam)), e)
+                    direct = frobenius_root_ideal(Ideal(ring, (power(f, int(p**e * lam)),)), e)
                     assert folded == direct
                     if lam.denominator == 1:
                         assert stabilization_exponent(lam, c.bound, p) == 0
@@ -363,6 +364,15 @@ class TestLeastParameter:
         with pytest.raises(DomainError):
             least_parameter(TestIdealComputer(quartic5, 6), bool, 1, 1)
 
+    def test_isolated_candidate_is_rechecked(self):
+        # a duck-typed computer whose "ideal" at lam is lam itself: 5 levels
+        # of 2-adic narrowing leave (5/16, 11/32], whose one candidate for
+        # B = 2 is 1/3
+        computer = SimpleNamespace(p=2, bound=2, ideal_at=lambda lam: lam)
+        assert least_parameter(computer, lambda lam: lam >= F(1, 3), 0, 1) == F(1, 3)
+        with pytest.raises(DomainError, match="fails the search predicate"):
+            least_parameter(computer, lambda lam: lam >= F(17, 50), 0, 1)
+
 
 class TestBounds:
     def test_degree_bound(self, ring5, quartic5):
@@ -489,7 +499,9 @@ class TestCuspClosedForm:
 
 
 class TestBoundTooSmall:
-    # A bound below the number of jumps must fail, never answer wrongly.
+    # A bound below the number of jumps must fail, never answer wrongly.  The
+    # strict xfail pins a known break of that contract: ideal_at evaluates at
+    # s = u + v*B with the caller's B, so a too-small B can give a wrong walk.
     def test_fpt(self):
         f = parse_polynomial("x^3*y^2 + x*y^4", PolyRing(2, ["x", "y"]))
         assert TestIdealComputer(f).fpt() == F(3, 8)
@@ -498,5 +510,24 @@ class TestBoundTooSmall:
 
     def test_walk(self):
         f = parse_polynomial("2*x*y^3 + x^2*y + 2*y^3", PolyRing(3, ["x", "y"]))
+        with pytest.raises(DomainError, match="too small"):
+            jumping_numbers_unit_interval(f, 1)
+
+    def test_walk_at_the_default_bound(self):
+        ring = PolyRing(3, ["x", "y"])
+        f = parse_polynomial("x^2*y^2 + x*y^3", ring)
+        report = jumping_numbers_unit_interval(f, default_bound(f))
+        assert report.jumping_numbers == (0, F(1, 2), F(2, 3))
+        assert report.test_ideals == (
+            Ideal.unit(ring),
+            ideal_of(ring, "y"),
+            ideal_of(ring, "y^2", "x*y"),
+        )
+
+    @pytest.mark.xfail(strict=True, reason="B = 1 gives the jumps 0, 1/2 instead of raising")
+    def test_walk_that_answers_wrongly(self):
+        # jn --char 3 --vars x,y --bound 1 "x^2*y^2 + x*y^3" answers 0, 1/2
+        # with tau(f^(1/2)) = (y^2, x*y), and verify --bound 1 passes it
+        f = parse_polynomial("x^2*y^2 + x*y^3", PolyRing(3, ["x", "y"]))
         with pytest.raises(DomainError, match="too small"):
             jumping_numbers_unit_interval(f, 1)
