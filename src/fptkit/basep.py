@@ -218,6 +218,7 @@ def candidate_set(p: int, bound: int, window) -> tuple[Fraction, ...]:
     _check_bound(bound)
     lo, hi = _check_window(window)
     spans = []
+    count = 0
     for b in range(1, bound + 1):
         den = p ** (bound - b) * (p**b - 1)
         # every c >= 1 with lo <= c/den < hi: from ceil(lo*den) up to ceil(hi*den)
@@ -225,12 +226,12 @@ def candidate_set(p: int, bound: int, window) -> tuple[Fraction, ...]:
         stop = -((-hi.numerator * den) // hi.denominator)
         if first < stop:
             spans.append((den, first, stop))
-    count = sum(stop - first for _, first, stop in spans)
-    if count > MAX_CANDIDATES:
-        raise InfeasibleError(
-            f"window [{lo}, {hi}) holds {count} candidate numerators at p = {p}, "
-            f"bound = {bound}, more than the limit {MAX_CANDIDATES}"
-        )
+            count += stop - first
+            if count > MAX_CANDIDATES:
+                raise InfeasibleError(
+                    f"window [{lo}, {hi}) holds more than the limit of {MAX_CANDIDATES} "
+                    f"candidate numerators at p = {p}, bound = {bound}"
+                )
     seen = {Fraction(c, den) for den, first, stop in spans for c in range(first, stop)}
     if lo <= 0 < hi:
         seen.add(Fraction(0))

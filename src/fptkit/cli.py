@@ -188,9 +188,7 @@ def _cmd_profile(args) -> int:
 def _cmd_constancy(args) -> int:
     f = _poly(args)
     exponents = None if args.exponents is None else _exponents(args.exponents)
-    report = constancy_mod.constancy_report(
-        f, exponents, args.samples, args.seed, term_count=args.term_count
-    )
+    report = constancy_mod.constancy_report(f, exponents, args.samples, args.seed)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(report.to_csv())
@@ -282,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exponents", help="comma-separated perturbation orders (default: ell+3)")
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--seed", default="0")
-    p.add_argument("--term-count", type=int, default=3)
     p.add_argument("--csv", help="also write the CSV summary to this path")
 
     p = command("verify", _cmd_verify, "run the invariant suite against a polynomial")

@@ -306,7 +306,7 @@ def constancy_report(
     return ConstancyReport(profile, seed, tuple(records))
 
 
-def threshold_ideal_consistency(f: Polynomial, g: Polynomial, lam, bound: int, cap=None) -> bool:
+def threshold_ideal_consistency(f: Polynomial, g: Polynomial, lam, bound: int) -> bool:
     """Instance check: matching F-thresholds force matching test ideals.
 
     Computes a = tau(f^lam) and b = tau(g^lam) plus the four thresholds of
@@ -325,7 +325,7 @@ def threshold_ideal_consistency(f: Polynomial, g: Polynomial, lam, bound: int, c
             return True  # both thresholds are 0 by convention
         if not (radical_member(f, target) and radical_member(g, target)):
             return False
-        return cf.f_threshold(target, cap) == cg.f_threshold(target, cap)
+        return cf.f_threshold(target) == cg.f_threshold(target)
 
     if thresholds_match(a) and thresholds_match(b):
         return a == b

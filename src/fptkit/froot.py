@@ -104,11 +104,7 @@ class FrobeniusRootEngine:
         return g
 
     def _intern(self, J: Ideal) -> Ideal:
-        cached = self._states.get(J)
-        if cached is None:
-            self._states[J] = J
-            return J
-        return cached
+        return self._states.setdefault(J, J)
 
     def _step(self, state: Ideal, digit: int) -> Ideal:
         key = (state, digit)

@@ -164,8 +164,8 @@ class PolyRing:
             raise DomainError(f"variable index {i} out of range")
         return Polynomial._from_packed(self, {self._fields & (self._ones << (i * FIELD_BITS)): 1})
 
-    def monomial(self, exponents, coeff: int = 1) -> "Polynomial":
-        return Polynomial(self, {tuple(exponents): coeff})
+    def monomial(self, exponents) -> "Polynomial":
+        return Polynomial(self, {tuple(exponents): 1})
 
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.variable(i) for i in range(self.dimension))
@@ -201,7 +201,7 @@ def _require_same_ring(a: "Polynomial", b: "Polynomial"):
 
 
 class Polynomial:
-    __slots__ = ("ring", "_packed", "_lm", "_hash")
+    __slots__ = ("ring", "_packed", "_lm")
 
     def __init__(self, ring: PolyRing, terms: dict):
         p = ring.prime
@@ -215,7 +215,6 @@ class Polynomial:
         self.ring = ring
         self._packed = packed
         self._lm = None
-        self._hash = None
 
     @classmethod
     def _from_packed(cls, ring: PolyRing, packed: dict) -> "Polynomial":
@@ -225,7 +224,6 @@ class Polynomial:
         self.ring = ring
         self._packed = packed
         self._lm = None
-        self._hash = None
         return self
 
     # -- inspection ---------------------------------------------------------
@@ -296,8 +294,6 @@ class Polynomial:
         return Polynomial._from_packed(self.ring, {m: p - c for m, c in self._packed.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.ring.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -370,9 +366,7 @@ class Polynomial:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._packed.items()))
-        return self._hash
+        return hash(frozenset(self._packed.items()))
 
     # -- printing -------------------------------------------------------------
 

@@ -242,8 +242,12 @@ class TestCandidateSet:
         # asks about stay far below it
         count = sum(2 ** (20 - b) * (2**b - 1) - 1 for b in range(1, 21))
         assert count > basep.MAX_CANDIDATES
-        with pytest.raises(InfeasibleError, match=str(count)):
+        with pytest.raises(InfeasibleError, match="more than the limit of 1000000 "):
             candidate_set(2, 20, (F(0), F(1)))
+        # the first period alone passes the cap: refused before the other
+        # 49,999 denominators are formed
+        with pytest.raises(InfeasibleError):
+            candidate_set(2, 50000, (F(0), F(1)))
         assert len(candidate_set(2, 20, (F(1, 3), F(1, 3) + F(1, 2**20)))) < 30
 
     @pytest.mark.parametrize("p", [2, 3, 5])

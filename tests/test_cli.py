@@ -266,6 +266,10 @@ class TestExitCodes:
         # about 4e13 numerators: refused before one is formed
         assert main(["candidates", "--char", "2", "--bound", "40"]) == 4
         assert "more than the limit" in capsys.readouterr().err
+        # 2^50000 numerators in the first period alone: refused without
+        # forming or printing the total
+        assert main(["candidates", "--char", "2", "--bound", "50000"]) == 4
+        assert "more than the limit" in capsys.readouterr().err
 
     def test_domain_error(self):
         proc = run_cli("fpt", "--char", "5", "--vars", "x,y", "x + 1")
@@ -281,6 +285,12 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("parse error:")
+
+    def test_constancy_has_no_term_count(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["constancy", "--char", "7", "--vars", "x,y", "x^2+y^3", "--term-count", "3"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --term-count 3" in capsys.readouterr().err
 
     def test_bound_too_small(self):
         # the quartic has 3 jumps in (0, 1); bound 1 cannot isolate them

@@ -130,6 +130,15 @@ class TestRootPower:
             smaller = engine.root_power(n2, e)
             assert bigger.contains_ideal(smaller)
 
+    def test_equal_states_are_one_object(self, ring5):
+        # root_2(x^30) and root_2(x^35) are both (x), reached through
+        # different digits; the engine interns it once
+        engine = FrobeniusRootEngine(ring5.variable("x"))
+        a, b = engine.root_power(30, 2), engine.root_power(35, 2)
+        assert a == ideal_of(ring5, "x") and a is b
+        assert set(engine._states) == {Ideal.unit(ring5), a}
+        assert all(state is J for J, state in engine._states.items())
+
     def test_engine_reuse_matches_fresh(self, ring5, quartic5):
         engine = FrobeniusRootEngine(quartic5)
         for n, e in [(7, 1), (30, 2), (100, 3), (624, 4)]:

@@ -84,6 +84,13 @@ class TestArithmetic:
         with pytest.raises(DomainError):
             a * b
 
+    def test_subtraction(self, ring5, quartic5):
+        x = ring5.variable("x")
+        assert x - 1 == x + ring5.constant(-1)
+        assert 1 - x == ring5.constant(1) + ring5.constant(-1) * x
+        assert (x - x).is_zero()
+        assert quartic5 - 0 == quartic5 + ring5.constant(0) == quartic5
+
     def test_coefficients_normalized(self):
         ring = PolyRing(5, ["x"])
         f = parse_polynomial("7x", ring)
