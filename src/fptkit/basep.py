@@ -212,11 +212,14 @@ def candidate_set(p: int, bound: int, window) -> tuple[Fraction, ...]:
     D_1 .. D_bound.  Reduced forms are deduped, and 0 is included when the
     window contains it.  Consecutive values differ by more than p^(-2*bound).
     Raises InfeasibleError, before any value is formed, when more than
-    MAX_CANDIDATES numerators would be tried.
+    MAX_CANDIDATES numerators would be tried.  An empty window (lo == hi)
+    forms no denominator.
     """
     require_prime(p)
     _check_bound(bound)
     lo, hi = _check_window(window)
+    if lo == hi:
+        return ()
     spans = []
     count = 0
     for b in range(1, bound + 1):

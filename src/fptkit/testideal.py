@@ -14,18 +14,24 @@ the s.  This one formula serves every lam > 0, including lam >= 1: the
 engine's final carry multiplies by f^(N div p^s), which is Skoda's identity
 tau(f^(lam+1)) = f * tau(f^lam).
 
+On the p-adic grid no bound is needed at all:
+
+    tau(f^(k/p^e)) = root_e(f^k)                (Blickle-Mustata-Smith)
+
 Every search here (the next jumping number, the fpt, an F-threshold) asks
 for the least lam where a monotone predicate of the descending family
-tau(f^lam) turns true.  least_parameter answers that by p-adic bisection:
-the answer is a jumping number, hence a candidate, and candidates lie more
-than p^(-2B) apart, so only a window holding a single candidate is ever
-enumerated.
+tau(f^lam) turns true.  least_parameter answers that by p-adic bisection
+over grid points k/p^e, each one root_e(f^k) in e digit steps: the answer
+is a jumping number, hence a candidate, and candidates lie more than
+p^(-2B) apart, so only a cell holding a single candidate is ever
+enumerated.  Only the window's right end and that candidate go through
+the bound-dependent formula above.
 
 TestIdealComputer is the one context a query builds: it holds f, the
-checked bound and the root engine, and every question of the query (ideal_at,
-left_limit_at, is_jump, fpt, f_threshold) is one of its methods.  The
-invariants a walk's output must satisfy are JumpingNumberReport.checks,
-asked of the walk's own computer and engine.
+checked bound and the root engine, and every question of the query
+(ideal_at, grid_ideal, left_limit_at, is_jump, fpt, f_threshold) is one of
+its methods.  The invariants a walk's output must satisfy are
+JumpingNumberReport.checks, asked of the walk's own computer and engine.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, comb
+from math import ceil, comb, floor
 
 from .basep import (
     _as_fraction,
@@ -160,9 +166,10 @@ class TestIdealComputer:
     a bound of None means default_bound(f), and any other bound must be an
     int >= 1.  Every evaluation is root_s(f^N) through the engine, whose
     final carry folds parameters >= 1 (Skoda).  evaluations counts the
-    ideal_at calls made through this computer.  The searches (is_jump, fpt,
-    f_threshold) are methods, so all questions asked of one computer share
-    its engine, and the Jacobian length it resolved the bound from.
+    ideal_at and grid_ideal calls made through this computer.  The searches
+    (is_jump, fpt, f_threshold) are methods, so all questions asked of one
+    computer share its engine, and the Jacobian length it resolved the bound
+    from.
     """
 
     __test__ = False  # a computation, not a pytest test class
@@ -196,6 +203,11 @@ class TestIdealComputer:
             raise DomainError("test ideal parameters must be >= 0")
         self.evaluations += 1
         return self._root(lam, stabilization_exponent(lam, self.bound, self.p), 0)
+
+    def grid_ideal(self, k: int, e: int) -> Ideal:
+        """tau(f^(k/p^e)) = root_e(f^k), exact for every bound (Blickle-Mustata-Smith)."""
+        self.evaluations += 1
+        return self.engine.root_power(k, e)
 
     def left_limit_at(self, lam) -> Ideal:
         """The stable intersection of tau(f^(lam - eps)) over small eps > 0."""
@@ -257,41 +269,47 @@ def least_parameter(computer: TestIdealComputer, predicate, lo, hi) -> Fraction 
     predicate is false at hi.
 
     The predicate must be monotone along the descending family: false at
-    lo, and once true for some lam, true for every larger one.  A window
-    wider than 1 is first cut to the unit step (lo + n - 1, lo + n] that
-    holds the answer, by bisection over the integers n.  The least lam is a
+    lo, and once true for some lam, true for every larger one.  The search
+    narrows on the p-adic grid, where evaluation needs no bound:
+    tau(f^(k/p^e)) = root_e(f^k) (Blickle-Mustata-Smith).  Level e keeps an
+    integer a whose cell ((a-1)/p^e, a/p^e], cut to (lo, hi], holds the
+    answer.  Level 0 bisects the integers in (floor(lo), ceil(hi)], and each
+    later level bisects k over (p*(a-1), p*a]; grid points at or below lo
+    read false and those at or above hi read true.  The least lam is a
     jumping number, so it is a candidate for the computer's bound B, and
-    candidates lie more than p^(-2B) apart: 2B+1 levels of p-adic narrowing,
-    each a bisection over the p sub-intervals, leave a window that holds it
-    as its only candidate.
+    candidates lie more than p^(-2B) apart: after 2B+1 levels the cell holds
+    it as its only candidate.
     """
     lo, hi = _as_fraction(lo), _as_fraction(hi)
     if not 0 <= lo < hi:
         raise DomainError(f"search window ({lo}, {hi}] must lie in [0, oo) and be nonempty")
-
-    def holds(lam: Fraction) -> bool:
-        return predicate(computer.ideal_at(lam))
-
-    if not holds(hi):
+    if not predicate(computer.ideal_at(hi)):
         return None
-    if hi - lo > 1:
-        # true at lo + ceil(hi - lo) >= hi by monotonicity, so never evaluated there
-        n = _least_integer(lambda n: holds(lo + n), 0, ceil(hi - lo))
-        lo, hi = lo + n - 1, min(lo + n, hi)
     p, bound = computer.p, computer.bound
-    for _ in range(2 * bound + 1):
-        step = (hi - lo) / p
-        # the predicate is false at j = 0 and true at j = p
-        j = _least_integer(lambda j: holds(lo + j * step), 0, p)
-        lo, hi = lo + (j - 1) * step, lo + j * step
-    cands = candidates_left_open(p, bound, lo, hi)
+
+    def holds(k: int, e: int) -> bool:
+        """The predicate at the grid point k/p^e."""
+        q = p**e
+        if k * lo.denominator <= lo.numerator * q:
+            return False
+        if k * hi.denominator >= hi.numerator * q:
+            return True
+        return predicate(computer.grid_ideal(k, e))
+
+    a = _least_integer(lambda k: holds(k, 0), floor(lo), ceil(hi))
+    levels = 2 * bound + 1
+    for e in range(1, levels + 1):
+        a = _least_integer(lambda k: holds(k, e), p * (a - 1), p * a)
+    q = p**levels
+    left, right = max(lo, Fraction(a - 1, q)), min(hi, Fraction(a, q))
+    cands = candidates_left_open(p, bound, left, right)
     if len(cands) != 1:
         raise DomainError(
-            f"expected exactly one candidate in ({lo}, {hi}], found {len(cands)}; "
+            f"expected exactly one candidate in ({left}, {right}], found {len(cands)}; "
             "the supplied bound is too small for f"
         )
     value = cands[0]
-    if not holds(value):
+    if not predicate(computer.ideal_at(value)):
         raise DomainError(
             "the isolated candidate fails the search predicate; the supplied bound "
             "is too small for f"

@@ -24,7 +24,7 @@ from fptkit.froot import FrobeniusRootEngine
 from conftest import random_poly, src_env
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=60):
     # a hanging command fails its test with TimeoutExpired instead of
     # stalling the suite
     proc = subprocess.run(
@@ -32,7 +32,7 @@ def run_cli(*argv):
         env=src_env(),
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
     )
     return proc
 
@@ -271,6 +271,16 @@ class TestExitCodes:
         assert main(["candidates", "--char", "2", "--bound", "50000"]) == 4
         assert "more than the limit" in capsys.readouterr().err
 
+    def test_empty_candidate_window_at_a_large_bound(self):
+        # the window [0, 0) holds nothing, so it must answer without forming
+        # the 10^5 period denominators of up to 10^5 bits each
+        proc = run_cli(
+            "candidates", "--char", "2", "--bound", "100000", "--window", "0:0", "--json",
+            timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
     def test_domain_error(self):
         proc = run_cli("fpt", "--char", "5", "--vars", "x,y", "x + 1")
         assert proc.returncode == 3
@@ -364,7 +374,7 @@ class TestHumanOutput:
                 ("jn", *QUARTIC, "--bound", "6"),
                 "jumping numbers of x^4 + x^2*y^2 + y^3 in [0,1)   [p = 5, bound = 6]\n"
                 "fpt = 7/12\n"
-                "ideal evaluations: 151\n"
+                "ideal evaluations: 146\n"
                 "      0  ->  (1)\n"
                 "   7/12  ->  (y, x)\n"
                 "    4/5  ->  (y, x^2)\n"

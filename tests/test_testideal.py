@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import floor
 from types import SimpleNamespace
 
@@ -28,6 +29,7 @@ from fptkit import (
     stabilization_exponent,
 )
 
+import narrowing_oracle
 import walk_oracle
 from conftest import random_poly
 from diagonal_oracle import diagonal_fpt
@@ -365,13 +367,83 @@ class TestLeastParameter:
             least_parameter(TestIdealComputer(quartic5, 6), bool, 1, 1)
 
     def test_isolated_candidate_is_rechecked(self):
-        # a duck-typed computer whose "ideal" at lam is lam itself: 5 levels
-        # of 2-adic narrowing leave (5/16, 11/32], whose one candidate for
-        # B = 2 is 1/3
-        computer = SimpleNamespace(p=2, bound=2, ideal_at=lambda lam: lam)
+        # a duck-typed computer whose "ideal" at lam is lam itself, and at
+        # the grid point k/p^e is k/p^e: 5 levels of 2-adic narrowing leave
+        # (5/16, 11/32], whose one candidate for B = 2 is 1/3
+        computer = SimpleNamespace(
+            p=2, bound=2, ideal_at=lambda lam: lam, grid_ideal=lambda k, e: F(k, 2**e)
+        )
         assert least_parameter(computer, lambda lam: lam >= F(1, 3), 0, 1) == F(1, 3)
         with pytest.raises(DomainError, match="fails the search predicate"):
             least_parameter(computer, lambda lam: lam >= F(17, 50), 0, 1)
+
+
+class TestGridNarrowing:
+    """least_parameter narrows on the p-adic grid k/p^e, where
+    tau(f^(k/p^e)) = root_e(f^k) needs no bound; narrowing_oracle keeps the
+    Fraction narrowing that evaluated every split point through ideal_at."""
+
+    @staticmethod
+    def _cases():
+        """Three distinct random bivariate f per prime, each with at least two
+        positive jumps in (0, 1) at a default bound of at most 6."""
+        rng = random.Random(21)
+        for p in (2, 3, 5, 7):
+            ring = PolyRing(p, ["x", "y"])
+            seen = set()
+            while len(seen) < 3:
+                f = random_poly(rng, ring, 5, 4, min_deg=2)
+                if f in seen or default_bound(f) > 6:
+                    continue
+                report = jumping_numbers_unit_interval(f, default_bound(f))
+                if len(report.jumping_numbers) >= 3:
+                    seen.add(f)
+                    yield report
+
+    def test_matches_the_fraction_narrowing(self):
+        searched = 0
+        for report in self._cases():
+            c, f = report.computer, report.poly
+
+            def same(predicate, lo, hi):
+                nonlocal searched
+                searched += 1
+                expected = narrowing_oracle.least_parameter(c, predicate, lo, hi)
+                assert least_parameter(c, predicate, lo, hi) == expected, (str(f), lo, hi)
+
+            same(maximal_ideal(f.ring).contains_ideal, 0, 1)
+            for lam, ideal in zip(report.jumping_numbers, report.test_ideals):
+                same(lambda J, ideal=ideal: J != ideal, lam, 1)
+            # F-threshold windows wider than 1 from a fractional lo: b and f*b,
+            # whose threshold lies past the first Skoda translate
+            for target in (("x", "y"), ("x", "y^2")):
+                b = ideal_of(f.ring, *target)
+                fb = Ideal(f.ring, tuple(f * g for g in b.generators))
+                for ideal, lo, hi in product((b, fb), (F(1, 2), F(1, 3)), (3, F(5, 2))):
+                    if not ideal.contains_ideal(c.ideal_at(lo)):
+                        same(ideal.contains_ideal, lo, hi)
+        assert searched > 100
+
+    @pytest.mark.parametrize("bound", [1, 2, None])
+    def test_ideal_at_only_at_hi_and_the_candidate(self, ring7, quartic5, cusp7, bound):
+        # the cusp's fpt 5/6 is a candidate for B = 1 at p = 7; the default
+        # bound runs on the quartic, whose default B is 6
+        f = quartic5 if bound is None else cusp7
+        c = TestIdealComputer(f, bound)
+        asked = []
+        ideal_at = c.ideal_at
+        c.ideal_at = lambda lam: asked.append(lam) or ideal_at(lam)
+        lam = least_parameter(c, maximal_ideal(f.ring).contains_ideal, 0, 1)
+        assert lam == (F(7, 12) if bound is None else F(5, 6))
+        assert asked == [1, lam]
+        assert c.evaluations > 2  # the grid points are counted too
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, None])
+    def test_grid_ideal_is_the_ideal_at_the_grid_point(self, quartic5, bound):
+        c = TestIdealComputer(quartic5, bound)
+        for e in range(4):
+            for k in (0, 1, 2, 3, 4, 7, 12, 24, 25, 31, 60, 125, 130):
+                assert c.grid_ideal(k, e) == c.ideal_at(F(k, 5**e)), (k, e)
 
 
 class TestBounds:
