@@ -425,7 +425,7 @@ class TestGridNarrowing:
         assert searched > 100
 
     @pytest.mark.parametrize("bound", [1, 2, None])
-    def test_ideal_at_only_at_hi_and_the_candidate(self, ring7, quartic5, cusp7, bound):
+    def test_ideal_at_only_at_hi_and_the_candidate(self, quartic5, cusp7, bound):
         # the cusp's fpt 5/6 is a candidate for B = 1 at p = 7; the default
         # bound runs on the quartic, whose default B is 6
         f = quartic5 if bound is None else cusp7
