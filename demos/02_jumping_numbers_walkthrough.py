@@ -45,8 +45,11 @@ for lam in (Fraction(7, 12), Fraction(4, 5)):
     at = c.ideal_at(lam)
     print(f"\nat {lam}: left limit {left}  vs  value {at}")
 
-# The huge Frobenius powers behind these answers are never expanded: the
-# evaluation at 7/12 works with f^142415365 through 12 digit steps.
-s = stabilization_exponent(Fraction(7, 12), c.bound, 5)
-n = -((-(5**s) * 7) // 12)
-print(f"\nstabilization exponent s = {s}, so tau comes from f^{n}")
+# Every evaluation is a grid point n/5^s, tau = root_s(f^n): ideal_at(lam)
+# takes s = stabilization_exponent(lam) and n = ceil(5^s * lam).  The huge
+# power behind 7/12, f^142415365, is never expanded: it takes 12 digit steps.
+lam = Fraction(7, 12)
+s = stabilization_exponent(lam, c.bound, 5)
+n = -((-(5**s) * lam.numerator) // lam.denominator)
+assert c.grid_ideal(n, s) == c.ideal_at(lam)
+print(f"\nstabilization exponent s = {s}, so tau(f^{lam}) = root_{s}(f^{n})")

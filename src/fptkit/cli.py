@@ -174,15 +174,16 @@ def _cmd_candidates(args) -> int:
 
 def _cmd_profile(args) -> int:
     profile = constancy_mod.singularity_profile(_poly(args))
+    payload = profile.to_json()  # N and M in decimal, of any length
     lines = [f"isolated singularity at the origin: {'yes' if profile.is_isolated else 'no'}"]
     if profile.is_isolated:
         lines += [
             f"ell = {profile.ell}",
-            f"fpt-stability order N = {profile.bound_fpt}",
-            f"test-ideal-stability order M = {profile.bound_test_ideals}",
+            f"fpt-stability order N = {payload['boundN']}",
+            f"test-ideal-stability order M = {payload['boundM']}",
         ]
     lines.append(f"jacobian = {profile.jacobian}")
-    return _emit(args, profile.to_json(), lines)
+    return _emit(args, payload, lines)
 
 
 def _cmd_constancy(args) -> int:

@@ -25,6 +25,7 @@ from fractions import Fraction
 from .basep import format_rational
 from .errors import DomainError, StabilityError
 from .groebner import Ideal, jacobian, maximal_ideal_power, radical_member
+from .parsing import _decimal
 from .poly import Polynomial, PolyRing
 from .testideal import TestIdealComputer, isolated_jacobian, jumping_numbers_unit_interval
 
@@ -58,13 +59,14 @@ class SingularityProfile:
     bound_test_ideals: int | None
 
     def to_json(self) -> dict:
+        N, M = self.bound_fpt, self.bound_test_ideals
         return {
             "prime": self.poly.ring.prime,
             "poly": str(self.poly),
             "isIsolated": self.is_isolated,
             "ell": self.ell,
-            "boundN": str(self.bound_fpt) if self.bound_fpt is not None else None,
-            "boundM": str(self.bound_test_ideals) if self.bound_test_ideals is not None else None,
+            "boundN": None if N is None else _decimal(N),
+            "boundM": None if M is None else _decimal(M),
             "jacobian": self.jacobian.to_json(),
         }
 

@@ -21,7 +21,8 @@ expanded, so N may vastly exceed p^e.
 A FrobeniusRootEngine holds the digit-transition cache for one f, its
 interned start state (1) and its table of powers f^d; the TestIdealComputer
 of a query owns one, so every evaluation of that query shares them.  The
-nu invariants are a question asked of the engine too (engine.nu(b, e)).
+nu invariants are a question asked of the engine too (engine.nu(b, e)), and
+so is whether f lies in sqrt(b) (engine.in_radical(b)).
 """
 
 from __future__ import annotations
@@ -131,12 +132,19 @@ class FrobeniusRootEngine:
         fN = self._f_power(N)
         return self._intern(Ideal(self.ring, tuple(fN * g for g in state.basis())))
 
+    def in_radical(self, b: Ideal) -> bool:
+        """Whether f lies in sqrt(b); each b certified to hold f is remembered."""
+        if b in self._radical or radical_member(self.f, b):
+            self._radical.add(b)
+            return True
+        return False
+
     def nu(self, b: Ideal, e: int) -> int:
         """Largest N with f^N outside b^[p^e]; 0 when already f in b^[p^e].
 
         f^N lies in b^[p^e] exactly when root_e(f^N) is contained in b, so no
         large power of f is ever expanded.  The search doubles then bisects.
-        It ends because f is first checked to lie in sqrt(b): then f^k is in
+        It ends because in_radical first checks f in sqrt(b): then f^k is in
         b for some k, and f^(k * p^e) in b^[p^e].  The engine remembers each
         b it has certified, so that check runs once per b.
         """
@@ -146,10 +154,8 @@ class FrobeniusRootEngine:
             raise DomainError("polynomial/ideal ring mismatch")
         if b.is_unit():
             raise DomainError("nu is undefined for the unit ideal")
-        if b not in self._radical:
-            if not radical_member(self.f, b):
-                raise DomainError("no power of f lies in b: f is not in the radical of b")
-            self._radical.add(b)
+        if not self.in_radical(b):
+            raise DomainError("no power of f lies in b: f is not in the radical of b")
 
         def member(n: int) -> bool:
             return b.contains_ideal(self.root_power(n, e))

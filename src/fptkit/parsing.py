@@ -23,8 +23,8 @@ from .poly import Polynomial, PolyRing
 __all__ = ["parse_polynomial"]
 
 _NUMBER, _NAME = 1, 2
-# int() of a longer digit string may exceed Python's conversion limit,
-# whose smallest setting is 640 digits
+# int() of a longer digit string, or str() of a longer int, may exceed
+# Python's conversion limit, whose smallest setting is 640 digits
 _CHUNK = 512
 
 
@@ -35,6 +35,15 @@ def _residue(digits: str, p: int) -> int:
         chunk = digits[i : i + _CHUNK]
         value = (value * pow(10, len(chunk), p) + int(chunk)) % p
     return value
+
+
+def _decimal(n: int) -> str:
+    """The decimal digit string of an int n >= 0, written _CHUNK digits at a time."""
+    chunks = []
+    while n >= 10**_CHUNK:
+        n, low = divmod(n, 10**_CHUNK)
+        chunks.append(f"{low:0{_CHUNK}d}")
+    return str(n) + "".join(reversed(chunks))
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:

@@ -18,14 +18,15 @@ On the p-adic grid no bound is needed at all:
 
     tau(f^(k/p^e)) = root_e(f^k)                (Blickle-Mustata-Smith)
 
-Every search here (the next jumping number, the fpt, an F-threshold) asks
-for the least lam where a monotone predicate of the descending family
-tau(f^lam) turns true.  least_parameter answers that by p-adic bisection
-over grid points k/p^e, each one root_e(f^k) in e digit steps: the answer
-is a jumping number, hence a candidate, and candidates lie more than
-p^(-2B) apart, so only a cell holding a single candidate is ever
-enumerated.  Only the window's right end and that candidate go through
-the bound-dependent formula above.
+and both formulas above are grid points with e = s: every evaluation is
+one TestIdealComputer.grid_ideal(k, e) call.  Every search here (the next
+jumping number, the fpt, an F-threshold) asks for the least lam where a
+monotone predicate of the descending family tau(f^lam) turns true.
+least_parameter answers that by p-adic bisection over grid points k/p^e:
+the answer is a jumping number, hence a candidate, and candidates lie
+more than p^(-2B) apart, so only a cell holding a single candidate is
+ever enumerated.  It returns that candidate with the ideal that
+rechecked it, through the formula above.
 
 TestIdealComputer is the one context a query builds: it holds f, the
 checked bound and the root engine, and every question of the query
@@ -154,7 +155,7 @@ class JumpingNumberReport:
             ("left limits differ exactly at the jumps", all(c.is_jump(x) for x in jumps[1:])),
             (
                 "f lies in the bracket power of its own root",
-                all(bracket_power(engine.root_power(1, e), e).contains(f) for e in (1, 2)),
+                all(bracket_power(c.grid_ideal(1, e), e).contains(f) for e in (1, 2)),
             ),
         ]
 
@@ -164,12 +165,11 @@ class TestIdealComputer:
 
     The one place that checks f and resolves the bound: f must be nonzero,
     a bound of None means default_bound(f), and any other bound must be an
-    int >= 1.  Every evaluation is root_s(f^N) through the engine, whose
-    final carry folds parameters >= 1 (Skoda).  evaluations counts the
-    ideal_at and grid_ideal calls made through this computer.  The searches
-    (is_jump, fpt, f_threshold) are methods, so all questions asked of one
-    computer share its engine, and the Jacobian length it resolved the bound
-    from.
+    int >= 1.  Every evaluation is one grid_ideal call, root_s(f^N) through
+    the engine, whose final carry folds parameters >= 1 (Skoda), and
+    evaluations counts them.  The searches (is_jump, fpt, f_threshold) are
+    methods, so all questions asked of one computer share its engine, and
+    the Jacobian length it resolved the bound from.
     """
 
     __test__ = False  # a computation, not a pytest test class
@@ -191,18 +191,13 @@ class TestIdealComputer:
         """isolated_jacobian(f), computed once per computer."""
         return isolated_jacobian(self.f)
 
-    def _root(self, lam: Fraction, s: int, below: int) -> Ideal:
-        """root_s(f^(ceil(p^s * lam) - below))."""
-        N = -((-(self.p**s) * lam.numerator) // lam.denominator)
-        return self.engine.root_power(N - below, s)
-
     def ideal_at(self, lam) -> Ideal:
-        """tau(f^lam), exact, for any rational lam >= 0."""
+        """tau(f^lam) for any rational lam >= 0: the grid point ceil(p^s * lam)/p^s."""
         lam = _as_fraction(lam)
         if lam < 0:
             raise DomainError("test ideal parameters must be >= 0")
-        self.evaluations += 1
-        return self._root(lam, stabilization_exponent(lam, self.bound, self.p), 0)
+        s = stabilization_exponent(lam, self.bound, self.p)
+        return self.grid_ideal(-((-(self.p**s) * lam.numerator) // lam.denominator), s)
 
     def grid_ideal(self, k: int, e: int) -> Ideal:
         """tau(f^(k/p^e)) = root_e(f^k), exact for every bound (Blickle-Mustata-Smith)."""
@@ -217,7 +212,7 @@ class TestIdealComputer:
         # the gap below an integer needs its full pair (0, 1), so s = bound
         # there; only the ideal at the integer itself takes s = 0
         s = stabilization_exponent(lam, self.bound, self.p) or self.bound
-        return self._root(lam, s, 1)
+        return self.grid_ideal(-((-(self.p**s) * lam.numerator) // lam.denominator) - 1, s)
 
     def is_jump(self, lam) -> bool:
         """True iff the test ideal jumps at lam; lam must be a (p, bound) candidate."""
@@ -236,23 +231,25 @@ class TestIdealComputer:
         """
         if self.f.constant_term() != 0:
             raise DomainError("fpt requires a polynomial vanishing at the origin")
-        return least_parameter(self, _inside_m, 0, 1)
+        return least_parameter(self, _inside_m, 0, 1)[0]
 
     def f_threshold(self, b: Ideal, cap=None) -> Fraction:
         """Least parameter lam <= cap with tau(f^lam) contained in b.
 
         One least_parameter search over (0, max(ceil(cap), 1)]; the
-        predicate is false at 0 because b is proper.  Requires f in sqrt(b)
-        for an answer below the cap.
+        predicate is false at 0 because b is proper.  tau(f^lam) contains
+        f^ceil(lam), so no lam qualifies unless f lies in sqrt(b); the
+        engine checks that first, before any power of f is formed.
         """
         if self.f.ring != b.ring:
             raise DomainError("polynomial/ideal ring mismatch")
         if b.is_unit():
             return Fraction(0)
         cap = Fraction(self.f.ring.dimension) if cap is None else _as_fraction(cap)
-        lam = least_parameter(self, b.contains_ideal, 0, max(ceil(cap), 1))
-        if lam is not None and lam <= cap:
-            return lam
+        if self.engine.in_radical(b):
+            found = least_parameter(self, b.contains_ideal, 0, max(ceil(cap), 1))
+            if found is not None and found[0] <= cap:
+                return found[0]
         raise InfeasibleError(
             f"no parameter at or below the cap {format_rational(cap)} "
             "drops the test ideal into b"
@@ -264,18 +261,20 @@ def _inside_m(ideal: Ideal) -> bool:
     return all(g.constant_term() == 0 for g in ideal.basis())
 
 
-def least_parameter(computer: TestIdealComputer, predicate, lo, hi) -> Fraction | None:
-    """Least lam in (lo, hi] with predicate(tau(f^lam)), or None when the
-    predicate is false at hi.
+def least_parameter(computer: TestIdealComputer, predicate, lo, hi) -> tuple | None:
+    """(lam, tau(f^lam)) for the least lam in (lo, hi] with
+    predicate(tau(f^lam)), or None when the predicate is false at hi.
 
     The predicate must be monotone along the descending family: false at
     lo, and once true for some lam, true for every larger one.  The search
     narrows on the p-adic grid, where evaluation needs no bound:
     tau(f^(k/p^e)) = root_e(f^k) (Blickle-Mustata-Smith).  Level e keeps an
     integer a whose cell ((a-1)/p^e, a/p^e], cut to (lo, hi], holds the
-    answer.  Level 0 bisects the integers in (floor(lo), ceil(hi)], and each
-    later level bisects k over (p*(a-1), p*a]; grid points at or below lo
-    read false and those at or above hi read true.  The least lam is a
+    answer.  Level 0 doubles a step d from floor(lo)+1 until floor(lo)+d
+    holds or reaches hi, where hi is evaluated, and bisects the last
+    doubling; so no power of f past twice the answer's ceiling is formed.
+    Each later level bisects k over (p*(a-1), p*a]; grid points at or below
+    lo read false and those at or above hi read true.  The least lam is a
     jumping number, so it is a candidate for the computer's bound B, and
     candidates lie more than p^(-2B) apart: after 2B+1 levels the cell holds
     it as its only candidate.
@@ -283,8 +282,6 @@ def least_parameter(computer: TestIdealComputer, predicate, lo, hi) -> Fraction 
     lo, hi = _as_fraction(lo), _as_fraction(hi)
     if not 0 <= lo < hi:
         raise DomainError(f"search window ({lo}, {hi}] must lie in [0, oo) and be nonempty")
-    if not predicate(computer.ideal_at(hi)):
-        return None
     p, bound = computer.p, computer.bound
 
     def holds(k: int, e: int) -> bool:
@@ -296,7 +293,12 @@ def least_parameter(computer: TestIdealComputer, predicate, lo, hi) -> Fraction 
             return True
         return predicate(computer.grid_ideal(k, e))
 
-    a = _least_integer(lambda k: holds(k, 0), floor(lo), ceil(hi))
+    base, d = floor(lo), 1
+    while base + d < hi and not holds(base + d, 0):
+        d *= 2
+    if base + d >= hi and not predicate(computer.ideal_at(hi)):
+        return None
+    a = _least_integer(lambda k: holds(k, 0), base + d // 2, min(base + d, ceil(hi)))
     levels = 2 * bound + 1
     for e in range(1, levels + 1):
         a = _least_integer(lambda k: holds(k, e), p * (a - 1), p * a)
@@ -309,15 +311,16 @@ def least_parameter(computer: TestIdealComputer, predicate, lo, hi) -> Fraction 
             "the supplied bound is too small for f"
         )
     value = cands[0]
-    if not predicate(computer.ideal_at(value)):
+    ideal = computer.ideal_at(value)
+    if not predicate(ideal):
         raise DomainError(
             "the isolated candidate fails the search predicate; the supplied bound "
             "is too small for f"
         )
-    return value
+    return value, ideal
 
 
-def jumping_numbers_unit_interval(f: Polynomial, bound: int) -> JumpingNumberReport:
+def jumping_numbers_unit_interval(f: Polynomial, bound: int | None) -> JumpingNumberReport:
     """The jumping numbers in [0, 1) and their test ideals, jump by jump.
 
     The jump after lam_i is the least lam in (lam_i, 1] whose test ideal
@@ -332,11 +335,11 @@ def jumping_numbers_unit_interval(f: Polynomial, bound: int) -> JumpingNumberRep
     ideals = [Ideal.unit(f.ring)]
     while True:
         current = ideals[-1]
-        lam = least_parameter(computer, lambda ideal: ideal != current, jumps[-1], 1)
-        if lam is None or lam == 1:
+        found = least_parameter(computer, lambda ideal: ideal != current, jumps[-1], 1)
+        if found is None or found[0] == 1:
             break
-        jumps.append(lam)
-        ideals.append(computer.ideal_at(lam))
+        jumps.append(found[0])
+        ideals.append(found[1])
     inside_m = (lam for lam, ideal in zip(jumps[1:], ideals[1:]) if _inside_m(ideal))
     fpt_value = next(inside_m, Fraction(1))
     elapsed = time.perf_counter() - start

@@ -281,6 +281,50 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == []
 
+    @pytest.mark.parametrize("cap", ["1234567", "10000000"])
+    def test_large_cap_with_a_small_answer(self, cap):
+        # the search doubles up from 1, so it forms neither f^cap nor a
+        # power near cap/2
+        proc = run_cli(
+            "ft", "--char", "5", "--vars", "x,y", "--ideal", "x;y", "--cap", cap,
+            "x^2+y^3+x*y^2", timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ft(f | b) = 4/5   [b = (y, x)]\n"
+
+    def test_large_cap_outside_the_radical(self):
+        # x^2+y^3 is not in sqrt((x)): refused before any power of f is formed
+        proc = run_cli(
+            "ft", "--char", "5", "--vars", "x,y", "--ideal", "x", "--cap", "1234567",
+            "x^2+y^3", timeout=10,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr == (
+            "infeasible: no parameter at or below the cap 1234567 drops the test ideal into b\n"
+        )
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    def test_profile_past_the_int_string_limit(self, json_flag):
+        # N = 2*5^7200 and M = 2*3601*5^7201 have over 5,000 digits, past
+        # the 4,300 that str() of an int may write by default
+        proc = run_cli(
+            "profile", "--char", "5", "--vars", "x,y", "x^60+y^61", *json_flag, timeout=10
+        )
+        assert proc.returncode == 0, proc.stderr
+        if json_flag:
+            doc = json.loads(proc.stdout)
+            N, M = doc["boundN"], doc["boundM"]
+        else:
+            lines = proc.stdout.splitlines()
+            assert lines[1] == "ell = 3600"
+            N, M = (line.split(" = ")[1] for line in lines[2:4])
+
+        def value(digits):  # int() of 1,000 digits at a time stays under the limit
+            chunks = range(0, len(digits), 1000)
+            return sum(int(digits[-i - 1000 : len(digits) - i]) * 10**i for i in chunks)
+
+        assert (value(N), value(M)) == (2 * 5**7200, 2 * 3601 * 5**7201)
+
     def test_domain_error(self):
         proc = run_cli("fpt", "--char", "5", "--vars", "x,y", "x + 1")
         assert proc.returncode == 3
@@ -374,7 +418,7 @@ class TestHumanOutput:
                 ("jn", *QUARTIC, "--bound", "6"),
                 "jumping numbers of x^4 + x^2*y^2 + y^3 in [0,1)   [p = 5, bound = 6]\n"
                 "fpt = 7/12\n"
-                "ideal evaluations: 146\n"
+                "ideal evaluations: 143\n"
                 "      0  ->  (1)\n"
                 "   7/12  ->  (y, x)\n"
                 "    4/5  ->  (y, x^2)\n"

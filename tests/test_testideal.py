@@ -373,9 +373,40 @@ class TestLeastParameter:
         computer = SimpleNamespace(
             p=2, bound=2, ideal_at=lambda lam: lam, grid_ideal=lambda k, e: F(k, 2**e)
         )
-        assert least_parameter(computer, lambda lam: lam >= F(1, 3), 0, 1) == F(1, 3)
+        assert least_parameter(computer, lambda lam: lam >= F(1, 3), 0, 1) == (F(1, 3), F(1, 3))
         with pytest.raises(DomainError, match="fails the search predicate"):
             least_parameter(computer, lambda lam: lam >= F(17, 50), 0, 1)
+
+    def test_level_zero_doubles_up_from_the_bottom(self, ring5):
+        # the answer 4/5 lies far below hi = 100: level 0 evaluates the
+        # integer 1 and stops, so neither f^100 nor a power near a midpoint
+        # of (0, 100] is formed, and ideal_at sees only 4/5
+        c = TestIdealComputer(parse_polynomial("x^2+y^3+x*y^2", ring5))
+        asked, level0 = [], []
+        ideal_at, grid_ideal = c.ideal_at, c.grid_ideal
+        c.ideal_at = lambda lam: asked.append(lam) or ideal_at(lam)
+
+        def spy(k, e):
+            if e == 0:
+                level0.append(k)
+            return grid_ideal(k, e)
+
+        c.grid_ideal = spy
+        lam, ideal = least_parameter(c, maximal_ideal(ring5).contains_ideal, 0, 100)
+        assert (lam, asked, level0) == (F(4, 5), [F(4, 5)], [1])
+        assert ideal == ideal_at(lam)
+
+    def test_walk_evaluates_each_jump_once(self, quartic5, monkeypatch):
+        # the walk keeps the ideal least_parameter certified for each jump
+        # instead of evaluating it again
+        asked = []
+        ideal_at = TestIdealComputer.ideal_at
+        monkeypatch.setattr(
+            TestIdealComputer, "ideal_at", lambda c, lam: asked.append(lam) or ideal_at(c, lam)
+        )
+        report = jumping_numbers_unit_interval(quartic5, 6)
+        assert report.jumping_numbers == (0, F(7, 12), F(4, 5), F(11, 12))
+        assert [asked.count(lam) for lam in report.jumping_numbers[1:]] == [1, 1, 1]
 
 
 class TestGridNarrowing:
@@ -409,6 +440,8 @@ class TestGridNarrowing:
                 nonlocal searched
                 searched += 1
                 expected = narrowing_oracle.least_parameter(c, predicate, lo, hi)
+                if expected is not None:
+                    expected = (expected, c.ideal_at(expected))
                 assert least_parameter(c, predicate, lo, hi) == expected, (str(f), lo, hi)
 
             same(maximal_ideal(f.ring).contains_ideal, 0, 1)
@@ -433,9 +466,10 @@ class TestGridNarrowing:
         asked = []
         ideal_at = c.ideal_at
         c.ideal_at = lambda lam: asked.append(lam) or ideal_at(lam)
-        lam = least_parameter(c, maximal_ideal(f.ring).contains_ideal, 0, 1)
+        lam, ideal = least_parameter(c, maximal_ideal(f.ring).contains_ideal, 0, 1)
         assert lam == (F(7, 12) if bound is None else F(5, 6))
         assert asked == [1, lam]
+        assert ideal == ideal_at(lam)
         assert c.evaluations > 2  # the grid points are counted too
 
     @pytest.mark.parametrize("bound", [1, 2, 3, None])
