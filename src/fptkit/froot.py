@@ -4,8 +4,9 @@ frobenius_root_ideal(J, e) is the smallest ideal b with J in b^[p^e].  Over
 F_p it is read off the generators directly: split every exponent vector of
 each generator into its residue mu and quotient modulo p^e, and collect the
 quotient polynomials, one per residue (coefficient roots are trivial because
-Frobenius fixes F_p).  _root_generators is that one step, and each digit step
-of the engine below applies it with q = p.
+Frobenius fixes F_p).  _split is the one rule that sorts packed terms into
+residue classes, _root_generators is that one step, and each digit step of
+the engine below applies it with q = p.
 
 FrobeniusRootEngine(f).root_power(N, e) evaluates root_e(f^N) without ever
 expanding f^N.  It peels one base-p digit of N per level, starting from J = (1):
@@ -17,6 +18,13 @@ consequence of flatness of Frobenius on the polynomial ring.  Digits are
 consumed least-significant first, intermediate ideals are canonicalized at
 every level, and no power beyond f^(p-1) times current generators is ever
 expanded, so N may vastly exceed p^e.
+
+Most states are monomial ideals.  A transition from one forms no product,
+because x^a * f^d is f^d shifted by a on packed ints, and it needs no
+Groebner basis when each shifted copy splits into single terms: its value
+is then (1) or the monomial ideal of their quotients, which is its own
+reduced basis.  Every other transition reduces the split terms in the
+kernel.
 
 A FrobeniusRootEngine holds the digit-transition cache for one f, its
 interned start state (1) and its table of powers f^d; the TestIdealComputer
@@ -35,18 +43,18 @@ from .poly import Polynomial, power
 __all__ = ["frobenius_root_ideal", "FrobeniusRootEngine"]
 
 
-def _split_terms(f: Polynomial, q: int) -> list[Polynomial]:
-    """Coordinates of f in the monomial basis of R over R^q, q = p^e.
+def _split(ring, terms: dict, q: int) -> dict:
+    """Packed terms grouped by residue class modulo q = p^e: {residue:
+    {quotient: c}}, one entry per term c*x^m with m = residue + q*quotient.
 
     One pass over the fields of each packed monomial m: the running sum of
     the exponent quotients e_i div q, placed field by field, packs the
     quotient monomial quo, and the residue monomial is m - q*quo, because
     packing is linear.
     """
-    ring = f.ring
     value, shifts = ring.max_degree, ring._shifts
     buckets: dict = {}
-    for m, c in f._packed.items():
+    for m, c in terms.items():
         quo = total = prev = 0
         for shift in shifts:
             s = (m >> shift) & value
@@ -54,7 +62,14 @@ def _split_terms(f: Polynomial, q: int) -> list[Polynomial]:
             prev = s
             quo |= total << shift
         buckets.setdefault(m - q * quo, {})[quo] = c
-    return [Polynomial._from_packed(ring, terms) for terms in buckets.values()]
+    return buckets
+
+
+def _split_terms(f: Polynomial, q: int) -> list[Polynomial]:
+    """Coordinates of f in the monomial basis of R over R^q, q = p^e: one
+    polynomial of quotients per residue class."""
+    ring = f.ring
+    return [Polynomial._from_packed(ring, t) for t in _split(ring, f._packed, q).values()]
 
 
 def _root_generators(polys, q: int) -> tuple[Polynomial, ...]:
@@ -77,7 +92,11 @@ class FrobeniusRootEngine:
     may be memoized keyed by the canonical (reduced Groebner) form of J.
     The searches in testideal evaluate many parameters for a fixed f, and
     their digit recursions keep re-entering the same few states, so most
-    steps are cache hits.  The engine also pays once for its fixed work:
+    steps are cache hits.  A miss from a monomial state is computed on packed
+    ints (_monomial_step), without the kernel when its products split into
+    single terms; its value is interned like any other, so states and
+    answers are those of the kernel path.  The engine also pays once for its
+    fixed work:
     every evaluation starts from one interned unit ideal, and the digit
     powers f^d and the final carry come from one power table.
     """
@@ -111,11 +130,37 @@ class FrobeniusRootEngine:
         key = (state, digit)
         out = self._steps.get(key)
         if out is None:
+            basis = state.basis()
             fd = self._f_power(digit)
-            gens = _root_generators([fd * g for g in state.basis()], self.ring.prime)
-            out = self._intern(Ideal(self.ring, gens))
+            if all(len(g._packed) == 1 for g in basis):
+                out = self._monomial_step(basis, fd)
+            else:
+                gens = _root_generators([fd * g for g in basis], self.ring.prime)
+                out = self._intern(Ideal(self.ring, gens))
             self._steps[key] = out
         return out
+
+    def _monomial_step(self, basis, fd: Polynomial) -> Ideal:
+        """root_1(f^d * J) for J generated by the monic monomials of basis.
+
+        x^a * f^d is f^d with each packed monomial b moved to a + b, so no
+        product is formed, and each one is split once.  When every residue
+        class of every product holds one monomial, every split term is a
+        single term, and the root is the monomial ideal of the quotients,
+        formed without the kernel: (1) when one of them is the monomial 1,
+        else the ideal of their minimal set.  Otherwise the split terms go
+        to the kernel, as in the general step.
+        """
+        ring, p = self.ring, self.ring.prime
+        fterms = fd._packed
+        splits = [_split(ring, {g._lead() + b: c for b, c in fterms.items()}, p) for g in basis]
+        if any(len(s) < len(fterms) for s in splits):
+            terms = (Polynomial._from_packed(ring, t) for s in splits for t in s.values())
+            return self._intern(Ideal(ring, tuple(dict.fromkeys(terms))))
+        quotients = [quo for s in splits for t in s.values() for quo in t]
+        if 0 in quotients:
+            return self._start
+        return self._intern(Ideal.monomial(ring, quotients))
 
     def root_power(self, N: int, e: int) -> Ideal:
         """root_e of the ideal (f^N): frobenius_root_ideal of the expanded

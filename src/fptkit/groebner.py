@@ -265,6 +265,14 @@ class Ideal:
     def unit(cls, ring: PolyRing) -> "Ideal":
         return cls(ring, (ring.one(),))
 
+    @classmethod
+    def monomial(cls, ring: PolyRing, packed) -> "Ideal":
+        """The ideal of the monic monomials with these packed ints.  Its
+        reduced basis is their minimal set, formed without the kernel."""
+        J = cls(ring, _minimal([Polynomial._from_packed(ring, {m: 1}) for m in set(packed)]))
+        J._basis = J.generators
+        return J
+
     def basis(self) -> tuple[Polynomial, ...]:
         if self._basis is None:
             self._basis = tuple(_buchberger(self.generators))

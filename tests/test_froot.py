@@ -17,7 +17,7 @@ from fptkit import (
     parse_polynomial,
     power,
 )
-from fptkit.froot import FrobeniusRootEngine
+from fptkit.froot import FrobeniusRootEngine, _root_generators, _split
 
 from conftest import random_poly
 
@@ -130,6 +130,13 @@ class TestRootPower:
             smaller = engine.root_power(n2, e)
             assert bigger.contains_ideal(smaller)
 
+    def test_zero_polynomial(self, ring5):
+        # every state after the first nonzero digit is the zero ideal,
+        # whose reduced basis is empty
+        engine = FrobeniusRootEngine(ring5.zero())
+        assert engine.root_power(6, 2) == Ideal(ring5) == engine.root_power(1, 1)
+        assert engine.root_power(0, 3).is_unit()
+
     def test_equal_states_are_one_object(self, ring5):
         # root_2(x^30) and root_2(x^35) are both (x), reached through
         # different digits; the engine interns it once
@@ -145,11 +152,93 @@ class TestRootPower:
             assert engine.root_power(n, e) == FrobeniusRootEngine(quartic5).root_power(n, e)
 
 
+class TestMonomialStep:
+    """A transition from a monomial state against the Groebner path."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+    def test_matches_groebner_path(self, monkeypatch, p, n):
+        buchberger = groebner._buchberger
+        runs = []
+
+        def counted(gens):
+            runs.append(None)
+            return buchberger(gens)
+
+        monkeypatch.setattr(groebner, "_buchberger", counted)
+        ring = PolyRing(p, ["x", "y", "z"][:n])
+        rng = random.Random(f"{p}/{n}")
+        x = ring.variable(0)
+        # x and x^(p+1) share a residue class, so f's own step needs the kernel
+        polys = [random_poly(rng, ring, 3, 3, min_deg=1), x + power(x, p + 1)]
+        # (1), (x_1^2p, ..., x_n^2p) and seeded monomial ideals
+        states = [(), [tuple(2 * p if j == i else 0 for j in range(n)) for i in range(n)]]
+        for _ in range(3):
+            states.append([
+                tuple(rng.randrange(2 * p) for _ in range(n)) for _ in range(rng.randint(1, 3))
+            ])
+        outcomes = set()
+        for f in polys:
+            engine = FrobeniusRootEngine(f)
+            distinct = dict.fromkeys(
+                engine._intern(Ideal(ring, [ring.monomial(a) for a in exponents] or [ring.one()]))
+                for exponents in states
+            )
+            for J in distinct:
+                for d in range(p):
+                    fd = engine._f_power(d)
+                    expected = Ideal(ring, _root_generators([fd * g for g in J.basis()], p))
+                    expected.basis()
+                    before = len(runs)
+                    got = engine._step(J, d)
+                    assert got == expected, (str(f), str(J), d)
+                    assert got is engine._states[expected]
+                    # a + b and a + b' share a residue class exactly when b
+                    # and b' do, so the kernel runs once exactly when two
+                    # monomials of f^d share one
+                    shared = len(_split(ring, fd._packed, p)) < len(fd._packed)
+                    assert len(runs) - before == shared
+                    if shared:
+                        outcomes.add("kernel")
+                    else:
+                        outcomes.add("unit" if got is engine._start else "monomial")
+            assert all(state is J for J, state in engine._states.items())
+        assert outcomes == {"unit", "monomial", "kernel"}
+
+
 class TestEngineFixedWork:
+    @pytest.mark.parametrize("search", ["quartic walk", "cusp fpt at p=101"])
+    def test_monomial_transitions_skip_the_kernel(self, monkeypatch, quartic5, search):
+        # Every transition of these searches starts from a monomial state
+        # and splits into single terms, so none runs Buchberger.
+        buchberger, step = groebner._buchberger, FrobeniusRootEngine._step
+        inside, runs = [], []
+
+        def counted(gens):
+            if inside:
+                runs.append(None)
+            return buchberger(gens)
+
+        def spied(engine, state, digit):
+            inside.append(None)
+            try:
+                return step(engine, state, digit)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(groebner, "_buchberger", counted)
+        monkeypatch.setattr(FrobeniusRootEngine, "_step", spied)
+        if search == "quartic walk":
+            assert jumping_numbers_unit_interval(quartic5, 6).candidate_count == 143
+        else:
+            cusp = parse_polynomial("x^2 + y^3", PolyRing(101, ["x", "y"]))
+            assert TestIdealComputer(cusp).fpt() == Fraction(84, 101)
+        assert runs == []
+
     def test_unit_ideal_reduced_once(self, monkeypatch, quartic5):
         # The start state (1) is interned once per engine, not once per
-        # evaluation: the rest are the walk's tau(f^0) and the transitions
-        # whose value is (1).
+        # evaluation, and a transition whose value is (1) returns it without
+        # the kernel: the only other reduction is the walk's tau(f^0).
         buchberger = groebner._buchberger
         unit_runs = []
 
@@ -162,7 +251,7 @@ class TestEngineFixedWork:
         monkeypatch.setattr(groebner, "_buchberger", counted)
         report = jumping_numbers_unit_interval(quartic5, None)
         assert report.candidate_count > 100
-        assert len(unit_runs) <= 5
+        assert len(unit_runs) == 2
 
     @pytest.mark.parametrize(
         "p, text",
