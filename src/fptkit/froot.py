@@ -5,8 +5,8 @@ F_p it is read off the generators directly: split every exponent vector of
 each generator into its residue mu and quotient modulo p^e, and collect the
 quotient polynomials, one per residue (coefficient roots are trivial because
 Frobenius fixes F_p).  _split is the one rule that sorts packed terms into
-residue classes, _root_generators is that one step, and each digit step of
-the engine below applies it with q = p.
+residue classes: _root_generators applies it to a set of generators, and
+each digit step of the engine below to the products f^d * g with q = p.
 
 FrobeniusRootEngine(f).root_power(N, e) evaluates root_e(f^N) without ever
 expanding f^N.  It peels one base-p digit of N per level, starting from J = (1):
@@ -93,12 +93,11 @@ class FrobeniusRootEngine:
     The searches in testideal evaluate many parameters for a fixed f, and
     their digit recursions keep re-entering the same few states, so most
     steps are cache hits.  A miss from a monomial state is computed on packed
-    ints (_monomial_step), without the kernel when its products split into
-    single terms; its value is interned like any other, so states and
-    answers are those of the kernel path.  The engine also pays once for its
-    fixed work:
-    every evaluation starts from one interned unit ideal, and the digit
-    powers f^d and the final carry come from one power table.
+    ints, without the kernel when its products split into single terms; its
+    value is interned like any other, so states and answers are those of the
+    kernel path.  The engine also pays once for its fixed work: every
+    evaluation starts from one interned unit ideal, and the digit powers f^d
+    and the final carry come from one power table.
     """
 
     __slots__ = ("f", "ring", "_fpow", "_states", "_steps", "_start", "_radical")
@@ -127,40 +126,40 @@ class FrobeniusRootEngine:
         return self._states.setdefault(J, J)
 
     def _step(self, state: Ideal, digit: int) -> Ideal:
-        key = (state, digit)
-        out = self._steps.get(key)
-        if out is None:
-            basis = state.basis()
-            fd = self._f_power(digit)
-            if all(len(g._packed) == 1 for g in basis):
-                out = self._monomial_step(basis, fd)
-            else:
-                gens = _root_generators([fd * g for g in basis], self.ring.prime)
-                out = self._intern(Ideal(self.ring, gens))
-            self._steps[key] = out
-        return out
+        """root_1(f^d * J), memoized per (J, d).
 
-    def _monomial_step(self, basis, fd: Polynomial) -> Ideal:
-        """root_1(f^d * J) for J generated by the monic monomials of basis.
-
-        x^a * f^d is f^d with each packed monomial b moved to a + b, so no
-        product is formed, and each one is split once.  When every residue
-        class of every product holds one monomial, every split term is a
+        Each product f^d * g is split once into its residue classes.  When g
+        is a monomial x^a the product is f^d with each packed monomial b
+        moved to a + b, so no multiplication is formed.  When every g is a
+        monomial and no residue class holds two terms, every split term is a
         single term, and the root is the monomial ideal of the quotients,
         formed without the kernel: (1) when one of them is the monomial 1,
         else the ideal of their minimal set.  Otherwise the split terms go
-        to the kernel, as in the general step.
+        to the kernel.
         """
-        ring, p = self.ring, self.ring.prime
-        fterms = fd._packed
-        splits = [_split(ring, {g._lead() + b: c for b, c in fterms.items()}, p) for g in basis]
-        if any(len(s) < len(fterms) for s in splits):
-            terms = (Polynomial._from_packed(ring, t) for s in splits for t in s.values())
-            return self._intern(Ideal(ring, tuple(dict.fromkeys(terms))))
-        quotients = [quo for s in splits for t in s.values() for quo in t]
-        if 0 in quotients:
-            return self._start
-        return self._intern(Ideal.monomial(ring, quotients))
+        key = (state, digit)
+        out = self._steps.get(key)
+        if out is None:
+            ring, p = self.ring, self.ring.prime
+            basis = state.basis()
+            fd = self._f_power(digit)
+            fterms = fd._packed
+            monomial = all(len(g._packed) == 1 for g in basis)
+            if monomial:
+                if basis and fterms:  # the degree guard of Polynomial.__mul__, once for all shifts
+                    ring._check_degree((max(g._lead() for g in basis) >> ring._top) + fd.total_degree())
+                products = [{g._lead() + b: c for b, c in fterms.items()} for g in basis]
+            else:
+                products = [(fd * g)._packed for g in basis]
+            splits = [_split(ring, terms, p) for terms in products]
+            if monomial and all(len(s) == len(fterms) for s in splits):
+                quotients = [quo for s in splits for t in s.values() for quo in t]
+                out = self._start if 0 in quotients else self._intern(Ideal.monomial(ring, quotients))
+            else:
+                terms = (Polynomial._from_packed(ring, t) for s in splits for t in s.values())
+                out = self._intern(Ideal(ring, tuple(dict.fromkeys(terms))))
+            self._steps[key] = out
+        return out
 
     def root_power(self, N: int, e: int) -> Ideal:
         """root_e of the ideal (f^N): frobenius_root_ideal of the expanded

@@ -6,6 +6,7 @@ import pytest
 from fptkit import (
     DomainError,
     Ideal,
+    InfeasibleError,
     PolyRing,
     Polynomial,
     TestIdealComputer,
@@ -145,6 +146,16 @@ class TestRootPower:
         assert a == ideal_of(ring5, "x") and a is b
         assert set(engine._states) == {Ideal.unit(ring5), a}
         assert all(state is J for J, state in engine._states.items())
+
+    def test_degree_past_the_packed_limit(self):
+        # the monomial states of root_31(x^((2^30+1)(2^31-1))) over F_2 are
+        # x^(2^30 - 2^(30-k)); at the last step x^(2^30-1) * x^(2^30+1) has
+        # degree 2^31, past the limit, which must raise, not wrap to (1)
+        ring = PolyRing(2, ["x"])
+        engine = FrobeniusRootEngine(power(ring.variable("x"), 2**30 + 1))
+        assert engine.root_power(2**30 - 1, 30) == Ideal(ring, (power(ring.variable("x"), 2**30 - 1),))
+        with pytest.raises(InfeasibleError):
+            engine.root_power(2**31 - 1, 31)
 
     def test_engine_reuse_matches_fresh(self, ring5, quartic5):
         engine = FrobeniusRootEngine(quartic5)
