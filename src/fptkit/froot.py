@@ -4,9 +4,9 @@ frobenius_root_ideal(J, e) is the smallest ideal b with J in b^[p^e].  Over
 F_p it is read off the generators directly: split every exponent vector of
 each generator into its residue mu and quotient modulo p^e, and collect the
 quotient polynomials, one per residue (coefficient roots are trivial because
-Frobenius fixes F_p).  _split is the one rule that sorts packed terms into
-residue classes: _root_generators applies it to a set of generators, and
-each digit step of the engine below to the products f^d * g with q = p.
+Frobenius fixes F_p).  _root is that one rule, on packed term dicts:
+frobenius_root_ideal applies it to the generators of J, and each digit step
+of the engine below to the products f^d * g with q = p.
 
 FrobeniusRootEngine(f).root_power(N, e) evaluates root_e(f^N) without ever
 expanding f^N.  It peels one base-p digit of N per level, starting from J = (1):
@@ -19,12 +19,12 @@ consumed least-significant first, intermediate ideals are canonicalized at
 every level, and no power beyond f^(p-1) times current generators is ever
 expanded, so N may vastly exceed p^e.
 
-Most states are monomial ideals.  A transition from one forms no product,
-because x^a * f^d is f^d shifted by a on packed ints, and it needs no
-Groebner basis when each shifted copy splits into single terms: its value
-is then (1) or the monomial ideal of their quotients, which is its own
-reduced basis.  Every other transition reduces the split terms in the
-kernel.
+When every split term is a single term, whatever the generators, the root
+is (1) or the monomial ideal of the quotients, which is its own reduced
+basis, so no Groebner basis is formed; every other root reduces its split
+terms in the kernel.  Most states are monomial ideals, and a product
+x^a * f^d is f^d shifted by a on packed ints, so a step from one forms no
+polynomial product either.
 
 A FrobeniusRootEngine holds the digit-transition cache for one f, its
 interned start state (1) and its table of powers f^d; the TestIdealComputer
@@ -65,24 +65,24 @@ def _split(ring, terms: dict, q: int) -> dict:
     return buckets
 
 
-def _split_terms(f: Polynomial, q: int) -> list[Polynomial]:
-    """Coordinates of f in the monomial basis of R over R^q, q = p^e: one
-    polynomial of quotients per residue class."""
-    ring = f.ring
-    return [Polynomial._from_packed(ring, t) for t in _split(ring, f._packed, q).values()]
-
-
-def _root_generators(polys, q: int) -> tuple[Polynomial, ...]:
-    """The distinct split terms of polys: generators of the root of the
-    ideal they generate, q = p^e."""
-    return tuple(dict.fromkeys(t for g in polys for t in _split_terms(g, q)))
+def _root(ring, products, q: int) -> Ideal:
+    """The root, q = p^e, of the ideal of the polynomials with these packed
+    term dicts: the ideal of their split terms.  When every split term is a
+    single term it is the monomial ideal of the quotients, formed without
+    the kernel, and (1) at once when one quotient is 1; otherwise the
+    distinct split terms go to the kernel."""
+    splits = [t for terms in products for t in _split(ring, terms, q).values()]
+    quotients = [quo for t in splits for quo in t]
+    if len(quotients) > len(splits):  # some split term has two terms
+        return Ideal(ring, tuple(dict.fromkeys(Polynomial._from_packed(ring, t) for t in splits)))
+    return Ideal.monomial(ring, (0,) if 0 in quotients else quotients)
 
 
 def frobenius_root_ideal(J: Ideal, e: int) -> Ideal:
     """Smallest ideal b with J contained in b^[p^e]; generator-wise sum."""
     if e < 1:
         raise DomainError("frobenius_root_ideal requires e >= 1")
-    return Ideal(J.ring, _root_generators(J.generators, J.ring.prime**e))
+    return _root(J.ring, [g._packed for g in J.generators], J.ring.prime**e)
 
 
 class FrobeniusRootEngine:
@@ -92,12 +92,12 @@ class FrobeniusRootEngine:
     may be memoized keyed by the canonical (reduced Groebner) form of J.
     The searches in testideal evaluate many parameters for a fixed f, and
     their digit recursions keep re-entering the same few states, so most
-    steps are cache hits.  A miss from a monomial state is computed on packed
-    ints, without the kernel when its products split into single terms; its
-    value is interned like any other, so states and answers are those of the
-    kernel path.  The engine also pays once for its fixed work: every
-    evaluation starts from one interned unit ideal, and the digit powers f^d
-    and the final carry come from one power table.
+    steps are cache hits.  A miss is _root of the products f^d * g over the
+    state's basis, which _products forms without multiplying when g is a
+    monomial; its value is interned, so equal states are one object.  The
+    engine also pays once for its fixed work: every evaluation starts from
+    one interned unit ideal, and the digit powers f^d and the final carry
+    come from one power table.
     """
 
     __slots__ = ("f", "ring", "_fpow", "_states", "_steps", "_start", "_radical")
@@ -125,39 +125,26 @@ class FrobeniusRootEngine:
     def _intern(self, J: Ideal) -> Ideal:
         return self._states.setdefault(J, J)
 
-    def _step(self, state: Ideal, digit: int) -> Ideal:
-        """root_1(f^d * J), memoized per (J, d).
+    def _products(self, state: Ideal, d: int) -> list[dict]:
+        """The packed terms of f^d * g for each g in the reduced basis of
+        state.  A monomial g = x^a moves each packed monomial b of f^d to
+        a + b, so no multiplication is formed; any other g is multiplied."""
+        ring, basis, fd = self.ring, state.basis(), self._f_power(d)
+        fterms = fd._packed
+        if basis and fterms:  # the degree guard of Polynomial.__mul__, once for all g
+            ring._check_degree((max(g._lead() for g in basis) >> ring._top) + fd.total_degree())
+        return [
+            (fd * g)._packed if len(g._packed) > 1
+            else {g._lead() + b: c for b, c in fterms.items()}
+            for g in basis
+        ]
 
-        Each product f^d * g is split once into its residue classes.  When g
-        is a monomial x^a the product is f^d with each packed monomial b
-        moved to a + b, so no multiplication is formed.  When every g is a
-        monomial and no residue class holds two terms, every split term is a
-        single term, and the root is the monomial ideal of the quotients,
-        formed without the kernel: (1) when one of them is the monomial 1,
-        else the ideal of their minimal set.  Otherwise the split terms go
-        to the kernel.
-        """
+    def _step(self, state: Ideal, digit: int) -> Ideal:
+        """root_1(f^d * J), memoized per (J, d): _root of the products."""
         key = (state, digit)
         out = self._steps.get(key)
         if out is None:
-            ring, p = self.ring, self.ring.prime
-            basis = state.basis()
-            fd = self._f_power(digit)
-            fterms = fd._packed
-            monomial = all(len(g._packed) == 1 for g in basis)
-            if monomial:
-                if basis and fterms:  # the degree guard of Polynomial.__mul__, once for all shifts
-                    ring._check_degree((max(g._lead() for g in basis) >> ring._top) + fd.total_degree())
-                products = [{g._lead() + b: c for b, c in fterms.items()} for g in basis]
-            else:
-                products = [(fd * g)._packed for g in basis]
-            splits = [_split(ring, terms, p) for terms in products]
-            if monomial and all(len(s) == len(fterms) for s in splits):
-                quotients = [quo for s in splits for t in s.values() for quo in t]
-                out = self._start if 0 in quotients else self._intern(Ideal.monomial(ring, quotients))
-            else:
-                terms = (Polynomial._from_packed(ring, t) for s in splits for t in s.values())
-                out = self._intern(Ideal(ring, tuple(dict.fromkeys(terms))))
+            out = self._intern(_root(self.ring, self._products(state, digit), self.ring.prime))
             self._steps[key] = out
         return out
 
@@ -173,8 +160,9 @@ class FrobeniusRootEngine:
             state = self._step(state, d)
         if N == 0:
             return state
-        fN = self._f_power(N)
-        return self._intern(Ideal(self.ring, tuple(fN * g for g in state.basis())))
+        ring = self.ring
+        carry = (Polynomial._from_packed(ring, t) for t in self._products(state, N))
+        return self._intern(Ideal(ring, tuple(carry)))
 
     def in_radical(self, b: Ideal) -> bool:
         """Whether f lies in sqrt(b); each b certified to hold f is remembered."""

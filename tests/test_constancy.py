@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -23,6 +24,7 @@ from fptkit import (
     threshold_ideal_consistency,
 )
 
+from fptkit import groebner
 from fptkit.constancy import _equal_mod_m_power
 
 from conftest import random_poly
@@ -371,6 +373,24 @@ class TestThresholdIdealConsistency:
     def test_perturbed(self, ring5, quartic5):
         g = quartic5 + ring5.monomial((9, 0))
         assert threshold_ideal_consistency(quartic5, g, F(7, 12), 6)
+
+    def test_each_engine_certifies_the_radical_once(self, monkeypatch, ring5, quartic5):
+        # the radical checks are asked of each computer's engine, and
+        # f_threshold reuses its certificate; tau(f^(7/12)) = tau(g^(7/12))
+        # here, so one check per engine.  Every binding of radical_member in
+        # the package is spied, so a direct call is counted too.
+        real, runs = groebner.radical_member, []
+
+        def counted(*args):
+            runs.append(args)
+            return real(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "fptkit" and getattr(module, "radical_member", None) is real:
+                monkeypatch.setattr(module, "radical_member", counted)
+        g = quartic5 + ring5.monomial((9, 0))
+        assert threshold_ideal_consistency(quartic5, g, F(7, 12), 6)
+        assert len(runs) == 2
 
     def test_vacuous_instance(self, ring5):
         x = ring5.variable("x")

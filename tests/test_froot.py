@@ -18,9 +18,10 @@ from fptkit import (
     parse_polynomial,
     power,
 )
-from fptkit.froot import FrobeniusRootEngine, _root_generators, _split
+from fptkit.froot import FrobeniusRootEngine
 
 from conftest import random_poly
+from root_oracle import root_generators, split_terms
 
 
 def ideal_of(ring, *texts):
@@ -163,20 +164,27 @@ class TestRootPower:
             assert engine.root_power(n, e) == FrobeniusRootEngine(quartic5).root_power(n, e)
 
 
+def count_buchberger(monkeypatch) -> list:
+    """A list that gains one entry per run of groebner._buchberger."""
+    buchberger = groebner._buchberger
+    runs = []
+
+    def counted(gens):
+        runs.append(None)
+        return buchberger(gens)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    return runs
+
+
 class TestMonomialStep:
-    """A transition from a monomial state against the Groebner path."""
+    """Roots against the root oracle on exponent tuples, and the kernel
+    runs they make."""
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
     def test_matches_groebner_path(self, monkeypatch, p, n):
-        buchberger = groebner._buchberger
-        runs = []
-
-        def counted(gens):
-            runs.append(None)
-            return buchberger(gens)
-
-        monkeypatch.setattr(groebner, "_buchberger", counted)
+        runs = count_buchberger(monkeypatch)
         ring = PolyRing(p, ["x", "y", "z"][:n])
         rng = random.Random(f"{p}/{n}")
         x = ring.variable(0)
@@ -198,7 +206,7 @@ class TestMonomialStep:
             for J in distinct:
                 for d in range(p):
                     fd = engine._f_power(d)
-                    expected = Ideal(ring, _root_generators([fd * g for g in J.basis()], p))
+                    expected = Ideal(ring, root_generators([fd * g for g in J.basis()], p))
                     expected.basis()
                     before = len(runs)
                     got = engine._step(J, d)
@@ -207,7 +215,7 @@ class TestMonomialStep:
                     # a + b and a + b' share a residue class exactly when b
                     # and b' do, so the kernel runs once exactly when two
                     # monomials of f^d share one
-                    shared = len(_split(ring, fd._packed, p)) < len(fd._packed)
+                    shared = len(split_terms(fd, p)) < fd.term_count()
                     assert len(runs) - before == shared
                     if shared:
                         outcomes.add("kernel")
@@ -215,6 +223,37 @@ class TestMonomialStep:
                         outcomes.add("unit" if got is engine._start else "monomial")
             assert all(state is J for J, state in engine._states.items())
         assert outcomes == {"unit", "monomial", "kernel"}
+
+    def test_single_terms_from_a_non_monomial_state(self, monkeypatch, ring5):
+        # x^d * (x^6 + y^7) puts its two terms in distinct residue classes
+        # mod 5, so the root is a monomial ideal although the state is not
+        engine = FrobeniusRootEngine(ring5.variable("x"))
+        J = engine._intern(ideal_of(ring5, "x^6 + y^7"))
+        runs = count_buchberger(monkeypatch)
+        roots = [engine._step(J, d) for d in range(5)]
+        assert runs == []
+        for d, (got, x_power) in enumerate(zip(roots, ["x", "x", "x", "x", "x^2"])):
+            fd = engine._f_power(d)
+            expected = Ideal(ring5, root_generators([fd * g for g in J.basis()], 5))
+            assert got == expected == ideal_of(ring5, x_power, "y"), d
+            assert got is engine._states[expected]
+
+    def test_root_of_single_terms_forms_no_basis(self, monkeypatch, ring5):
+        runs = count_buchberger(monkeypatch)
+        root = frobenius_root_ideal(ideal_of(ring5, "x^5 + y^7"), 1)
+        assert [str(g) for g in root.basis()] == ["y", "x"]
+        assert runs == []
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_root_ideal_matches_oracle(self, p):
+        rng = random.Random(p)
+        for names in (["x", "y"], ["x", "y", "z"]):
+            ring = PolyRing(p, names)
+            for _ in range(15):
+                gens = [random_poly(rng, ring, 12, 4) for _ in range(rng.randint(1, 3))]
+                for e in (1, 2):
+                    expected = Ideal(ring, root_generators(gens, p**e))
+                    assert frobenius_root_ideal(Ideal(ring, gens), e) == expected, (gens, e)
 
 
 class TestEngineFixedWork:

@@ -24,13 +24,13 @@ from fptkit import (
     power,
 )
 from fptkit import groebner
-from fptkit.froot import _split_terms
 from fptkit.groebner import _extend_ring, _lift, _reduce_full, _spoly, radical_member
 
 from conftest import random_poly
 from groebner_oracle import _add_multiple as oracle_add_multiple
 from groebner_oracle import _spoly as oracle_spoly
 from groebner_oracle import grevlex_key, oracle_basis
+from root_oracle import split_terms
 
 
 def ideal_of(ring, *texts):
@@ -348,7 +348,7 @@ class TestPairUpdate:
                 lead = f.leading_monomial()
                 cases = [
                     m_k + J,  # what local_ideal_equal compares
-                    _split_terms(power(f, p - 1) * g, p),  # a digit step's root
+                    split_terms(power(f, p - 1) * g, p),  # a digit step's root
                     J + J,  # duplicate generators
                     [f, f + ring.one()],  # equal leading monomials
                     [f, f * ring.variable(0) + g],  # lm(f) divides the other's

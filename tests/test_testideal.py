@@ -29,6 +29,9 @@ from fptkit import (
     stabilization_exponent,
 )
 
+from fptkit import testideal
+from fptkit.basep import candidates_left_open
+
 import narrowing_oracle
 import walk_oracle
 from conftest import random_poly
@@ -407,6 +410,43 @@ class TestLeastParameter:
         report = jumping_numbers_unit_interval(quartic5, 6)
         assert report.jumping_numbers == (0, F(7, 12), F(4, 5), F(11, 12))
         assert [asked.count(lam) for lam in report.jumping_numbers[1:]] == [1, 1, 1]
+
+
+class TestVerifyChecks:
+    FPT_CHECK = "interval-narrowed fpt matches the candidate walk"
+
+    @pytest.mark.parametrize(
+        "p, text, bound",
+        [
+            (5, "x^4 + y^3 + x^2*y^2", 6),
+            (7, "x^2 + y^3", 2),
+            (3, "x^2 + y^3", None),
+            (2, "x^2 + y^3", None),
+            (7, "x^3 + y^3", 4),
+            (5, "x^2 + y^5", None),
+        ],
+    )
+    def test_fpt_check_catches_a_search_fault(self, monkeypatch, p, text, bound):
+        # a least_parameter that answers the next candidate above each true
+        # answer, with its ideal: the walk's fpt is then too large, and a
+        # rerun of the faulty search agrees with it, but the certificate at
+        # the fpt does not hold
+        f = parse_polynomial(text, PolyRing(p, ["x", "y"]))
+        true_fpt = TestIdealComputer(f, bound).fpt()
+        least = testideal.least_parameter
+
+        def next_candidate(computer, predicate, lo, hi):
+            found = least(computer, predicate, lo, hi)
+            if found is None or found[0] == hi:
+                return found
+            lam = candidates_left_open(computer.p, computer.bound, found[0], hi)[0]
+            return lam, computer.ideal_at(lam)
+
+        assert dict(jumping_numbers_unit_interval(f, bound).checks())[self.FPT_CHECK]
+        monkeypatch.setattr(testideal, "least_parameter", next_candidate)
+        report = jumping_numbers_unit_interval(f, bound)
+        assert report.fpt > true_fpt and report.computer.fpt() == report.fpt
+        assert not dict(report.checks())[self.FPT_CHECK]
 
 
 class TestGridNarrowing:
