@@ -97,12 +97,16 @@ def local_ideal_equal(J: Ideal, K: Ideal, ell: int) -> bool:
     Valid when both localizations contain m^(ell+1); the comparison adds
     m^(ell+2) to both sides and re-checks one exponent higher.  Divergent
     answers mean the containment precondition fails, and raise instead of
-    guessing.
+    guessing.  Equal reduced bases stay equal after adding any m^k, so
+    J == K answers True at once: both comparisons would, and no m^k is
+    formed.
     """
     if J.ring != K.ring:
         raise DomainError("ideal ring mismatch")
     if ell < 0:
         raise DomainError("ell must be >= 0")
+    if J == K:
+        return True
     first = _equal_mod_m_power(J, K, ell + 2)
     second = _equal_mod_m_power(J, K, ell + 3)
     if first != second:

@@ -19,18 +19,26 @@ consumed least-significant first, intermediate ideals are canonicalized at
 every level, and no power beyond f^(p-1) times current generators is ever
 expanded, so N may vastly exceed p^e.
 
-When every split term is a single term, whatever the generators, the root
-is (1) or the monomial ideal of the quotients, which is its own reduced
-basis, so no Groebner basis is formed; every other root reduces its split
-terms in the kernel.  Most states are monomial ideals, and a product
-x^a * f^d is f^d shifted by a on packed ints, so a step from one forms no
-polynomial product either.
+The single split terms generate a monomial ideal, and _root first cuts
+from every longer split term each term that one of their quotients
+divides, because that term already lies in the root; a split term cut to
+one term cuts the others in turn.  When no longer split term is left,
+whatever the generators, the root is (1) or the monomial ideal of the
+quotients, which is its own reduced basis, so no Groebner basis is
+formed; only split terms the cut leaves with two or more terms reach the
+kernel, together with the monomials.  Most states are monomial ideals, and
+a product x^a * f^d is f^d shifted by a on packed ints, so a step from one
+forms no polynomial product either.
 
-A FrobeniusRootEngine holds the digit-transition cache for one f, its
-interned start state (1) and its table of powers f^d; the TestIdealComputer
-of a query owns one, so every evaluation of that query shares them.  The
-nu invariants are a question asked of the engine too (engine.nu(b, e)), and
-so is whether f lies in sqrt(b) (engine.in_radical(b)).
+A FrobeniusRootEngine holds the digit-transition table for one f: each
+interned state has an index and a row, which maps each digit already
+stepped to the index of the next state.  A row holds only the steps taken,
+not p slots, so a large p costs no memory per state.  The start state (1)
+has index 0, and the engine also keeps its table of powers f^d; the
+TestIdealComputer of a query owns one, so every evaluation of that query
+shares them.  The nu invariants are a question asked of the engine too
+(engine.nu(b, e)), and so is whether f lies in sqrt(b)
+(engine.in_radical(b)).
 """
 
 from __future__ import annotations
@@ -67,15 +75,32 @@ def _split(ring, terms: dict, q: int) -> dict:
 
 def _root(ring, products, q: int) -> Ideal:
     """The root, q = p^e, of the ideal of the polynomials with these packed
-    term dicts: the ideal of their split terms.  When every split term is a
-    single term it is the monomial ideal of the quotients, formed without
-    the kernel, and (1) at once when one quotient is 1; otherwise the
-    distinct split terms go to the kernel."""
+    term dicts: the ideal of their split terms.
+
+    The quotients of the single split terms generate a monomial ideal, and
+    every term of a longer split term that one of them divides lies in it,
+    so the cut drops that term.  A split term cut to one term joins the
+    monomials and cuts the others in turn, and one cut to nothing is gone.
+    When no longer split term is left, the root is the monomial ideal of
+    the quotients, formed without the kernel (and (1) at once when one
+    quotient is 1); otherwise the monomials and the cut split terms go to
+    the kernel.
+    """
     splits = [t for terms in products for t in _split(ring, terms, q).values()]
-    quotients = [quo for t in splits for quo in t]
-    if len(quotients) > len(splits):  # some split term has two terms
-        return Ideal(ring, tuple(dict.fromkeys(Polynomial._from_packed(ring, t) for t in splits)))
-    return Ideal.monomial(ring, (0,) if 0 in quotients else quotients)
+    monos = {quo for t in splits if len(t) == 1 for quo in t}
+    rest = [t for t in splits if len(t) > 1]
+    divides, new = ring.divides, monos
+    while rest and new:
+        # each kept term was checked against the older monomials already
+        cut = [{m: c for m, c in t.items() if not any(divides(u, m) for u in new)} for t in rest]
+        new = {m for t in cut if len(t) == 1 for m in t}
+        monos |= new
+        rest = [t for t in cut if len(t) > 1]
+    if not rest:
+        return Ideal.monomial(ring, (0,) if 0 in monos else monos)
+    gens = [Polynomial._from_packed(ring, {m: 1}) for m in monos]
+    gens.extend(dict.fromkeys(Polynomial._from_packed(ring, t) for t in rest))
+    return Ideal(ring, tuple(gens))
 
 
 def frobenius_root_ideal(J: Ideal, e: int) -> Ideal:
@@ -89,26 +114,29 @@ class FrobeniusRootEngine:
     """Evaluates root_e(f^N) with a per-f digit-transition cache.
 
     The map J -> root_1(f^d * J) is well defined on ideals, so its values
-    may be memoized keyed by the canonical (reduced Groebner) form of J.
+    may be memoized once equal ideals are one state.  _intern gives each
+    canonical (reduced Groebner) form an index, the only place an Ideal is
+    hashed, and the transition J -> root_1(f^d * J) is entry d of J's row.
     The searches in testideal evaluate many parameters for a fixed f, and
     their digit recursions keep re-entering the same few states, so most
-    steps are cache hits.  A miss is _root of the products f^d * g over the
-    state's basis, which _products forms without multiplying when g is a
-    monomial; its value is interned, so equal states are one object.  The
-    engine also pays once for its fixed work: every evaluation starts from
-    one interned unit ideal, and the digit powers f^d and the final carry
-    come from one power table.
+    steps are hits: two lookups on ints.  A miss is _root of the products
+    f^d * g over the state's basis, which _products forms without
+    multiplying when g is a monomial.  The engine also pays once for its
+    fixed work: every evaluation starts from state 0, the interned unit
+    ideal, and the digit powers f^d and the final carry come from one power
+    table.
     """
 
-    __slots__ = ("f", "ring", "_fpow", "_states", "_steps", "_start", "_radical")
+    __slots__ = ("f", "ring", "_fpow", "_states", "_ideals", "_rows", "_radical")
 
     def __init__(self, f: Polynomial):
         self.f = f
         self.ring = f.ring
         self._fpow: dict[int, Polynomial] = {0: f.ring.one(), 1: f}
-        self._states: dict = {}
-        self._steps: dict = {}
-        self._start = self._intern(Ideal.unit(self.ring))
+        self._states: dict[Ideal, int] = {}  # each interned state -> its index
+        self._ideals: list[Ideal] = []  # index -> interned state
+        self._rows: list[dict[int, int]] = []  # index -> {digit: next index}
+        self._intern(Ideal.unit(self.ring))  # the start state (1) has index 0
         self._radical: set[Ideal] = set()  # each b already certified to hold f in sqrt(b)
 
     def _f_power(self, d: int) -> Polynomial:
@@ -122,8 +150,13 @@ class FrobeniusRootEngine:
             self._fpow[d] = g
         return g
 
-    def _intern(self, J: Ideal) -> Ideal:
-        return self._states.setdefault(J, J)
+    def _intern(self, J: Ideal) -> int:
+        """The index of J's interned state; a new state gets an empty row."""
+        i = self._states.setdefault(J, len(self._ideals))
+        if i == len(self._ideals):
+            self._ideals.append(J)
+            self._rows.append({})
+        return i
 
     def _products(self, state: Ideal, d: int) -> list[dict]:
         """The packed terms of f^d * g for each g in the reduced basis of
@@ -139,30 +172,31 @@ class FrobeniusRootEngine:
             for g in basis
         ]
 
-    def _step(self, state: Ideal, digit: int) -> Ideal:
-        """root_1(f^d * J), memoized per (J, d): _root of the products."""
-        key = (state, digit)
-        out = self._steps.get(key)
-        if out is None:
-            out = self._intern(_root(self.ring, self._products(state, digit), self.ring.prime))
-            self._steps[key] = out
-        return out
+    def _step(self, i: int, digit: int) -> int:
+        """The index of root_1(f^d * J) for the state J of index i: _root of
+        the products, stored under d in J's row.  root_power calls it only
+        while the row has no d."""
+        products = self._products(self._ideals[i], digit)
+        j = self._rows[i][digit] = self._intern(_root(self.ring, products, self.ring.prime))
+        return j
 
     def root_power(self, N: int, e: int) -> Ideal:
         """root_e of the ideal (f^N): frobenius_root_ideal of the expanded
-        f^N, computed in e digit steps however large N is."""
+        f^N, computed in e digit steps however large N is.  A step taken
+        before is two lookups on a state index and a digit."""
         if N < 0 or e < 0:
             raise DomainError("root_power requires N >= 0 and e >= 0")
-        state = self._start
-        p = self.ring.prime
+        i, p, rows = 0, self.ring.prime, self._rows
         for _ in range(e):
             N, d = divmod(N, p)
-            state = self._step(state, d)
+            j = rows[i].get(d)
+            i = self._step(i, d) if j is None else j
+        state = self._ideals[i]
         if N == 0:
             return state
         ring = self.ring
         carry = (Polynomial._from_packed(ring, t) for t in self._products(state, N))
-        return self._intern(Ideal(ring, tuple(carry)))
+        return self._ideals[self._intern(Ideal(ring, tuple(carry)))]
 
     def in_radical(self, b: Ideal) -> bool:
         """Whether f lies in sqrt(b); each b certified to hold f is remembered."""

@@ -142,8 +142,10 @@ def _front_end(gens) -> list[Polynomial]:
 def _buchberger(gens) -> list[Polynomial]:
     """Buchberger with the Gebauer-Moeller pair update and normal selection.
 
-    The generators first pass ``_front_end``; when every row it returns is
-    a single term they generate a monomial ideal, whose minimal generators
+    The generators first pass ``_front_end``.  One row is returned at once:
+    a monic polynomial is the reduced basis of its principal ideal, because
+    every other term lies below its leading monomial.  When every row is a
+    single term they generate a monomial ideal, whose minimal generators
     are its reduced basis, and no pair is formed.  A row cut to one term can
     divide a monomial row, so that case still minimalizes: (x^3 + y^5, y^4,
     x^4) gives (x^3, y^4).  Otherwise the rows, smallest leading monomial
@@ -161,6 +163,8 @@ def _buchberger(gens) -> list[Polynomial]:
     first.
     """
     rows = _front_end(gens)
+    if len(rows) <= 1:
+        return rows
     if all(len(g._packed) == 1 for g in rows):
         return _minimal(rows)
     ring = rows[0].ring

@@ -24,7 +24,7 @@ from fptkit import (
     threshold_ideal_consistency,
 )
 
-from fptkit import groebner
+from fptkit import constancy, groebner
 from fptkit.constancy import _equal_mod_m_power
 
 from conftest import random_poly
@@ -173,6 +173,17 @@ class TestLocalIdealEqual:
         with pytest.raises(StabilityError):
             local_ideal_equal(ideal_of(ring5, "x"), ideal_of(ring5, "x + y^3"), 1)
 
+    def test_equal_ideals_form_no_maximal_ideal_power(self, monkeypatch, ring5):
+        # equal reduced bases stay equal after adding any m^k
+        formed = []
+        monkeypatch.setattr(
+            constancy, "maximal_ideal_power", lambda *args: formed.append(args)
+        )
+        J = ideal_of(ring5, "x + y^2", "y^3")
+        assert local_ideal_equal(J, J, 2)
+        assert local_ideal_equal(J, ideal_of(ring5, "x + y^2", "y^3 + x*y^2 + y^4"), 4)
+        assert formed == []
+
     def test_equivalence_on_valid_inputs(self, ring5):
         a = ideal_of(ring5, "x", "y")
         b = ideal_of(ring5, "x + x^2", "y + x*y")
@@ -292,6 +303,19 @@ class TestConstancyReport:
             assert r.fpt_gap <= r.gap_bound
             assert not r.theorem_violation
             assert r.gap_bound == F(2, r.exponent)
+
+    def test_kernel_runs(self, monkeypatch, cusp7):
+        # 97 runs and 24 powers m^k before the monomial cut and the equality exit
+        buchberger, runs = groebner._buchberger, []
+
+        def counted(gens):
+            runs.append(None)
+            return buchberger(gens)
+
+        monkeypatch.setattr(groebner, "_buchberger", counted)
+        report = constancy_report(cusp7, [5, 6], 2, seed=3)
+        assert len(report.records) == 4
+        assert len(runs) == 36
 
     def test_zero_gap_implies_flags(self, cusp7):
         report = constancy_report(cusp7, [6], 3, seed=7)

@@ -18,7 +18,7 @@ from fptkit import (
     parse_polynomial,
     power,
 )
-from fptkit.froot import FrobeniusRootEngine
+from fptkit.froot import FrobeniusRootEngine, _root
 
 from conftest import random_poly
 from root_oracle import root_generators, split_terms
@@ -146,7 +146,7 @@ class TestRootPower:
         a, b = engine.root_power(30, 2), engine.root_power(35, 2)
         assert a == ideal_of(ring5, "x") and a is b
         assert set(engine._states) == {Ideal.unit(ring5), a}
-        assert all(state is J for J, state in engine._states.items())
+        assert all(state is J for J, state in interned_states(engine))
 
     def test_degree_past_the_packed_limit(self):
         # the monomial states of root_31(x^((2^30+1)(2^31-1))) over F_2 are
@@ -162,6 +162,27 @@ class TestRootPower:
         engine = FrobeniusRootEngine(quartic5)
         for n, e in [(7, 1), (30, 2), (100, 3), (624, 4)]:
             assert engine.root_power(n, e) == FrobeniusRootEngine(quartic5).root_power(n, e)
+
+
+def interned_states(engine):
+    """(J, the engine's interned state equal to J) for each key J of its
+    state table."""
+    return [(J, engine._ideals[i]) for J, i in engine._states.items()]
+
+
+def interned(engine, J):
+    """The engine's interned state equal to J, added if new."""
+    return engine._ideals[engine._intern(J)]
+
+
+def state_for(engine, J):
+    """The engine's interned state equal to J; KeyError if it has none."""
+    return engine._ideals[engine._states[J]]
+
+
+def step_of(engine, J, d):
+    """The interned state root_1(f^d * J) for an interned state J."""
+    return engine._ideals[engine._step(engine._states[J], d)]
 
 
 def count_buchberger(monkeypatch) -> list:
@@ -200,7 +221,7 @@ class TestMonomialStep:
         for f in polys:
             engine = FrobeniusRootEngine(f)
             distinct = dict.fromkeys(
-                engine._intern(Ideal(ring, [ring.monomial(a) for a in exponents] or [ring.one()]))
+                interned(engine, Ideal(ring, [ring.monomial(a) for a in exponents] or [ring.one()]))
                 for exponents in states
             )
             for J in distinct:
@@ -209,34 +230,35 @@ class TestMonomialStep:
                     expected = Ideal(ring, root_generators([fd * g for g in J.basis()], p))
                     expected.basis()
                     before = len(runs)
-                    got = engine._step(J, d)
+                    got = step_of(engine, J, d)
                     assert got == expected, (str(f), str(J), d)
-                    assert got is engine._states[expected]
+                    assert got is state_for(engine, expected)
                     # a + b and a + b' share a residue class exactly when b
-                    # and b' do, so the kernel runs once exactly when two
-                    # monomials of f^d share one
+                    # and b' do, so the kernel can run only when two
+                    # monomials of f^d share one; on these cases the
+                    # monomial cut never settles such a step
                     shared = len(split_terms(fd, p)) < fd.term_count()
                     assert len(runs) - before == shared
                     if shared:
                         outcomes.add("kernel")
                     else:
-                        outcomes.add("unit" if got is engine._start else "monomial")
-            assert all(state is J for J, state in engine._states.items())
+                        outcomes.add("unit" if got is state_for(engine, Ideal.unit(ring)) else "monomial")
+            assert all(state is J for J, state in interned_states(engine))
         assert outcomes == {"unit", "monomial", "kernel"}
 
     def test_single_terms_from_a_non_monomial_state(self, monkeypatch, ring5):
         # x^d * (x^6 + y^7) puts its two terms in distinct residue classes
         # mod 5, so the root is a monomial ideal although the state is not
         engine = FrobeniusRootEngine(ring5.variable("x"))
-        J = engine._intern(ideal_of(ring5, "x^6 + y^7"))
+        J = interned(engine, ideal_of(ring5, "x^6 + y^7"))
         runs = count_buchberger(monkeypatch)
-        roots = [engine._step(J, d) for d in range(5)]
+        roots = [step_of(engine, J, d) for d in range(5)]
         assert runs == []
         for d, (got, x_power) in enumerate(zip(roots, ["x", "x", "x", "x", "x^2"])):
             fd = engine._f_power(d)
             expected = Ideal(ring5, root_generators([fd * g for g in J.basis()], 5))
             assert got == expected == ideal_of(ring5, x_power, "y"), d
-            assert got is engine._states[expected]
+            assert got is state_for(engine, expected)
 
     def test_root_of_single_terms_forms_no_basis(self, monkeypatch, ring5):
         runs = count_buchberger(monkeypatch)
@@ -254,6 +276,76 @@ class TestMonomialStep:
                 for e in (1, 2):
                     expected = Ideal(ring, root_generators(gens, p**e))
                     assert frobenius_root_ideal(Ideal(ring, gens), e) == expected, (gens, e)
+
+
+class TestMonomialCut:
+    """_root drops each term of a longer split term that a single split
+    term's quotient divides, and the kernel sees only what the cut leaves."""
+
+    @pytest.mark.parametrize(
+        "p, gens, runs, expected",
+        [
+            # x + x*y: y divides x*y, which leaves x; no kernel
+            (5, ["y^5", "x^5 + x^5*y^5"], 0, ["y", "x"]),
+            # x^2 + x*y is cut to x^2 by y, and x^2 cuts x^3 + x to x
+            (5, ["y^5", "x^10 + x^5*y^5", "x^15 + x^5"], 0, ["y", "x"]),
+            # nothing divides x + x^2, and x*y is cut: y and x + x^2 meet in the kernel
+            (5, ["y^5", "x^5 + x^10 + x^5*y^5"], 1, ["y", "x^2 + x"]),
+            # a single split term of quotient 1 settles everything
+            (5, ["x + x^6 + y"], 0, ["1"]),
+            # 1 + y is cut to 1 by y
+            (3, ["y^3", "1 + y^3"], 0, ["1"]),
+        ],
+        ids=["settles", "iterates", "survives", "quotient 1", "cut to 1"],
+    )
+    def test_cases_match_oracle(self, monkeypatch, p, gens, runs, expected):
+        ring = PolyRing(p, ["x", "y"])
+        polys = [parse_polynomial(t, ring) for t in gens]
+        oracle = Ideal(ring, root_generators(polys, p))
+        oracle.basis()
+        kernel = count_buchberger(monkeypatch)
+        got = _root(ring, [g._packed for g in polys], p)
+        assert [str(g) for g in got.basis()] == expected
+        assert got == oracle
+        assert len(kernel) == runs
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_mixed_monomials_match_oracle(self, p):
+        # random monomials among the polynomials make the cut fire often
+        rng = random.Random(f"cut/{p}")
+        for names in (["x", "y"], ["x", "y", "z"]):
+            ring = PolyRing(p, names)
+            for _ in range(20):
+                gens = [random_poly(rng, ring, 10, 4) for _ in range(rng.randint(1, 3))]
+                gens += [random_poly(rng, ring, 8, 1, 1) for _ in range(rng.randint(1, 3))]
+                for e in (1, 2):
+                    q = p**e
+                    expected = Ideal(ring, root_generators(gens, q))
+                    got = _root(ring, [g._packed for g in gens], q)
+                    assert got.basis() == expected.basis(), (gens, e)
+
+    def test_perturbed_walk_step_skips_the_kernel(self, monkeypatch):
+        # The perturbed walk of `constancy --char 5 --vars x,y
+        # "4*x*y^5 + y^4 + 2*x^2" --samples 1 --seed 833036` steps from (x, y)
+        # by the digit 3.  Two monomials of f^3 * x share a residue class, so
+        # the step ran the kernel before the cut; the cut settles it.
+        ring = PolyRing(5, ["x", "y"])
+        engine = FrobeniusRootEngine(parse_polynomial("x^5*y + 4*x*y^5 + y^4 + 2*x^2", ring))
+        J = interned(engine, ideal_of(ring, "x", "y"))
+        products = [engine._f_power(3) * g for g in J.basis()]
+        assert any(t.term_count() > 1 for g in products for t in split_terms(g, 5))
+        runs = count_buchberger(monkeypatch)
+        got = step_of(engine, J, 3)
+        assert runs == []
+        assert got == Ideal(ring, root_generators(products, 5)) == ideal_of(ring, "x", "y")
+
+    def test_kernel_runs_of_a_perturbed_walk(self, monkeypatch):
+        # x^2 + 6y^4 perturbed by 3x^7 + 4x^2*y^5 over F_7: 12 runs before the cut
+        f = parse_polynomial("3*x^7 + 4*x^2*y^5 + 6*y^4 + x^2", PolyRing(7, ["x", "y"]))
+        runs = count_buchberger(monkeypatch)
+        report = jumping_numbers_unit_interval(f, None)
+        assert report.jumping_numbers == (0, Fraction(5, 7))
+        assert len(runs) == 6
 
 
 class TestEngineFixedWork:

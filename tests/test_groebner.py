@@ -390,6 +390,24 @@ class TestPairUpdate:
         assert [str(g) for g in basis] == expected
         assert list(basis) == oracle_basis(polys)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_one_row_is_its_basis(self, monkeypatch, formed_spolys, p):
+        # g, g with c*g, and single terms each leave one front-end row,
+        # which is returned as it is: no pair and no interreduction
+        interreduced = []
+        monkeypatch.setattr(groebner, "_interreduce", lambda G: interreduced.append(G))
+        rng = random.Random(f"one row/{p}")
+        for names in (["x", "y"], ["x", "y", "z"]):
+            ring = PolyRing(p, names)
+            for _ in range(10):
+                g = random_poly(rng, ring, 4, 4, 1)
+                c = ring.constant(rng.randrange(1, p))
+                for gens in ([g], [g, c * g], [c * ring.monomial(g.leading_monomial())]):
+                    basis = groebner._buchberger(gens)
+                    assert len(basis) == 1
+                    assert basis == oracle_basis(gens), gens
+        assert formed_spolys == [] and interreduced == []
+
     def test_no_generators(self, ring5):
         assert groebner._buchberger([]) == []
         assert groebner._buchberger([ring5.zero(), ring5.zero()]) == []
