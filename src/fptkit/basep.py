@@ -114,6 +114,11 @@ def parse_rational(text: str) -> Fraction:
     return q
 
 
+def _ceil_times(q: int, lam: Fraction) -> int:
+    """ceil(q * lam) for an integer q and a Fraction lam, in integers."""
+    return -((-q * lam.numerator) // lam.denominator)
+
+
 def truncate(lam, e: int, p: int) -> Fraction:
     """e-th truncation of the non-terminating base-p expansion of lam.
 
@@ -127,9 +132,7 @@ def truncate(lam, e: int, p: int) -> Fraction:
     if e < 0:
         raise DomainError("truncation index must be >= 0")
     q = p**e
-    scaled = q * lam
-    ceil = -((-scaled.numerator) // scaled.denominator)
-    return Fraction(ceil - 1, q)
+    return Fraction(_ceil_times(q, lam) - 1, q)
 
 
 def _p_valuation(n: int, p: int) -> tuple[int, int]:
@@ -225,8 +228,8 @@ def candidate_set(p: int, bound: int, window) -> tuple[Fraction, ...]:
     for b in range(1, bound + 1):
         den = p ** (bound - b) * (p**b - 1)
         # every c >= 1 with lo <= c/den < hi: from ceil(lo*den) up to ceil(hi*den)
-        first = max(-((-lo.numerator * den) // lo.denominator), 1)
-        stop = -((-hi.numerator * den) // hi.denominator)
+        first = max(_ceil_times(den, lo), 1)
+        stop = _ceil_times(den, hi)
         if first < stop:
             spans.append((den, first, stop))
             count += stop - first

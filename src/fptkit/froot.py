@@ -19,16 +19,11 @@ consumed least-significant first, intermediate ideals are canonicalized at
 every level, and no power beyond f^(p-1) times current generators is ever
 expanded, so N may vastly exceed p^e.
 
-The single split terms generate a monomial ideal, and _root first cuts
-from every longer split term each term that one of their quotients
-divides, because that term already lies in the root; a split term cut to
-one term cuts the others in turn.  When no longer split term is left,
-whatever the generators, the root is (1) or the monomial ideal of the
-quotients, which is its own reduced basis, so no Groebner basis is
-formed; only split terms the cut leaves with two or more terms reach the
-kernel, together with the monomials.  Most states are monomial ideals, and
-a product x^a * f^d is f^d shifted by a on packed ints, so a step from one
-forms no polynomial product either.
+_root hands the split terms to the Groebner kernel's front end
+(groebner._front_end); when it leaves only monomials, they are the root's
+reduced basis, and no Groebner basis is formed.  Most states are monomial
+ideals, and a product x^a * f^d is f^d shifted by a on packed ints, so a
+step from one forms no polynomial product either.
 
 A FrobeniusRootEngine holds the digit-transition table for one f: each
 interned state has an index and a row, which maps each digit already
@@ -45,7 +40,7 @@ from __future__ import annotations
 
 from .basep import _least_integer
 from .errors import DomainError
-from .groebner import Ideal, radical_member
+from .groebner import Ideal, _front_end, radical_member
 from .poly import Polynomial, power
 
 __all__ = ["frobenius_root_ideal", "FrobeniusRootEngine"]
@@ -75,32 +70,15 @@ def _split(ring, terms: dict, q: int) -> dict:
 
 def _root(ring, products, q: int) -> Ideal:
     """The root, q = p^e, of the ideal of the polynomials with these packed
-    term dicts: the ideal of their split terms.
-
-    The quotients of the single split terms generate a monomial ideal, and
-    every term of a longer split term that one of them divides lies in it,
-    so the cut drops that term.  A split term cut to one term joins the
-    monomials and cuts the others in turn, and one cut to nothing is gone.
-    When no longer split term is left, the root is the monomial ideal of
-    the quotients, formed without the kernel (and (1) at once when one
-    quotient is 1); otherwise the monomials and the cut split terms go to
-    the kernel.
+    term dicts: the ideal of their split terms, generated by the front
+    end's rows.  When every row is a single term, the rows are (1) or the
+    minimal monomials, which are the reduced basis, so it is set at once.
     """
-    splits = [t for terms in products for t in _split(ring, terms, q).values()]
-    monos = {quo for t in splits if len(t) == 1 for quo in t}
-    rest = [t for t in splits if len(t) > 1]
-    divides, new = ring.divides, monos
-    while rest and new:
-        # each kept term was checked against the older monomials already
-        cut = [{m: c for m, c in t.items() if not any(divides(u, m) for u in new)} for t in rest]
-        new = {m for t in cut if len(t) == 1 for m in t}
-        monos |= new
-        rest = [t for t in cut if len(t) > 1]
-    if not rest:
-        return Ideal.monomial(ring, (0,) if 0 in monos else monos)
-    gens = [Polynomial._from_packed(ring, {m: 1}) for m in monos]
-    gens.extend(dict.fromkeys(Polynomial._from_packed(ring, t) for t in rest))
-    return Ideal(ring, tuple(gens))
+    rows = _front_end(ring, [t for terms in products for t in _split(ring, terms, q).values()])
+    J = Ideal(ring, rows)
+    if all(len(g._packed) == 1 for g in rows):
+        J._basis = J.generators
+    return J
 
 
 def frobenius_root_ideal(J: Ideal, e: int) -> Ideal:

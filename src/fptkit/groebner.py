@@ -5,16 +5,17 @@ update of Gebauer and Moeller ("On an installation of Buchberger's
 algorithm", JSC 1988): pairs are filtered as each basis element enters, so
 most never reach the queue, and the many monomial generators the engine
 produces (split terms, powers of the maximal ideal) form no S-polynomials
-among themselves.  A linear front end runs first, in the spirit of
-Faugere's F4 (JPAA 1999): the generators are put in row echelon form over
-F_p, the other rows are cut by the monomial rows, and an ideal left with
-single-term rows only is returned without any pair loop.  Most generator
-lists the engine builds are monomials, scalar multiples and linearly
-dependent sets, so this removes most S-polynomials.  Workloads here are 2
-to 4 variables with small bases, so nothing fancier is warranted.  The
-reduced Groebner basis is the canonical form of an ideal: equality tests,
-hashing, serialization, and the transition caching in the Frobenius-root
-engine all key off it.
+among themselves.  A front end runs first on packed term dicts: the
+single terms cut every term they divide from the longer generators, and
+what the cut leaves is put in row echelon form over F_p, in the spirit of
+Faugere's F4 (JPAA 1999); an ideal left with monomials only is returned
+without any pair loop.  It is also how the Frobenius-root engine forms a
+root from its split terms.  Most generator lists the engine builds are
+monomials, scalar multiples and linearly dependent sets, so this removes
+most S-polynomials.  Workloads here are 2 to 4 variables with small
+bases, so nothing fancier is warranted.  The reduced Groebner basis is
+the canonical form of an ideal: equality tests, hashing, serialization,
+and the transition caching in the Frobenius-root engine all key off it.
 
 Grevlex is the only term order.  The kernel works on the packed monomials
 of ``poly``: a leading monomial (``Polynomial._lead``) is the largest int of
@@ -101,56 +102,69 @@ def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial._from_packed(f.ring, out)
 
 
-def _front_end(gens) -> list[Polynomial]:
-    """Monic generators of the ideal of gens, thinned by linear algebra.
+def _front_end(ring, term_dicts) -> list[Polynomial]:
+    """Monic generators of the ideal of the polynomials with these packed
+    term dicts, thinned by the monomial cut and linear algebra.
 
-    Row echelon over F_p: each nonzero generator is reduced at its leading
-    monomial by the rows already kept until that monomial is new, and is
-    then kept as a monic row.  The rows span the same F_p-space as gens, so
-    they generate the same ideal.  The single-term rows generate a monomial
-    ideal; only its minimal generators stay, and every term of another row
-    that one of them divides is deleted, because it lies in the ideal.
-    Returns [1] when 1 is a row.
+    The single terms generate a monomial ideal, and every term of a longer
+    dict that one of them divides lies in it, so the cut drops that term.
+    A dict cut to one term joins the monomials and cuts the others in turn,
+    and one cut to nothing is gone: (x^3 + y^5, y^4, x^4) gives (x^3, y^4).
+    Only what the cut leaves is put in row echelon form over F_p: each dict
+    is reduced at its leading monomial by the rows already kept until that
+    monomial is new, and is then kept as a monic row.  The rows span the
+    same F_p-space as the cut dicts, so with the monomials they generate
+    the same ideal.  Returns [1] when 1 is among the monomials, and
+    otherwise their minimal set, ascending, followed by the rows.  No
+    caller's dict is changed; one whose leading coefficient is 1 may be
+    kept as a row.
     """
+    divides, p = ring.divides, ring.prime
+    monos = {m for t in term_dicts if len(t) == 1 for m in t}
+    rest = [t for t in term_dicts if len(t) > 1]
+    new = monos
+    while rest and new:
+        # each kept term was checked against the older monomials already
+        cut = [{m: c for m, c in t.items() if not any(divides(u, m) for u in new)} for t in rest]
+        new = {m for t in cut if len(t) == 1 for m in t}
+        monos |= new
+        rest = [t for t in cut if len(t) > 1]
+    if 0 in monos:
+        return [ring.one()]
+    out = _minimal([Polynomial._from_packed(ring, {m: 1}) for m in monos])
     rows: dict = {}
-    for g in gens:
-        terms = dict(g._packed)
+    for t in rest:
+        terms = t
         while terms:
             lm = max(terms)
             row = rows.get(lm)
             if row is None:
-                rows[lm] = Polynomial._from_packed(g.ring, terms).monic()
+                lc = terms[lm]
+                if lc != 1:
+                    inv = pow(lc, p - 2, p)
+                    terms = {m: c * inv % p for m, c in terms.items()}
+                rows[lm] = row = Polynomial._from_packed(ring, terms)
+                row._lm = lm
                 break
+            if terms is t:  # a caller's dict is never changed
+                terms = dict(t)
             # cancel lm with the monic row
-            _add_multiple(terms, row._packed, -terms[lm], g.ring.prime)
-    out = _minimal([g for g in rows.values() if len(g._packed) == 1])
-    if out and out[0].is_one():
-        return out
-    mono_lms = [g._lead() for g in out]
-    for g in rows.values():
-        if len(g._packed) == 1:
-            continue
-        divides = g.ring.divides
-        kept = {m: c for m, c in g._packed.items() if not any(divides(u, m) for u in mono_lms)}
-        if len(kept) == len(g._packed):
-            out.append(g)
-        elif kept:
-            out.append(Polynomial._from_packed(g.ring, kept).monic())
+            _add_multiple(terms, row._packed, -terms[lm], p)
+    out.extend(rows.values())
     return out
 
 
 def _buchberger(gens) -> list[Polynomial]:
     """Buchberger with the Gebauer-Moeller pair update and normal selection.
 
-    The generators first pass ``_front_end``.  One row is returned at once:
+    The generators' term dicts first pass ``_front_end``, and its rows are
+    the answer as they are when at most one is left or none has two terms:
     a monic polynomial is the reduced basis of its principal ideal, because
-    every other term lies below its leading monomial.  When every row is a
-    single term they generate a monomial ideal, whose minimal generators
-    are its reduced basis, and no pair is formed.  A row cut to one term can
-    divide a monomial row, so that case still minimalizes: (x^3 + y^5, y^4,
-    x^4) gives (x^3, y^4).  Otherwise the rows, smallest leading monomial
-    first, and then each nonzero remainder h enter the basis through
-    ``update``.  Of the new pairs (g, h) over the active g, only those
+    every other term lies below its leading monomial, and the minimal
+    monomials of a monomial ideal are its reduced basis.  Neither forms a
+    pair.  Otherwise the rows, smallest leading monomial first, and then
+    each nonzero remainder h enter the basis through ``update``.  Of the
+    new pairs (g, h) over the active g, only those
     whose lcm no other new lcm divides survive, one per lcm (criteria M and
     F).  A survivor is then dropped when its S-polynomial reduces to 0 by
     construction: the leading monomials are coprime (product criterion) or
@@ -162,12 +176,12 @@ def _buchberger(gens) -> list[Polynomial]:
     pairs form a heap keyed by their packed lcm and are popped smallest
     first.
     """
-    rows = _front_end(gens)
-    if len(rows) <= 1:
+    if not gens:
+        return []
+    ring = gens[0].ring
+    rows = _front_end(ring, [g._packed for g in gens])
+    if len(rows) <= 1 or all(len(g._packed) == 1 for g in rows):
         return rows
-    if all(len(g._packed) == 1 for g in rows):
-        return _minimal(rows)
-    ring = rows[0].ring
     divides, lcm_of, top = ring.divides, ring.lcm, ring._top
     G: list[Polynomial] = []
     lms: list = []
@@ -268,14 +282,6 @@ class Ideal:
     @classmethod
     def unit(cls, ring: PolyRing) -> "Ideal":
         return cls(ring, (ring.one(),))
-
-    @classmethod
-    def monomial(cls, ring: PolyRing, packed) -> "Ideal":
-        """The ideal of the monic monomials with these packed ints.  Its
-        reduced basis is their minimal set, formed without the kernel."""
-        J = cls(ring, _minimal([Polynomial._from_packed(ring, {m: 1}) for m in set(packed)]))
-        J._basis = J.generators
-        return J
 
     def basis(self) -> tuple[Polynomial, ...]:
         if self._basis is None:

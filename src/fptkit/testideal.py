@@ -45,6 +45,7 @@ from math import ceil, comb, floor
 
 from .basep import (
     _as_fraction,
+    _ceil_times,
     _check_bound,
     _least_integer,
     candidates_left_open,
@@ -201,7 +202,7 @@ class TestIdealComputer:
         if lam < 0:
             raise DomainError("test ideal parameters must be >= 0")
         s = stabilization_exponent(lam, self.bound, self.p)
-        return self.grid_ideal(-((-(self.p**s) * lam.numerator) // lam.denominator), s)
+        return self.grid_ideal(_ceil_times(self.p**s, lam), s)
 
     def grid_ideal(self, k: int, e: int) -> Ideal:
         """tau(f^(k/p^e)) = root_e(f^k), exact for every bound (Blickle-Mustata-Smith)."""
@@ -216,7 +217,7 @@ class TestIdealComputer:
         # the gap below an integer needs its full pair (0, 1), so s = bound
         # there; only the ideal at the integer itself takes s = 0
         s = stabilization_exponent(lam, self.bound, self.p) or self.bound
-        return self.grid_ideal(-((-(self.p**s) * lam.numerator) // lam.denominator) - 1, s)
+        return self.grid_ideal(_ceil_times(self.p**s, lam) - 1, s)
 
     def is_jump(self, lam) -> bool:
         """True iff the test ideal jumps at lam; lam must be a (p, bound) candidate."""

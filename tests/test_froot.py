@@ -279,8 +279,9 @@ class TestMonomialStep:
 
 
 class TestMonomialCut:
-    """_root drops each term of a longer split term that a single split
-    term's quotient divides, and the kernel sees only what the cut leaves."""
+    """The front end drops each term of a longer split term that a single
+    split term's quotient divides, and the kernel sees only what the cut
+    leaves."""
 
     @pytest.mark.parametrize(
         "p, gens, runs, expected",
@@ -321,8 +322,11 @@ class TestMonomialCut:
                 for e in (1, 2):
                     q = p**e
                     expected = Ideal(ring, root_generators(gens, q))
+                    before = [dict(g._packed) for g in gens]
                     got = _root(ring, [g._packed for g in gens], q)
                     assert got.basis() == expected.basis(), (gens, e)
+                    # the caller's term dicts are left as they were
+                    assert [g._packed for g in gens] == before, (gens, e)
 
     def test_perturbed_walk_step_skips_the_kernel(self, monkeypatch):
         # The perturbed walk of `constancy --char 5 --vars x,y

@@ -390,6 +390,45 @@ class TestPairUpdate:
         assert [str(g) for g in basis] == expected
         assert list(basis) == oracle_basis(polys)
 
+    @pytest.mark.parametrize(
+        "gens, expected",
+        [
+            # x^3 + y^5 is cut to x^3, which cuts x^4 + x^2*y to x^2*y
+            (["y^4", "x^3 + y^5", "x^4 + x^2*y"], ["x^2*y", "x^3", "y^4"]),
+            # x^3 and then x^2*y cut the last generator to x*y^3
+            (["y^4", "x^3 + y^5", "x^4 + x^2*y", "x*y^3 + x^2*y^2 + x^3*y"],
+             ["x^2*y", "x^3", "y^4", "x*y^3"]),
+        ],
+        ids=["one new monomial", "two new monomials"],
+    )
+    def test_repeated_cut_forms_no_s_polynomial(self, formed_spolys, gens, expected):
+        # a cut that stops after one pass leaves a longer row to the pair loop
+        ring = PolyRing(5, ["x", "y"])
+        polys = [parse_polynomial(t, ring) for t in gens]
+        basis = Ideal(ring, polys).basis()
+        assert [str(g) for g in basis] == expected
+        assert list(basis) == oracle_basis(polys)
+        assert formed_spolys == []
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_generators_stay_unchanged(self, p):
+        # the front end may keep a caller's term dict as a row, so a row it
+        # reduces or scales must be a copy
+        rng = random.Random(f"inputs/{p}")
+        for names in (["x", "y"], ["x", "y", "z"]):
+            ring = PolyRing(p, names)
+            x, y = ring.variable(0), ring.variable(1)
+            cases = [[x + y, x + 2 * y], [2 * x + y, x * y + y, x + y + 1]]
+            for _ in range(20):
+                cases.append(
+                    [random_poly(rng, ring, 4, 3) for _ in range(rng.randint(2, 4))]
+                    + [random_poly(rng, ring, 3, 1, 1) for _ in range(rng.randint(0, 2))]
+                )
+            for gens in cases:
+                before = [dict(g._packed) for g in gens]
+                Ideal(ring, gens).basis()
+                assert [g._packed for g in gens] == before, gens
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_one_row_is_its_basis(self, monkeypatch, formed_spolys, p):
         # g, g with c*g, and single terms each leave one front-end row,
