@@ -4,9 +4,12 @@ frobenius_root_ideal(J, e) is the smallest ideal b with J in b^[p^e].  Over
 F_p it is read off the generators directly: split every exponent vector of
 each generator into its residue mu and quotient modulo p^e, and collect the
 quotient polynomials, one per residue (coefficient roots are trivial because
-Frobenius fixes F_p).  _root is that one rule, on packed term dicts:
-frobenius_root_ideal applies it to the generators of J, and each digit step
-of the engine below to the products f^d * g with q = p.
+Frobenius fixes F_p).  _root is that one rule, on packed term dicts, and
+the one door by which this module makes an ideal: for the generators of J,
+for the products f^d * g of each digit step below at q = p, and for the
+final carry and the start state (1) at q = 1.  It hands the split terms to
+the kernel's front end (groebner._front_end); rows the front end calls
+final are the root's reduced basis, and no Groebner basis is formed.
 
 FrobeniusRootEngine(f).root_power(N, e) evaluates root_e(f^N) without ever
 expanding f^N.  It peels one base-p digit of N per level, starting from J = (1):
@@ -19,16 +22,12 @@ consumed least-significant first, intermediate ideals are canonicalized at
 every level, and no power beyond f^(p-1) times current generators is ever
 expanded, so N may vastly exceed p^e.
 
-_root hands the split terms to the Groebner kernel's front end
-(groebner._front_end); when it leaves only monomials, they are the root's
-reduced basis, and no Groebner basis is formed.  Most states are monomial
-ideals, and a product x^a * f^d is f^d shifted by a on packed ints, so a
-step from one forms no polynomial product either.
-
 A FrobeniusRootEngine holds the digit-transition table for one f: each
 interned state has an index and a row, which maps each digit already
 stepped to the index of the next state.  A row holds only the steps taken,
-not p slots, so a large p costs no memory per state.  The start state (1)
+not p slots, so a large p costs no memory per state.  Most states are
+monomial ideals, and a product x^a * f^d is f^d shifted by a on packed
+ints, so a step from one forms no polynomial product.  The start state (1)
 has index 0, and the engine also keeps its table of powers f^d; the
 TestIdealComputer of a query owns one, so every evaluation of that query
 shares them.  The nu invariants are a question asked of the engine too
@@ -71,12 +70,13 @@ def _split(ring, terms: dict, q: int) -> dict:
 def _root(ring, products, q: int) -> Ideal:
     """The root, q = p^e, of the ideal of the polynomials with these packed
     term dicts: the ideal of their split terms, generated by the front
-    end's rows.  When every row is a single term, the rows are (1) or the
-    minimal monomials, which are the reduced basis, so it is set at once.
+    end's rows, which are set as its basis when the front end calls them
+    final.  At q = 1 every term is its own quotient, so the root is the
+    ideal of the polynomials themselves.
     """
-    rows = _front_end(ring, [t for terms in products for t in _split(ring, terms, q).values()])
+    rows, final = _front_end(ring, [t for terms in products for t in _split(ring, terms, q).values()])
     J = Ideal(ring, rows)
-    if all(len(g._packed) == 1 for g in rows):
+    if final:
         J._basis = J.generators
     return J
 
@@ -100,9 +100,8 @@ class FrobeniusRootEngine:
     steps are hits: two lookups on ints.  A miss is _root of the products
     f^d * g over the state's basis, which _products forms without
     multiplying when g is a monomial.  The engine also pays once for its
-    fixed work: every evaluation starts from state 0, the interned unit
-    ideal, and the digit powers f^d and the final carry come from one power
-    table.
+    fixed work: every evaluation starts from state 0, the root of (1), and
+    the digit powers f^d and the final carry come from one power table.
     """
 
     __slots__ = ("f", "ring", "_fpow", "_states", "_ideals", "_rows", "_radical")
@@ -114,7 +113,7 @@ class FrobeniusRootEngine:
         self._states: dict[Ideal, int] = {}  # each interned state -> its index
         self._ideals: list[Ideal] = []  # index -> interned state
         self._rows: list[dict[int, int]] = []  # index -> {digit: next index}
-        self._intern(Ideal.unit(self.ring))  # the start state (1) has index 0
+        self._intern(_root(self.ring, [{0: 1}], 1))  # the start state (1) has index 0
         self._radical: set[Ideal] = set()  # each b already certified to hold f in sqrt(b)
 
     def _f_power(self, d: int) -> Polynomial:
@@ -161,7 +160,10 @@ class FrobeniusRootEngine:
     def root_power(self, N: int, e: int) -> Ideal:
         """root_e of the ideal (f^N): frobenius_root_ideal of the expanded
         f^N, computed in e digit steps however large N is.  A step taken
-        before is two lookups on a state index and a digit."""
+        before is two lookups on a state index and a digit.  What is left
+        of N, N div p^e, is the final carry: the root at q = 1 of the
+        products f^(N div p^e) * g over the last state's basis, interned
+        like every state.  root_power(0, 0) is the start state (1)."""
         if N < 0 or e < 0:
             raise DomainError("root_power requires N >= 0 and e >= 0")
         i, p, rows = 0, self.ring.prime, self._rows
@@ -169,12 +171,9 @@ class FrobeniusRootEngine:
             N, d = divmod(N, p)
             j = rows[i].get(d)
             i = self._step(i, d) if j is None else j
-        state = self._ideals[i]
-        if N == 0:
-            return state
-        ring = self.ring
-        carry = (Polynomial._from_packed(ring, t) for t in self._products(state, N))
-        return self._ideals[self._intern(Ideal(ring, tuple(carry)))]
+        if N:
+            i = self._intern(_root(self.ring, self._products(self._ideals[i], N), 1))
+        return self._ideals[i]
 
     def in_radical(self, b: Ideal) -> bool:
         """Whether f lies in sqrt(b); each b certified to hold f is remembered."""

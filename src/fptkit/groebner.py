@@ -8,14 +8,14 @@ produces (split terms, powers of the maximal ideal) form no S-polynomials
 among themselves.  A front end runs first on packed term dicts: the
 single terms cut every term they divide from the longer generators, and
 what the cut leaves is put in row echelon form over F_p, in the spirit of
-Faugere's F4 (JPAA 1999); an ideal left with monomials only is returned
-without any pair loop.  It is also how the Frobenius-root engine forms a
-root from its split terms.  Most generator lists the engine builds are
-monomials, scalar multiples and linearly dependent sets, so this removes
-most S-polynomials.  Workloads here are 2 to 4 variables with small
-bases, so nothing fancier is warranted.  The reduced Groebner basis is
-the canonical form of an ideal: equality tests, hashing, serialization,
-and the transition caching in the Frobenius-root engine all key off it.
+Faugere's F4 (JPAA 1999); when it calls its rows final, no pair loop
+runs.  It is also how the Frobenius-root engine forms every root.  Most
+generator lists the engine builds are monomials, scalar multiples and
+linearly dependent sets, so this removes most S-polynomials.  Workloads
+here are 2 to 4 variables with small bases, so nothing fancier is
+warranted.  The reduced Groebner basis is the canonical form of an ideal:
+equality tests, hashing, serialization, and the transition caching in the
+Frobenius-root engine all key off it.
 
 Grevlex is the only term order.  The kernel works on the packed monomials
 of ``poly``: a leading monomial (``Polynomial._lead``) is the largest int of
@@ -102,9 +102,10 @@ def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial._from_packed(f.ring, out)
 
 
-def _front_end(ring, term_dicts) -> list[Polynomial]:
+def _front_end(ring, term_dicts) -> tuple[list[Polynomial], bool]:
     """Monic generators of the ideal of the polynomials with these packed
-    term dicts, thinned by the monomial cut and linear algebra.
+    term dicts, thinned by the monomial cut and linear algebra, and whether
+    they are final.
 
     The single terms generate a monomial ideal, and every term of a longer
     dict that one of them divides lies in it, so the cut drops that term.
@@ -117,7 +118,11 @@ def _front_end(ring, term_dicts) -> list[Polynomial]:
     the same ideal.  Returns [1] when 1 is among the monomials, and
     otherwise their minimal set, ascending, followed by the rows.  No
     caller's dict is changed; one whose leading coefficient is 1 may be
-    kept as a row.
+    kept as a row.  The rows are final, the reduced basis as they stand,
+    when at most one is left (a monic polynomial, whose other terms lie
+    below its leading monomial) or every one is a single term (minimal
+    monomials), which is when no echelon row is left: the first keeps its
+    two or more terms.
     """
     divides, p = ring.divides, ring.prime
     monos = {m for t in term_dicts if len(t) == 1 for m in t}
@@ -130,7 +135,7 @@ def _front_end(ring, term_dicts) -> list[Polynomial]:
         monos |= new
         rest = [t for t in cut if len(t) > 1]
     if 0 in monos:
-        return [ring.one()]
+        return [ring.one()], True
     out = _minimal([Polynomial._from_packed(ring, {m: 1}) for m in monos])
     rows: dict = {}
     for t in rest:
@@ -139,30 +144,22 @@ def _front_end(ring, term_dicts) -> list[Polynomial]:
             lm = max(terms)
             row = rows.get(lm)
             if row is None:
-                lc = terms[lm]
-                if lc != 1:
-                    inv = pow(lc, p - 2, p)
-                    terms = {m: c * inv % p for m, c in terms.items()}
-                rows[lm] = row = Polynomial._from_packed(ring, terms)
-                row._lm = lm
+                rows[lm] = Polynomial._from_packed(ring, terms).monic()
                 break
             if terms is t:  # a caller's dict is never changed
                 terms = dict(t)
             # cancel lm with the monic row
             _add_multiple(terms, row._packed, -terms[lm], p)
     out.extend(rows.values())
-    return out
+    return out, len(out) <= 1 or not rows
 
 
 def _buchberger(gens) -> list[Polynomial]:
     """Buchberger with the Gebauer-Moeller pair update and normal selection.
 
     The generators' term dicts first pass ``_front_end``, and its rows are
-    the answer as they are when at most one is left or none has two terms:
-    a monic polynomial is the reduced basis of its principal ideal, because
-    every other term lies below its leading monomial, and the minimal
-    monomials of a monomial ideal are its reduced basis.  Neither forms a
-    pair.  Otherwise the rows, smallest leading monomial first, and then
+    the answer as they are when it calls them final; then no pair is
+    formed.  Otherwise the rows, smallest leading monomial first, and then
     each nonzero remainder h enter the basis through ``update``.  Of the
     new pairs (g, h) over the active g, only those
     whose lcm no other new lcm divides survive, one per lcm (criteria M and
@@ -179,8 +176,8 @@ def _buchberger(gens) -> list[Polynomial]:
     if not gens:
         return []
     ring = gens[0].ring
-    rows = _front_end(ring, [g._packed for g in gens])
-    if len(rows) <= 1 or all(len(g._packed) == 1 for g in rows):
+    rows, final = _front_end(ring, [g._packed for g in gens])
+    if final:
         return rows
     divides, lcm_of, top = ring.divides, ring.lcm, ring._top
     G: list[Polynomial] = []

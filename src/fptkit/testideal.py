@@ -337,7 +337,7 @@ def jumping_numbers_unit_interval(f: Polynomial, bound: int | None) -> JumpingNu
     start = time.perf_counter()
     computer = TestIdealComputer(f, bound)
     jumps = [Fraction(0)]
-    ideals = [Ideal.unit(f.ring)]
+    ideals = [computer.engine.root_power(0, 0)]
     while True:
         current = ideals[-1]
         found = least_parameter(computer, lambda ideal: ideal != current, jumps[-1], 1)

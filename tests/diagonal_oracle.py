@@ -1,30 +1,42 @@
-"""A closed form for the F-pure threshold of a diagonal x^a + y^b.
+"""A closed form for the F-pure threshold of a diagonal x_1^a_1 + ... + x_n^a_n.
 
-Hernandez, "F-invariants of diagonal hypersurfaces" (2015): for p dividing
-neither a nor b, let L be the number of leading base-p digits of 1/a and 1/b
-that add without a carry.  With no carry at all, fpt = 1/a + 1/b; otherwise
-fpt = <1/a>_L + <1/b>_L + p^(-L), where <.>_L truncates to L digits.  Only
-long division in base p is used, nothing of fptkit.
+Hernandez, "F-invariants of diagonal hypersurfaces" (Proc. AMS, 2015): for
+p dividing no a_i, add the base-p digits of 1/a_1, ..., 1/a_n position by
+position, and let L be the number of leading positions whose digit sum
+stays below p.  With no carry at all, fpt = 1/a_1 + ... + 1/a_n (never
+above 1, as every digit sum is at most p - 1); otherwise
+fpt = <1/a_1>_L + ... + <1/a_n>_L + p^(-L), where <.>_L truncates to L
+digits.  The hypotheses are recalled, not checked against the paper: p
+prime to every a_i, each a_i >= 2, and the threshold taken at the origin.
+Only long division in base p is used, nothing of fptkit.
 """
 
 from fractions import Fraction
 
 
-def diagonal_fpt(a: int, b: int, p: int) -> Fraction:
-    """fpt(x^a + y^b) at the origin over F_p, for a, b >= 2 prime to p."""
-    if a < 2 or b < 2 or a % p == 0 or b % p == 0:
-        raise ValueError("need a, b >= 2, both prime to p")
-    ra, rb = 1, 1  # remainders of the long divisions 1/a and 1/b
+def diagonal_hypersurface_fpt(exponents, p: int) -> Fraction:
+    """fpt(x_1^a_1 + ... + x_n^a_n) at the origin over F_p, for every
+    a_i >= 2 prime to p."""
+    exponents = tuple(exponents)
+    if not exponents or any(a < 2 or a % p == 0 for a in exponents):
+        raise ValueError("need exponents a_i >= 2, each prime to p")
+    remainders = (1,) * len(exponents)  # of the long divisions 1/a_i
     truncated = Fraction(0)
     seen = set()
     scale = Fraction(1)
-    while (ra, rb) not in seen:
-        seen.add((ra, rb))
+    while remainders not in seen:
+        seen.add(remainders)
         scale /= p
-        da, ra = divmod(ra * p, a)
-        db, rb = divmod(rb * p, b)
-        if da + db >= p:
+        steps = [divmod(r * p, a) for r, a in zip(remainders, exponents)]
+        digits = sum(d for d, _ in steps)
+        if digits >= p:
             return truncated + scale * p
-        truncated += (da + db) * scale
-    # the digit pairs repeat without ever carrying
-    return Fraction(1, a) + Fraction(1, b)
+        truncated += digits * scale
+        remainders = tuple(r for _, r in steps)
+    # the digit columns repeat without ever carrying
+    return sum(Fraction(1, a) for a in exponents)
+
+
+def diagonal_fpt(a: int, b: int, p: int) -> Fraction:
+    """fpt(x^a + y^b) at the origin over F_p, for a, b >= 2 prime to p."""
+    return diagonal_hypersurface_fpt((a, b), p)

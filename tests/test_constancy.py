@@ -305,7 +305,9 @@ class TestConstancyReport:
             assert r.gap_bound == F(2, r.exponent)
 
     def test_kernel_runs(self, monkeypatch, cusp7):
-        # 97 runs and 24 powers m^k before the monomial cut and the equality exit
+        # 97 runs and 24 powers m^k before the monomial cut and the equality
+        # exit; 36 before the final carries and the start states became
+        # front-end roots, which skip the kernel when one row is left
         buchberger, runs = groebner._buchberger, []
 
         def counted(gens):
@@ -315,7 +317,7 @@ class TestConstancyReport:
         monkeypatch.setattr(groebner, "_buchberger", counted)
         report = constancy_report(cusp7, [5, 6], 2, seed=3)
         assert len(report.records) == 4
-        assert len(runs) == 36
+        assert len(runs) == 11
 
     def test_zero_gap_implies_flags(self, cusp7):
         report = constancy_report(cusp7, [6], 3, seed=7)

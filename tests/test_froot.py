@@ -227,7 +227,8 @@ class TestMonomialStep:
             for J in distinct:
                 for d in range(p):
                     fd = engine._f_power(d)
-                    expected = Ideal(ring, root_generators([fd * g for g in J.basis()], p))
+                    split = root_generators([fd * g for g in J.basis()], p)
+                    expected = Ideal(ring, split)
                     expected.basis()
                     before = len(runs)
                     got = step_of(engine, J, d)
@@ -235,11 +236,16 @@ class TestMonomialStep:
                     assert got is state_for(engine, expected)
                     # a + b and a + b' share a residue class exactly when b
                     # and b' do, so the kernel can run only when two
-                    # monomials of f^d share one; on these cases the
-                    # monomial cut never settles such a step
-                    shared = len(split_terms(fd, p)) < fd.term_count()
-                    assert len(runs) - before == shared
-                    if shared:
+                    # monomials of f^d share one.  It runs exactly when the
+                    # split terms leave two or more front-end rows and one
+                    # of them has two or more terms: a step that leaves one
+                    # row no longer reaches it (it ran on every shared step
+                    # before the front end owned the exit)
+                    rows, _ = groebner._front_end(ring, [t._packed for t in split])
+                    kernel = len(rows) > 1 and any(g.term_count() > 1 for g in rows)
+                    assert not kernel or len(split_terms(fd, p)) < fd.term_count()
+                    assert len(runs) - before == kernel
+                    if kernel:
                         outcomes.add("kernel")
                     else:
                         outcomes.add("unit" if got is state_for(engine, Ideal.unit(ring)) else "monomial")
@@ -344,12 +350,14 @@ class TestMonomialCut:
         assert got == Ideal(ring, root_generators(products, 5)) == ideal_of(ring, "x", "y")
 
     def test_kernel_runs_of_a_perturbed_walk(self, monkeypatch):
-        # x^2 + 6y^4 perturbed by 3x^7 + 4x^2*y^5 over F_7: 12 runs before the cut
+        # x^2 + 6y^4 perturbed by 3x^7 + 4x^2*y^5 over F_7: 12 runs before
+        # the cut, and 6 before the final carry, the start state and the
+        # walk's tau(f^0) became front-end roots; one-row roots skip the kernel
         f = parse_polynomial("3*x^7 + 4*x^2*y^5 + 6*y^4 + x^2", PolyRing(7, ["x", "y"]))
         runs = count_buchberger(monkeypatch)
         report = jumping_numbers_unit_interval(f, None)
         assert report.jumping_numbers == (0, Fraction(5, 7))
-        assert len(runs) == 6
+        assert len(runs) == 1
 
 
 class TestEngineFixedWork:
@@ -384,7 +392,9 @@ class TestEngineFixedWork:
     def test_unit_ideal_reduced_once(self, monkeypatch, quartic5):
         # The start state (1) is interned once per engine, not once per
         # evaluation, and a transition whose value is (1) returns it without
-        # the kernel: the only other reduction is the walk's tau(f^0).
+        # the kernel.  The start state is the front end's root of (1) at
+        # q = 1 and the walk's tau(f^0) is that state, so the kernel never
+        # reduces (1) (was 2: the start state and a fresh (1) for tau(f^0)).
         buchberger = groebner._buchberger
         unit_runs = []
 
@@ -397,7 +407,32 @@ class TestEngineFixedWork:
         monkeypatch.setattr(groebner, "_buchberger", counted)
         report = jumping_numbers_unit_interval(quartic5, None)
         assert report.candidate_count > 100
-        assert len(unit_runs) == 2
+        assert len(unit_runs) == 0
+
+    def test_walk_starts_from_state_zero(self, quartic5):
+        report = jumping_numbers_unit_interval(quartic5, 6)
+        assert report.test_ideals[0] is report.computer.engine.root_power(0, 0)
+        assert report.test_ideals[0].is_unit()
+
+    def test_carry_of_one_row_skips_the_kernel(self, monkeypatch, quartic5):
+        # tau(f^1) is the carry f * 1: one front-end row, its own reduced basis
+        engine = FrobeniusRootEngine(quartic5)
+        runs = count_buchberger(monkeypatch)
+        got = engine.root_power(1, 0)
+        assert runs == []
+        assert got.basis() == (quartic5.monic(),)
+        assert got is state_for(engine, Ideal(quartic5.ring, [quartic5]))
+
+    def test_carry_of_single_terms_skips_the_kernel(self, monkeypatch):
+        # f^13 = x^26*y^13 over F_5: the digit 3 steps from (1) to (x), and
+        # the carry x * f^2 = x^5*y^2 is a single term
+        ring = PolyRing(5, ["x", "y"])
+        engine = FrobeniusRootEngine(parse_polynomial("x^2*y", ring))
+        runs = count_buchberger(monkeypatch)
+        got = engine.root_power(13, 1)
+        assert runs == []
+        assert [str(g) for g in got.basis()] == ["x^5*y^2"]
+        assert engine._ideals[engine._rows[0][3]] == ideal_of(ring, "x")
 
     @pytest.mark.parametrize(
         "p, text",

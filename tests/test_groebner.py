@@ -321,6 +321,22 @@ class TestCoefficientUpdate:
             assert _spoly(f, g) == Polynomial(ring, expected)
 
 
+# (p, variables, generators, reduced basis, whether the front end's rows
+# are final)
+FRONT_END_CASES = [
+    # a row cut to x^3 by the monomial rows divides x^4: only single terms
+    (5, ["x", "y"], ["x^3 + y^5", "y^4", "x^4"], ["x^3", "y^4"], True),
+    # 3 is a unit
+    (5, ["x", "y"], ["x^2 + y", "2*x^2 + 2*y", "x*y", "3"], ["1"], True),
+    (3, ["x", "y", "z"], ["x*y + z^2", "2*x*y + z^3", "z^2", "x*z + y^3"],
+     ["z^2", "x*y", "x^2*z", "y^3 + x*z"], False),
+    # one row: the second generator is twice the first
+    (5, ["x", "y"], ["x^2 + y", "2*x^2 + 2*y"], ["x^2 + y"], True),
+    # a single term and a longer row that it does not cut
+    (5, ["x", "y"], ["x*y", "2*x^2 + 2*y^2"], ["x*y", "x^2 + y^2", "y^3"], False),
+]
+
+
 class TestPairUpdate:
     """The Gebauer-Moeller kernel against a plain Buchberger that skips no pair."""
 
@@ -373,22 +389,23 @@ class TestPairUpdate:
                 system = [_lift(f, big) for f in J.generators] + [big.one() - t * _lift(g, big)]
                 assert radical_member(g, J) == (oracle_basis(system) == [big.one()])
 
-    @pytest.mark.parametrize(
-        "p, names, gens, expected",
-        [
-            # a row cut to x^3 by the monomial rows divides x^4
-            (5, ["x", "y"], ["x^3 + y^5", "y^4", "x^4"], ["x^3", "y^4"]),
-            (5, ["x", "y"], ["x^2 + y", "2*x^2 + 2*y", "x*y", "3"], ["1"]),
-            (3, ["x", "y", "z"], ["x*y + z^2", "2*x*y + z^3", "z^2", "x*z + y^3"],
-             ["z^2", "x*y", "x^2*z", "y^3 + x*z"]),
-        ],
-    )
+    @pytest.mark.parametrize("p, names, gens, expected", [c[:4] for c in FRONT_END_CASES])
     def test_front_end_cases(self, p, names, gens, expected):
         ring = PolyRing(p, names)
         polys = [parse_polynomial(t, ring) for t in gens]
         basis = Ideal(ring, polys).basis()
         assert [str(g) for g in basis] == expected
         assert list(basis) == oracle_basis(polys)
+
+    @pytest.mark.parametrize("p, names, gens, final", [c[:3] + c[4:] for c in FRONT_END_CASES])
+    def test_front_end_final(self, p, names, gens, final):
+        # final rows are the reduced basis as they stand
+        ring = PolyRing(p, names)
+        polys = [parse_polynomial(t, ring) for t in gens]
+        rows, got = groebner._front_end(ring, [g._packed for g in polys])
+        assert got == final
+        if got:
+            assert rows == oracle_basis(polys)
 
     @pytest.mark.parametrize(
         "gens, expected",

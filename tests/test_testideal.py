@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import floor
 from types import SimpleNamespace
 
@@ -35,7 +35,7 @@ from fptkit.basep import candidates_left_open
 import narrowing_oracle
 import walk_oracle
 from conftest import random_poly
-from diagonal_oracle import diagonal_fpt
+from diagonal_oracle import diagonal_fpt, diagonal_hypersurface_fpt
 
 F = Fraction
 
@@ -607,6 +607,33 @@ class TestDiagonalClosedForm:
         assert default_bound(f) == 105
         assert diagonal_fpt(12, 13, 5) == F(4, 25)
         assert TestIdealComputer(f).fpt() == F(4, 25)
+
+    def test_agrees_with_fpt_in_three_and_four_variables(self):
+        # every exponent vector in 2..6 prime to p, up to order, at p <= 7
+        denominators = set()
+        for names in (["x", "y", "z"], ["x", "y", "z", "w"]):
+            for p in (2, 3, 5, 7):
+                ring = PolyRing(p, names)
+                prime_to_p = [a for a in range(2, 7) if a % p]
+                for a in combinations_with_replacement(prime_to_p, len(names)):
+                    f = parse_polynomial(" + ".join(f"{v}^{e}" for v, e in zip(names, a)), ring)
+                    expected = diagonal_hypersurface_fpt(a, p)
+                    assert TestIdealComputer(f).fpt() == expected, (p, a)
+                    denominators.add(expected.denominator)
+        # fpt 1, sums Σ 1/a_i with no carry, and carries at the first and second digit
+        assert denominators == {1, 2, 3, 4, 5, 6, 7, 49}
+
+    def test_closed_form_cases(self):
+        # no carry: 1/4 is 0.111... in base 5, three digits 1 add to 3 < 5
+        assert diagonal_hypersurface_fpt((4, 4, 4), 5) == F(3, 4)
+        # 1/2 is 0.111... in base 3, and three digits 1 carry at once
+        assert diagonal_hypersurface_fpt((2, 2, 2), 3) == 1
+        # 1/3 is 0.1313... in base 5: the first digits add to 3, the second carry
+        assert diagonal_hypersurface_fpt((3, 4, 4), 5) == F(4, 5)
+        assert diagonal_hypersurface_fpt((12, 13), 5) == diagonal_fpt(12, 13, 5) == F(4, 25)
+        for bad in [(), (2, 5), (1, 3, 4)]:
+            with pytest.raises(ValueError):
+                diagonal_hypersurface_fpt(bad, 5)
 
 
 class TestMonomialClosedForm:
