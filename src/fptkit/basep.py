@@ -253,9 +253,15 @@ def candidates_left_open(p: int, bound: int, lo, hi) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-def _least_integer(holds, lo: int, hi: int) -> int:
-    """Least n in (lo, hi] with holds(n), for holds monotone, false at lo and
-    true at hi; found by bisection."""
+def _least_integer(holds, lo: int, hi: int | None = None) -> int:
+    """Least n > lo with holds(n), for holds monotone, false at lo and true
+    at hi if given.  With no hi, a step d doubles until holds(lo + d), probing
+    lo+1, lo+2, lo+4, ...; then the last doubling is bisected."""
+    if hi is None:
+        d = 1
+        while not holds(lo + d):
+            d *= 2
+        lo, hi = lo + d // 2, lo + d
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if holds(mid):

@@ -186,10 +186,10 @@ class FrobeniusRootEngine:
         """Largest N with f^N outside b^[p^e]; 0 when already f in b^[p^e].
 
         f^N lies in b^[p^e] exactly when root_e(f^N) is contained in b, so no
-        large power of f is ever expanded.  The search doubles then bisects.
-        It ends because in_radical first checks f in sqrt(b): then f^k is in
-        b for some k, and f^(k * p^e) in b^[p^e].  The engine remembers each
-        b it has certified, so that check runs once per b.
+        large power of f is ever expanded; _least_integer gallops from N = 0
+        (f^0 = 1 is outside b).  It ends because in_radical first checks f in
+        sqrt(b): then f^k is in b for some k, and f^(k*p^e) in b^[p^e].  The
+        engine remembers each b it has certified, so that check runs once per b.
         """
         if e < 0:
             raise DomainError("nu requires e >= 0")
@@ -200,10 +200,4 @@ class FrobeniusRootEngine:
         if not self.in_radical(b):
             raise DomainError("no power of f lies in b: f is not in the radical of b")
 
-        def member(n: int) -> bool:
-            return b.contains_ideal(self.root_power(n, e))
-
-        hi = 1  # member(0) is false: f^0 = 1 and b is proper
-        while not member(hi):
-            hi *= 2
-        return _least_integer(member, hi // 2, hi) - 1
+        return _least_integer(lambda n: b.contains_ideal(self.root_power(n, e)), 0) - 1

@@ -260,7 +260,7 @@ class Ideal:
     cached; it is the canonical form used by __eq__, __hash__ and str.
     """
 
-    __slots__ = ("ring", "generators", "_basis", "_hash")
+    __slots__ = ("ring", "generators", "_basis")
 
     def __init__(self, ring: PolyRing, generators=()):
         gens = []
@@ -274,7 +274,6 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._basis = None
-        self._hash = None
 
     @classmethod
     def unit(cls, ring: PolyRing) -> "Ideal":
@@ -305,9 +304,7 @@ class Ideal:
         return self.ring == other.ring and self.basis() == other.basis()
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring.prime, self.basis()))
-        return self._hash
+        return hash((self.ring.prime, self.basis()))
 
     def __str__(self):
         return "(" + ", ".join(str(g) for g in self.basis()) + ")"

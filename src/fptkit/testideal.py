@@ -275,11 +275,11 @@ def least_parameter(computer: TestIdealComputer, predicate, lo, hi) -> tuple | N
     narrows on the p-adic grid, where evaluation needs no bound:
     tau(f^(k/p^e)) = root_e(f^k) (Blickle-Mustata-Smith).  Level e keeps an
     integer a whose cell ((a-1)/p^e, a/p^e], cut to (lo, hi], holds the
-    answer.  Level 0 doubles a step d from floor(lo)+1 until floor(lo)+d
-    holds or reaches hi, where hi is evaluated, and bisects the last
-    doubling; so no power of f past twice the answer's ceiling is formed.
-    Each later level bisects k over (p*(a-1), p*a]; grid points at or below
-    lo read false and those at or above hi read true.  The least lam is a
+    answer.  Grid points at or below lo read false and those at or above hi
+    read true.  Level 0 is _least_integer from floor(lo) with no upper end,
+    so no power of f past twice the answer's ceiling is formed, and hi is
+    evaluated only when that search ends at or past it.  Each later level
+    bisects k over (p*(a-1), p*a].  The least lam is a
     jumping number, so it is a candidate for the computer's bound B, and
     candidates lie more than p^(-2B) apart: after 2B+1 levels the cell holds
     it as its only candidate.
@@ -298,12 +298,9 @@ def least_parameter(computer: TestIdealComputer, predicate, lo, hi) -> tuple | N
             return True
         return predicate(computer.grid_ideal(k, e))
 
-    base, d = floor(lo), 1
-    while base + d < hi and not holds(base + d, 0):
-        d *= 2
-    if base + d >= hi and not predicate(computer.ideal_at(hi)):
+    a = _least_integer(lambda k: holds(k, 0), floor(lo))
+    if a >= hi and not predicate(computer.ideal_at(hi)):
         return None
-    a = _least_integer(lambda k: holds(k, 0), base + d // 2, min(base + d, ceil(hi)))
     levels = 2 * bound + 1
     for e in range(1, levels + 1):
         a = _least_integer(lambda k: holds(k, e), p * (a - 1), p * a)

@@ -332,3 +332,40 @@ class TestRationalWire:
     @given(q=st.fractions(min_value=0, max_value=100, max_denominator=997))
     def test_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q
+
+
+def _probed(threshold, lo, hi=None):
+    """basep._least_integer on n >= threshold, with the integers it probed."""
+    probes = []
+
+    def holds(n):
+        probes.append(n)
+        return n >= threshold
+
+    return basep._least_integer(holds, lo, hi), probes
+
+
+class TestLeastInteger:
+    def test_gallops_from_below_then_bisects(self):
+        # lo = 3, answer 13: steps 1, 2, 4, 8, 16 probe 4, 5, 7, 11, 19, and
+        # the last doubling (11, 19] is bisected at 15, 13 and 12
+        assert _probed(13, 3) == (13, [4, 5, 7, 11, 19, 15, 13, 12])
+
+    def test_answer_next_to_lo_is_one_probe(self):
+        assert _probed(8, 7) == (8, [8])
+
+    def test_upper_end_bisects_only(self):
+        # with hi the window (0, 10] is bisected and hi itself is not probed
+        assert _probed(7, 0, 10) == (7, [5, 7, 6])
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.integers(-50, 50), gap=st.integers(1, 300))
+    def test_matches_a_linear_scan(self, lo, gap):
+        threshold = lo + gap
+        scan = next(n for n in range(lo + 1, threshold + 1) if n >= threshold)
+        found, probes = _probed(threshold, lo)
+        assert found == scan
+        # the gallop probes lo + 2^i until one holds; no probe passes it
+        d = 1 << (gap - 1).bit_length()
+        assert probes[: d.bit_length()] == [lo + (1 << i) for i in range(d.bit_length())]
+        assert max(probes) == lo + d < lo + 2 * gap

@@ -299,6 +299,20 @@ class TestNu:
             assert engine.nu(b, e) == expected
         assert brute_nu(ring5.variable("y"), b, 1) == 44
 
+    def test_gallops_at_level_e(self, ring5, monkeypatch):
+        # nu is the least N with root_1(y^N) inside b, less one: N = 1, 2,
+        # 4, ..., 64 gallop up from 0, and (32, 64] is bisected to 45
+        probes = []
+        root_power = FrobeniusRootEngine.root_power
+        monkeypatch.setattr(
+            FrobeniusRootEngine,
+            "root_power",
+            lambda engine, N, e: probes.append((N, e)) or root_power(engine, N, e),
+        )
+        b = ideal_of(ring5, "x^3", "x - y^3")
+        assert FrobeniusRootEngine(ring5.variable("y")).nu(b, 1) == 44
+        assert probes == [(n, 1) for n in (1, 2, 4, 8, 16, 32, 64, 48, 40, 44, 46, 45)]
+
     def test_unit_polynomial_rejected(self, ring5):
         with pytest.raises(DomainError):
             FrobeniusRootEngine(ring5.constant(2)).nu(maximal_ideal(ring5), 1)
@@ -324,6 +338,19 @@ class TestFThreshold:
         x = ring5.variable("x")
         with pytest.raises(InfeasibleError):
             TestIdealComputer(x, 1).f_threshold(ideal_of(ring5, "y"), cap=F(3))
+
+    def test_cap_is_evaluated_only_when_the_search_reaches_it(self, ring5, monkeypatch):
+        # the threshold of x for (x^5) is 5, inside the window (0, 7]: level 0
+        # gallops 1, 2, 4, 8 and bisects (4, 8], so it ends at 5 < 7 and
+        # tau(f^7) is never asked for; only the answer goes through ideal_at
+        asked = []
+        ideal_at = TestIdealComputer.ideal_at
+        monkeypatch.setattr(
+            TestIdealComputer, "ideal_at", lambda c, lam: asked.append(lam) or ideal_at(c, lam)
+        )
+        c = TestIdealComputer(ring5.variable("x"), 3)
+        assert c.f_threshold(ideal_of(ring5, "x^5"), cap=7) == 5
+        assert asked == [5]
 
     def test_above_one(self, ring5, quartic5):
         # tau drops inside (f)*m only beyond the first Skoda translate
