@@ -10,8 +10,9 @@ polynomials in F_p[x_1..x_n] with exact rational arithmetic throughout:
 * perturbation-constancy harnesses for isolated singularities.
 
 A query builds one TestIdealComputer(f, bound) and asks it every question:
-ideal_at, grid_ideal, left_limit_at, is_jump, fpt and f_threshold share its
-root engine, and the nu invariants are FrobeniusRootEngine(f).nu(b, e).
+ideal_at, grid_ideal, left_limit_at, certified, is_jump, fpt and f_threshold
+share its root engine, and the nu invariants are
+FrobeniusRootEngine(f).nu(b, e).
 """
 
 from . import basep, constancy, errors, froot, groebner, parsing, poly, testideal

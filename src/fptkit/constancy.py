@@ -256,7 +256,9 @@ def constancy_report(
     the bound B = ell is valid for f and for the jumps of f + h at the
     origin.  The walks are global, though: h can give f + h singular points
     away from the origin, whose jumps need not be candidates for B = ell,
-    and the perturbed walk then finds them or raises DomainError.
+    and the perturbed walk then finds them or raises DomainError.  Each
+    perturbed walk is given f's jumps as guesses, since local constancy
+    expects f + h to jump where f does; guesses change the work, not a record.
     ``exponents=None`` asks for the single order k = ell + 3.
     """
     profile = singularity_profile(f)
@@ -279,7 +281,7 @@ def constancy_report(
     for k in exponents:
         for idx in range(samples_per_exponent):
             h = random_perturbation(f.ring, k, k + 1, term_count, (seed, k, idx))
-            pert = jumping_numbers_unit_interval(f + h, ell)
+            pert = jumping_numbers_unit_interval(f + h, ell, base.jumping_numbers)
             fpt_equal = base.fpt == pert.fpt
             jn_equal = base.jumping_numbers == pert.jumping_numbers
             if jn_equal:

@@ -129,8 +129,12 @@ def _front_end(ring, term_dicts) -> tuple[list[Polynomial], bool]:
     rest = [t for t in term_dicts if len(t) > 1]
     new = monos
     while rest and new:
-        # each kept term was checked against the older monomials already
-        cut = [{m: c for m, c in t.items() if not any(divides(u, m) for u in new)} for t in rest]
+        # each distinct term is tested once a round, against the new
+        # monomials only: it was checked against the older ones already
+        dead = {m for m in {m for t in rest for m in t} if any(divides(u, m) for u in new)}
+        if not dead:
+            break
+        cut = [{m: c for m, c in t.items() if m not in dead} for t in rest]
         new = {m for t in cut if len(t) == 1 for m in t}
         monos |= new
         rest = [t for t in cut if len(t) > 1]

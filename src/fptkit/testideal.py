@@ -26,12 +26,13 @@ least_parameter answers that by p-adic bisection over grid points k/p^e:
 the answer is a jumping number, hence a candidate, and candidates lie
 more than p^(-2B) apart, so only a cell holding a single candidate is
 ever enumerated.  It returns that candidate with the ideal that
-rechecked it, through the formula above.
+rechecked it, through the formula above.  A search first tries its guess,
+if given one, with the certificate TestIdealComputer.certified.
 
 TestIdealComputer is the one context a query builds: it holds f, the
 checked bound and the root engine, and every question of the query
-(ideal_at, grid_ideal, left_limit_at, is_jump, fpt, f_threshold) is one of
-its methods.  The invariants a walk's output must satisfy are
+(ideal_at, grid_ideal, left_limit_at, certified, is_jump, fpt, f_threshold)
+is one of its methods.  The invariants a walk's output must satisfy are
 JumpingNumberReport.checks, asked of the walk's own computer and engine.
 """
 
@@ -152,7 +153,7 @@ class JumpingNumberReport:
             checks.append(("jacobian contained in every test ideal on [0,1)", jac_ok))
         nus = {p**e: engine.nu(maximal_ideal(f.ring), e) for e in (1, 2, 3)}
         sandwich = all(Fraction(v, q) < self.fpt <= Fraction(v + 1, q) for q, v in nus.items())
-        fpt_certified = _inside_m(c.ideal_at(self.fpt)) and not _inside_m(c.left_limit_at(self.fpt))
+        fpt_certified = c.certified(_inside_m, self.fpt) is not None
         # the fpt check keeps its old name, which the benchmark's reference pins
         return checks + [
             ("nu sandwich brackets the fpt (e = 1..3)", sandwich),
@@ -219,6 +220,22 @@ class TestIdealComputer:
         s = stabilization_exponent(lam, self.bound, self.p) or self.bound
         return self.grid_ideal(_ceil_times(self.p**s, lam) - 1, s)
 
+    def certified(self, predicate, lam) -> Ideal | None:
+        """tau(f^lam) when lam is the least parameter at which the monotone
+        predicate turns true, else None.
+
+        The certificate: the predicate holds at tau(f^lam) and fails at the
+        left limit at lam, so it fails on some (lam - eps, lam) and hence,
+        being monotone, everywhere below lam.  Both evaluations are exact
+        for a valid bound (Blickle-Mustata-Smith); lam must be positive.
+        The left limit goes first: a guess past the answer fails there, and
+        tau(f^lam) is then never formed.
+        """
+        if predicate(self.left_limit_at(lam)):
+            return None
+        ideal = self.ideal_at(lam)
+        return ideal if predicate(ideal) else None
+
     def is_jump(self, lam) -> bool:
         """True iff the test ideal jumps at lam; lam must be a (p, bound) candidate."""
         lam = _as_fraction(lam)
@@ -266,12 +283,15 @@ def _inside_m(ideal: Ideal) -> bool:
     return all(g.constant_term() == 0 for g in ideal.basis())
 
 
-def least_parameter(computer: TestIdealComputer, predicate, lo, hi) -> tuple | None:
+def least_parameter(computer: TestIdealComputer, predicate, lo, hi, guess=None) -> tuple | None:
     """(lam, tau(f^lam)) for the least lam in (lo, hi] with
     predicate(tau(f^lam)), or None when the predicate is false at hi.
 
     The predicate must be monotone along the descending family: false at
-    lo, and once true for some lam, true for every larger one.  The search
+    lo, and once true for some lam, true for every larger one.  A guess in
+    (lo, hi] is tried first: when computer.certified confirms it, it is the
+    answer, found with two evaluations; any other guess costs at most those
+    two, and the search runs as if none were given.  The search
     narrows on the p-adic grid, where evaluation needs no bound:
     tau(f^(k/p^e)) = root_e(f^k) (Blickle-Mustata-Smith).  Level e keeps an
     integer a whose cell ((a-1)/p^e, a/p^e], cut to (lo, hi], holds the
@@ -287,6 +307,10 @@ def least_parameter(computer: TestIdealComputer, predicate, lo, hi) -> tuple | N
     lo, hi = _as_fraction(lo), _as_fraction(hi)
     if not 0 <= lo < hi:
         raise DomainError(f"search window ({lo}, {hi}] must lie in [0, oo) and be nonempty")
+    if guess is not None and lo < guess <= hi:
+        ideal = computer.certified(predicate, guess)
+        if ideal is not None:
+            return _as_fraction(guess), ideal
     p, bound = computer.p, computer.bound
 
     def holds(k: int, e: int) -> bool:
@@ -322,11 +346,17 @@ def least_parameter(computer: TestIdealComputer, predicate, lo, hi) -> tuple | N
     return value, ideal
 
 
-def jumping_numbers_unit_interval(f: Polynomial, bound: int | None) -> JumpingNumberReport:
+def jumping_numbers_unit_interval(
+    f: Polynomial, bound: int | None, guesses=()
+) -> JumpingNumberReport:
     """The jumping numbers in [0, 1) and their test ideals, jump by jump.
 
     The jump after lam_i is the least lam in (lam_i, 1] whose test ideal
-    differs from tau(f^lam_i); the walk ends when that lam is 1.
+    differs from tau(f^lam_i); the walk ends when that lam is 1.  Each
+    search first tries the least of the guesses above lam_i, else 1, the
+    guess that no jump is left, so the walk's last search is settled by
+    one left limit at 1.  For a valid bound guesses change no answer, only
+    the work: a walk that expects the jumps of a nearby f passes them.
     candidate_count holds the number of test-ideal evaluations made.
     """
     if f.constant_term() != 0:
@@ -336,8 +366,9 @@ def jumping_numbers_unit_interval(f: Polynomial, bound: int | None) -> JumpingNu
     jumps = [Fraction(0)]
     ideals = [computer.engine.root_power(0, 0)]
     while True:
-        current = ideals[-1]
-        found = least_parameter(computer, lambda ideal: ideal != current, jumps[-1], 1)
+        current, last = ideals[-1], jumps[-1]
+        guess = min((g for g in guesses if g > last), default=1)
+        found = least_parameter(computer, lambda ideal: ideal != current, last, 1, guess)
         if found is None or found[0] == 1:
             break
         jumps.append(found[0])

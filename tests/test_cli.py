@@ -418,7 +418,7 @@ class TestHumanOutput:
                 ("jn", *QUARTIC, "--bound", "6"),
                 "jumping numbers of x^4 + x^2*y^2 + y^3 in [0,1)   [p = 5, bound = 6]\n"
                 "fpt = 7/12\n"
-                "ideal evaluations: 143\n"
+                "ideal evaluations: 111\n"
                 "      0  ->  (1)\n"
                 "   7/12  ->  (y, x)\n"
                 "    4/5  ->  (y, x^2)\n"

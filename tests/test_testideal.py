@@ -25,6 +25,7 @@ from fptkit import (
     normal_form,
     parse_polynomial,
     power,
+    random_perturbation,
     singularity_profile,
     stabilization_exponent,
 )
@@ -439,6 +440,98 @@ class TestLeastParameter:
         assert [asked.count(lam) for lam in report.jumping_numbers[1:]] == [1, 1, 1]
 
 
+class TestGuesses:
+    """A guess changes the work of a search, never its answer: a certified
+    guess is the answer, and any other guess falls back to the search."""
+
+    FAMILIES = [(7, "x^2 + y^3"), (5, "x^4 + y^3 + x^2*y^2"), (3, "x^2 + y^4"), (2, "x^3 + y^5")]
+    # constancy pool queries whose f + h jumps where f does not
+    MOVED = [
+        (2, "x^2*y^2 + y^3 + x^2", "453338"),
+        (3, "2*y^5 + 2*x^2", "231360"),
+        (7, "2*x^2*y + 6*x*y^2 + 5*x^2 + 6*y^2", "680875"),
+        (3, "2*x^6*y + 2*y^5 + x^2", "306416"),
+    ]
+
+    @staticmethod
+    def _perturbed(p, text, seeds):
+        """f's walk at B = ell and f + h for h in m^(ell+3), one h per seed."""
+        ring = PolyRing(p, ["x", "y"])
+        f = parse_polynomial(text, ring)
+        ell = singularity_profile(f).ell
+        base = jumping_numbers_unit_interval(f, ell)
+        for seed in seeds:
+            h = random_perturbation(ring, ell + 3, ell + 4, 3, (seed, ell + 3, 0))
+            yield base, f + h, ell
+
+    @staticmethod
+    def _same_walk(a, b):
+        return all(
+            getattr(a, name) == getattr(b, name)
+            for name in ("jumping_numbers", "test_ideals", "fpt")
+        )
+
+    @pytest.mark.parametrize("p, text", FAMILIES)
+    def test_perturbed_walk_given_the_base_jumps(self, p, text):
+        for base, g, ell in self._perturbed(p, text, range(4)):
+            searched = jumping_numbers_unit_interval(g, ell)
+            guessed = jumping_numbers_unit_interval(g, ell, base.jumping_numbers)
+            assert self._same_walk(guessed, searched)
+            assert guessed.candidate_count < searched.candidate_count
+
+    @pytest.mark.parametrize("p, text, seed", MOVED)
+    def test_perturbed_walk_whose_jumps_move(self, p, text, seed):
+        ((base, g, ell),) = self._perturbed(p, text, [seed])
+        searched = jumping_numbers_unit_interval(g, ell)
+        assert searched.jumping_numbers != base.jumping_numbers
+        guessed = jumping_numbers_unit_interval(g, ell, base.jumping_numbers)
+        assert self._same_walk(guessed, searched)
+
+    def test_walk_given_its_own_jumps(self, quartic5, quartic5_report):
+        # each search is one certificate: tau and the left limit at the
+        # guess, the last one at 1
+        report = jumping_numbers_unit_interval(quartic5, 6, quartic5_report.jumping_numbers)
+        assert self._same_walk(report, quartic5_report)
+        assert report.candidate_count == 2 * len(report.jumping_numbers)
+
+    def test_walk_given_another_fs_jumps(self, quartic5, quartic5_report, cusp7):
+        others = jumping_numbers_unit_interval(cusp7, 2).jumping_numbers  # 0, 5/6
+        report = jumping_numbers_unit_interval(quartic5, 6, others + (F(1, 5), 3))
+        assert self._same_walk(report, quartic5_report)
+
+    @pytest.mark.parametrize(
+        "lo, guess",
+        [
+            (0, F(1, 2)),  # a candidate, but no jump
+            (0, 1),  # the window's end, past the answer
+            (0, F(5, 6)),  # a jump of another f
+            (0, F(4, 5)),  # a later jump
+            (F(7, 12), F(7, 12)),  # at lo
+            (F(7, 12), F(1, 2)),  # below lo
+            (0, F(3, 2)),  # past hi
+        ],
+    )
+    def test_wrong_guess_returns_the_searched_answer(self, quartic5, lo, guess):
+        c = TestIdealComputer(quartic5, 6)
+        current = c.ideal_at(lo)
+        predicate = current.__ne__
+        searched = least_parameter(c, predicate, lo, 1)
+        assert least_parameter(c, predicate, lo, 1, guess) == searched
+        assert searched[0] == (F(7, 12) if lo == 0 else F(4, 5))
+
+    def test_right_guess_is_certified(self, quartic5):
+        c = TestIdealComputer(quartic5, 6)
+        inside_m = maximal_ideal(quartic5.ring).contains_ideal
+        found = least_parameter(c, inside_m, 0, 1, F(7, 12))
+        assert c.evaluations == 2  # tau and the left limit at the guess
+        assert found == (F(7, 12), c.ideal_at(F(7, 12)))
+        # the fpt is certified, but past the window's end, which the search
+        # answers with None
+        assert least_parameter(c, inside_m, 0, F(1, 2), F(7, 12)) is None
+        assert c.certified(inside_m, F(4, 5)) is None
+        assert c.certified(inside_m, F(1, 2)) is None
+
+
 class TestVerifyChecks:
     FPT_CHECK = "interval-narrowed fpt matches the candidate walk"
 
@@ -462,8 +555,8 @@ class TestVerifyChecks:
         true_fpt = TestIdealComputer(f, bound).fpt()
         least = testideal.least_parameter
 
-        def next_candidate(computer, predicate, lo, hi):
-            found = least(computer, predicate, lo, hi)
+        def next_candidate(computer, predicate, lo, hi, guess=None):
+            found = least(computer, predicate, lo, hi, guess)
             if found is None or found[0] == hi:
                 return found
             lam = candidates_left_open(computer.p, computer.bound, found[0], hi)[0]
