@@ -104,7 +104,7 @@ class FrobeniusRootEngine:
     the digit powers f^d and the final carry come from one power table.
     """
 
-    __slots__ = ("f", "ring", "_fpow", "_states", "_ideals", "_rows", "_radical")
+    __slots__ = ("f", "ring", "_fpow", "_states", "_ideals", "_rows", "_carries", "_radical")
 
     def __init__(self, f: Polynomial):
         self.f = f
@@ -113,6 +113,7 @@ class FrobeniusRootEngine:
         self._states: dict[Ideal, int] = {}  # each interned state -> its index
         self._ideals: list[Ideal] = []  # index -> interned state
         self._rows: list[dict[int, int]] = []  # index -> {digit: next index}
+        self._carries: dict[tuple[int, int], int] = {}  # (index, carry N) -> index of the root
         self._intern(_root(self.ring, [{0: 1}], 1))  # the start state (1) has index 0
         self._radical: set[Ideal] = set()  # each b already certified to hold f in sqrt(b)
 
@@ -163,7 +164,8 @@ class FrobeniusRootEngine:
         before is two lookups on a state index and a digit.  What is left
         of N, N div p^e, is the final carry: the root at q = 1 of the
         products f^(N div p^e) * g over the last state's basis, interned
-        like every state.  root_power(0, 0) is the start state (1)."""
+        like every state and kept, like a step, under the last state's index
+        and N.  root_power(0, 0) is the start state (1)."""
         if N < 0 or e < 0:
             raise DomainError("root_power requires N >= 0 and e >= 0")
         i, p, rows = 0, self.ring.prime, self._rows
@@ -172,7 +174,10 @@ class FrobeniusRootEngine:
             j = rows[i].get(d)
             i = self._step(i, d) if j is None else j
         if N:
-            i = self._intern(_root(self.ring, self._products(self._ideals[i], N), 1))
+            if (i, N) not in self._carries:
+                products = self._products(self._ideals[i], N)
+                self._carries[i, N] = self._intern(_root(self.ring, products, 1))
+            i = self._carries[i, N]
         return self._ideals[i]
 
     def in_radical(self, b: Ideal) -> bool:

@@ -212,19 +212,55 @@ class TestJacobianStability:
 
     @pytest.mark.parametrize(
         "p, text",
-        [(7, "x^2 + y^3"), (5, "x^4 + y^3 + x^2*y^2"), (3, "x^2 + y^4"), (2, "x^3 + y^5")],
+        [
+            (2, "x^2 + x*y + y^3"),
+            (2, "x^3 + y^5"),
+            (3, "x^2 + y^4"),
+            (5, "x^4 + y^3 + x^2*y^2"),
+            (7, "x^2 + y^3"),
+            (11, "x^3 + y^4"),
+            (2, "x*y + z^3"),
+            (3, "x^2 + y^2 + z^4"),
+            (5, "x^2 + y^3 + z^4"),
+            (7, "x^2 + y^3 + z^3"),
+            (11, "x^2 + y^2 + z^2"),
+            (11, "x^2 + y^3 + z^4"),
+        ],
     )
     def test_matches_global_basis_comparison(self, p, text):
-        # the check cuts Jac(f+h)'s generators; the comparison it replaced
-        # took Jac(f+h)'s global reduced basis
-        ring = PolyRing(p, ["x", "y"])
+        # the check returns True by its proof; the comparison it replaced
+        # took Jac(f+h)'s global reduced basis, at k = ell+3 and ell+4, and
+        # some draws put terms in the lowest degree the check admits
+        ring = PolyRing(p, ["x", "y", "z"] if "z" in text else ["x", "y"])
         f = parse_polynomial(text, ring)
         profile = singularity_profile(f)
-        k = profile.ell + 3
-        for idx in range(4):
-            h = random_perturbation(ring, k, k + 2, 3, (text, idx))
-            expected = local_ideal_equal(profile.jacobian, jacobian(f + h), profile.ell)
-            assert jacobian_stability_check(profile, h) == expected
+        ell, lowest = profile.ell, 0
+        for k in (ell + 3, ell + 4):
+            for idx in range(4):
+                h = random_perturbation(ring, k, k + 1, 3, (text, k, idx))
+                lowest += any(sum(m) == ell + 3 for m, _ in h.terms())
+                expected = local_ideal_equal(profile.jacobian, jacobian(f + h), ell)
+                assert jacobian_stability_check(profile, h) == expected
+        assert lowest > 0
+
+    @pytest.mark.parametrize(
+        "p, text", [(7, "x^2 + y^3"), (5, "x^4 + y^3 + x^2*y^2"), (3, "x^2 + y^2 + z^4")]
+    )
+    def test_forms_no_groebner_basis(self, monkeypatch, p, text):
+        # each of these h made the comparison it replaced run the kernel
+        ring = PolyRing(p, ["x", "y", "z"] if "z" in text else ["x", "y"])
+        profile = singularity_profile(parse_polynomial(text, ring))
+        buchberger, runs = groebner._buchberger, []
+
+        def counted(gens):
+            runs.append(None)
+            return buchberger(gens)
+
+        monkeypatch.setattr(groebner, "_buchberger", counted)
+        for idx in range(3):
+            h = random_perturbation(ring, profile.ell + 3, profile.ell + 4, 3, ("no basis", idx))
+            assert jacobian_stability_check(profile, h)
+        assert runs == []
 
     def test_cut_generators_at_every_order(self, quartic5, ring5):
         # Jac(f+h) + m^k from the generators cut below degree k equals it
@@ -307,7 +343,8 @@ class TestConstancyReport:
     def test_kernel_runs(self, monkeypatch, cusp7):
         # 97 runs and 24 powers m^k before the monomial cut and the equality
         # exit; 36 before the final carries and the start states became
-        # front-end roots, which skip the kernel when one row is left
+        # front-end roots, which skip the kernel when one row is left; 11
+        # before jacobian_stability_check stopped forming Jac(f+h)'s basis
         buchberger, runs = groebner._buchberger, []
 
         def counted(gens):
@@ -317,7 +354,7 @@ class TestConstancyReport:
         monkeypatch.setattr(groebner, "_buchberger", counted)
         report = constancy_report(cusp7, [5, 6], 2, seed=3)
         assert len(report.records) == 4
-        assert len(runs) == 11
+        assert len(runs) == 7
 
     def test_zero_gap_implies_flags(self, cusp7):
         report = constancy_report(cusp7, [6], 3, seed=7)

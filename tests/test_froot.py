@@ -18,6 +18,7 @@ from fptkit import (
     parse_polynomial,
     power,
 )
+from fptkit import froot
 from fptkit.froot import FrobeniusRootEngine, _root
 
 from conftest import random_poly
@@ -422,6 +423,26 @@ class TestEngineFixedWork:
         assert runs == []
         assert got.basis() == (quartic5.monic(),)
         assert got is state_for(engine, Ideal(quartic5.ring, [quartic5]))
+
+    def test_final_carry_is_formed_once(self, monkeypatch, quartic5):
+        # each search of a walk whose level 0 reaches hi = 1 evaluates
+        # tau(f^1); a carry taken before is one lookup on the state index
+        # and N, like a step
+        engine = FrobeniusRootEngine(quartic5)
+        roots = []
+
+        def spied(ring, products, q):
+            roots.append(q)
+            return _root(ring, products, q)
+
+        monkeypatch.setattr(froot, "_root", spied)
+        first = engine.root_power(1, 0)
+        assert roots == [1]
+        assert engine.root_power(1, 0) is first
+        # 6 = 1 + 5: the digit 1 steps from (1) to tau(f^(1/5)) = (1), whose
+        # carry 1 is the one kept above
+        assert engine.root_power(6, 1) is first
+        assert roots == [1, 5]
 
     def test_carry_of_single_terms_skips_the_kernel(self, monkeypatch):
         # f^13 = x^26*y^13 over F_5: the digit 3 steps from (1) to (x), and
