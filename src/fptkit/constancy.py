@@ -26,7 +26,7 @@ from .basep import format_rational
 from .errors import DomainError, StabilityError
 from .groebner import Ideal, maximal_ideal_power
 from .parsing import _decimal
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, _require_same_ring
 from .testideal import TestIdealComputer, isolated_jacobian, jumping_numbers_unit_interval
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "ConstancyReport",
     "singularity_profile",
     "local_ideal_equal",
-    "jacobian_stability_check",
     "random_perturbation",
     "constancy_report",
     "threshold_ideal_consistency",
@@ -101,8 +100,7 @@ def local_ideal_equal(J: Ideal, K: Ideal, ell: int) -> bool:
     J == K answers True at once: both comparisons would, and no m^k is
     formed.
     """
-    if J.ring != K.ring:
-        raise DomainError("ideal ring mismatch")
+    _require_same_ring(J, K)
     if ell < 0:
         raise DomainError("ell must be >= 0")
     if J == K:
@@ -115,31 +113,6 @@ def local_ideal_equal(J: Ideal, K: Ideal, ell: int) -> bool:
             "the ideals do not both contain the required power of the maximal ideal"
         )
     return first
-
-
-def jacobian_stability_check(profile: SingularityProfile, h: Polynomial) -> bool:
-    """Whether Jac(f) and Jac(f+h) agree at the origin, for f = profile.poly:
-    always, once h has order >= ell+3, so no ideal is formed.
-
-    Proof.  Let J = Jac(f) and K the ideal of Jac(f+h)'s generators cut below
-    degree ell+3, the comparison ``local_ideal_equal(J, K, ell)`` this stands
-    for.  R/J is local Artinian of length ell, so m^ell lies in J.  Each cut
-    generator differs from J's matching generator g_i by an element of
-    m^(ell+2), so each degree-ell monomial sum a_i g_i lies in K + m^(ell+2).
-    Hence J and K agree modulo m^(ell+2); and m^(ell+2) lies in J and in
-    K + m^(ell+3), so they agree modulo m^(ell+3): StabilityError cannot fire.
-    """
-    if not profile.is_isolated:
-        raise DomainError("jacobian stability requires an isolated singularity at the origin")
-    required = profile.ell + 3
-    if not h.is_zero():
-        order = min(sum(m) for m, _ in h.terms())
-        if order < required:
-            raise DomainError(
-                f"perturbation has a monomial of degree {order}; every monomial "
-                f"must have degree >= {required}"
-            )
-    return True
 
 
 def random_perturbation(
@@ -242,25 +215,20 @@ class ConstancyReport:
         return out.getvalue()
 
 
-def constancy_report(
-    f: Polynomial,
-    exponents,
-    samples_per_exponent: int,
-    seed,
-    term_count: int = 3,
-) -> ConstancyReport:
+def constancy_report(f: Polynomial, exponents, samples_per_exponent: int, seed) -> ConstancyReport:
     """Perturb f inside m^k for each requested k and compare the walks of f and f + h.
 
-    Each perturbation h has at most term_count terms, all of degree in
-    [k, k+1].  Requires an isolated singularity and k >= ell + 3, so that
-    the bound B = ell is valid for f and for the jumps of f + h at the
-    origin.  The walks are global, though: h can give f + h singular points
-    away from the origin, whose jumps need not be candidates for B = ell,
-    and the perturbed walk then finds them or raises DomainError.  Each
-    perturbed walk is given f's jumps as guesses, since local constancy
-    expects f + h to jump where f does; guesses change the work, not a record.
-    jacobianStable is read off the hypotheses by jacobian_stability_check,
-    which k >= ell + 3 makes True, so no Jacobian of f + h is formed.
+    Each perturbation h has at most 3 terms, all of degree in [k, k+1].
+    Requires an isolated singularity and k >= ell + 3, so that the bound
+    B = ell is valid for f and for the jumps of f + h at the origin.  The
+    walks are global, though: h can give f + h singular points away from
+    the origin, whose jumps need not be candidates for B = ell, and the
+    perturbed walk then finds them or raises DomainError.  Each perturbed
+    walk is given f's jumps as guesses, since local constancy expects
+    f + h to jump where f does; guesses change the work, not a record.
+    jacobianStable is True on every record: k >= ell + 3 is enforced, and
+    then Jac(f+h) = Jac(f) at the origin by Nakayama (the proof is in
+    CHANGES.md), so no Jacobian of f + h is formed.
     ``exponents=None`` asks for the single order k = ell + 3.
     """
     profile = singularity_profile(f)
@@ -281,7 +249,7 @@ def constancy_report(
     records = []
     for k in exponents:
         for idx in range(samples_per_exponent):
-            h = random_perturbation(f.ring, k, k + 1, term_count, (seed, k, idx))
+            h = random_perturbation(f.ring, k, k + 1, 3, (seed, k, idx))
             pert = jumping_numbers_unit_interval(f + h, ell, base.jumping_numbers)
             fpt_equal = base.fpt == pert.fpt
             jn_equal = base.jumping_numbers == pert.jumping_numbers
@@ -298,7 +266,7 @@ def constancy_report(
                     fpt_equal=fpt_equal,
                     jumping_numbers_equal=jn_equal,
                     test_ideals_equal_locally=ti_equal,
-                    jacobian_stable=jacobian_stability_check(profile, h),
+                    jacobian_stable=True,  # by Nakayama, since k >= ell + 3
                     fpt_gap=abs(base.fpt - pert.fpt),
                     gap_bound=Fraction(f.ring.dimension, k),
                     theorem_violation=k >= profile.bound_fpt and not fpt_equal,

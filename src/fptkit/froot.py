@@ -40,7 +40,7 @@ from __future__ import annotations
 from .basep import _least_integer
 from .errors import DomainError
 from .groebner import Ideal, _front_end, radical_member
-from .poly import Polynomial, power
+from .poly import Polynomial, _require_same_ring, power
 
 __all__ = ["frobenius_root_ideal", "FrobeniusRootEngine"]
 
@@ -198,8 +198,7 @@ class FrobeniusRootEngine:
         """
         if e < 0:
             raise DomainError("nu requires e >= 0")
-        if self.ring != b.ring:
-            raise DomainError("polynomial/ideal ring mismatch")
+        _require_same_ring(self, b)
         if b.is_unit():
             raise DomainError("nu is undefined for the unit ideal")
         if not self.in_radical(b):

@@ -34,7 +34,14 @@ import heapq
 from itertools import combinations_with_replacement
 
 from .errors import DomainError, NotMPrimaryError
-from .poly import FIELD_BITS, Polynomial, PolyRing, _add_multiple, partial_derivative
+from .poly import (
+    FIELD_BITS,
+    Polynomial,
+    PolyRing,
+    _add_multiple,
+    _require_same_ring,
+    partial_derivative,
+)
 
 __all__ = [
     "Ideal",
@@ -267,15 +274,15 @@ class Ideal:
     __slots__ = ("ring", "generators", "_basis")
 
     def __init__(self, ring: PolyRing, generators=()):
+        self.ring = ring
         gens = []
         for g in generators:
             if not isinstance(g, Polynomial):
                 raise DomainError("ideal generators must be polynomials")
-            if g.ring != ring:
-                raise DomainError("generator ring mismatch")
+            if g.ring != ring:  # one comparison per generator on this hot path
+                _require_same_ring(g, self)
             if not g.is_zero():
                 gens.append(g)
-        self.ring = ring
         self.generators = tuple(gens)
         self._basis = None
 
@@ -296,8 +303,7 @@ class Ideal:
         return normal_form(f, self).is_zero()
 
     def contains_ideal(self, other: "Ideal") -> bool:
-        if self.ring != other.ring:
-            raise DomainError("ideal ring mismatch")
+        _require_same_ring(self, other)
         return all(self.contains(g) for g in other.basis())
 
     def __eq__(self, other):
@@ -321,8 +327,7 @@ class Ideal:
 
 
 def normal_form(f: Polynomial, J: Ideal) -> Polynomial:
-    if f.ring != J.ring:
-        raise DomainError("polynomial/ideal ring mismatch")
+    _require_same_ring(f, J)
     return _reduce_full(f, J.basis())
 
 

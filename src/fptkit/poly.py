@@ -195,9 +195,11 @@ def _add_multiple(out: dict, terms: dict, c: int, p: int) -> None:
             out.pop(m, None)
 
 
-def _require_same_ring(a: "Polynomial", b: "Polynomial"):
+def _require_same_ring(a, b):
+    """The one ring check of the package: a and b (polynomials, ideals,
+    engines) must live in the same ring."""
     if a.ring != b.ring:
-        raise DomainError("polynomials live in different rings")
+        raise DomainError("ring mismatch: the operands live in different rings")
 
 
 class Polynomial:

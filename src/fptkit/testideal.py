@@ -57,7 +57,7 @@ from .basep import (
 from .errors import DomainError, InfeasibleError, NotMPrimaryError
 from .froot import FrobeniusRootEngine
 from .groebner import Ideal, artinian_length, bracket_power, jacobian, maximal_ideal
-from .poly import Polynomial
+from .poly import Polynomial, _require_same_ring
 
 __all__ = [
     "JumpingNumberReport",
@@ -263,8 +263,7 @@ class TestIdealComputer:
         f^ceil(lam), so no lam qualifies unless f lies in sqrt(b); the
         engine checks that first, before any power of f is formed.
         """
-        if self.f.ring != b.ring:
-            raise DomainError("polynomial/ideal ring mismatch")
+        _require_same_ring(self.f, b)
         if b.is_unit():
             return Fraction(0)
         cap = Fraction(self.f.ring.dimension) if cap is None else _as_fraction(cap)

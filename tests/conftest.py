@@ -17,6 +17,20 @@ def src_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
 
 
+def spy(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that appends each call's argument
+    tuple to the returned list and then makes the call as before."""
+    real = getattr(owner, name)
+    calls = []
+
+    def spied(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, spied)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def ring5():
     return PolyRing(5, ["x", "y"])

@@ -21,7 +21,7 @@ from fptkit import (
 from fptkit import froot
 from fptkit.froot import FrobeniusRootEngine, _root
 
-from conftest import random_poly
+from conftest import random_poly, spy
 from root_oracle import root_generators, split_terms
 
 
@@ -186,19 +186,6 @@ def step_of(engine, J, d):
     return engine._ideals[engine._step(engine._states[J], d)]
 
 
-def count_buchberger(monkeypatch) -> list:
-    """A list that gains one entry per run of groebner._buchberger."""
-    buchberger = groebner._buchberger
-    runs = []
-
-    def counted(gens):
-        runs.append(None)
-        return buchberger(gens)
-
-    monkeypatch.setattr(groebner, "_buchberger", counted)
-    return runs
-
-
 class TestMonomialStep:
     """Roots against the root oracle on exponent tuples, and the kernel
     runs they make."""
@@ -206,7 +193,7 @@ class TestMonomialStep:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
     def test_matches_groebner_path(self, monkeypatch, p, n):
-        runs = count_buchberger(monkeypatch)
+        runs = spy(monkeypatch, groebner, "_buchberger")
         ring = PolyRing(p, ["x", "y", "z"][:n])
         rng = random.Random(f"{p}/{n}")
         x = ring.variable(0)
@@ -258,7 +245,7 @@ class TestMonomialStep:
         # mod 5, so the root is a monomial ideal although the state is not
         engine = FrobeniusRootEngine(ring5.variable("x"))
         J = interned(engine, ideal_of(ring5, "x^6 + y^7"))
-        runs = count_buchberger(monkeypatch)
+        runs = spy(monkeypatch, groebner, "_buchberger")
         roots = [step_of(engine, J, d) for d in range(5)]
         assert runs == []
         for d, (got, x_power) in enumerate(zip(roots, ["x", "x", "x", "x", "x^2"])):
@@ -268,7 +255,7 @@ class TestMonomialStep:
             assert got is state_for(engine, expected)
 
     def test_root_of_single_terms_forms_no_basis(self, monkeypatch, ring5):
-        runs = count_buchberger(monkeypatch)
+        runs = spy(monkeypatch, groebner, "_buchberger")
         root = frobenius_root_ideal(ideal_of(ring5, "x^5 + y^7"), 1)
         assert [str(g) for g in root.basis()] == ["y", "x"]
         assert runs == []
@@ -311,7 +298,7 @@ class TestMonomialCut:
         polys = [parse_polynomial(t, ring) for t in gens]
         oracle = Ideal(ring, root_generators(polys, p))
         oracle.basis()
-        kernel = count_buchberger(monkeypatch)
+        kernel = spy(monkeypatch, groebner, "_buchberger")
         got = _root(ring, [g._packed for g in polys], p)
         assert [str(g) for g in got.basis()] == expected
         assert got == oracle
@@ -345,7 +332,7 @@ class TestMonomialCut:
         J = interned(engine, ideal_of(ring, "x", "y"))
         products = [engine._f_power(3) * g for g in J.basis()]
         assert any(t.term_count() > 1 for g in products for t in split_terms(g, 5))
-        runs = count_buchberger(monkeypatch)
+        runs = spy(monkeypatch, groebner, "_buchberger")
         got = step_of(engine, J, 3)
         assert runs == []
         assert got == Ideal(ring, root_generators(products, 5)) == ideal_of(ring, "x", "y")
@@ -355,7 +342,7 @@ class TestMonomialCut:
         # the cut, and 6 before the final carry, the start state and the
         # walk's tau(f^0) became front-end roots; one-row roots skip the kernel
         f = parse_polynomial("3*x^7 + 4*x^2*y^5 + 6*y^4 + x^2", PolyRing(7, ["x", "y"]))
-        runs = count_buchberger(monkeypatch)
+        runs = spy(monkeypatch, groebner, "_buchberger")
         report = jumping_numbers_unit_interval(f, None)
         assert report.jumping_numbers == (0, Fraction(5, 7))
         assert len(runs) == 1
@@ -365,24 +352,19 @@ class TestEngineFixedWork:
     @pytest.mark.parametrize("search", ["quartic walk", "cusp fpt at p=101"])
     def test_monomial_transitions_skip_the_kernel(self, monkeypatch, quartic5, search):
         # Every transition of these searches starts from a monomial state
-        # and splits into single terms, so none runs Buchberger.
-        buchberger, step = groebner._buchberger, FrobeniusRootEngine._step
-        inside, runs = [], []
+        # and splits into single terms, so none runs Buchberger.  The cusp
+        # search runs it once outside a step, so runs are read per step.
+        kernel, step = spy(monkeypatch, groebner, "_buchberger"), FrobeniusRootEngine._step
+        runs = []
 
-        def counted(gens):
-            if inside:
-                runs.append(None)
-            return buchberger(gens)
-
-        def spied(engine, state, digit):
-            inside.append(None)
+        def bracketed(engine, state, digit):
+            before = len(kernel)
             try:
                 return step(engine, state, digit)
             finally:
-                inside.pop()
+                runs.extend(kernel[before:])
 
-        monkeypatch.setattr(groebner, "_buchberger", counted)
-        monkeypatch.setattr(FrobeniusRootEngine, "_step", spied)
+        monkeypatch.setattr(FrobeniusRootEngine, "_step", bracketed)
         if search == "quartic walk":
             assert jumping_numbers_unit_interval(quartic5, 6).candidate_count == 111
         else:
@@ -396,18 +378,10 @@ class TestEngineFixedWork:
         # the kernel.  The start state is the front end's root of (1) at
         # q = 1 and the walk's tau(f^0) is that state, so the kernel never
         # reduces (1) (was 2: the start state and a fresh (1) for tau(f^0)).
-        buchberger = groebner._buchberger
-        unit_runs = []
-
-        def counted(gens):
-            gens = tuple(gens)
-            if len(gens) == 1 and gens[0].is_one():
-                unit_runs.append(gens)
-            return buchberger(gens)
-
-        monkeypatch.setattr(groebner, "_buchberger", counted)
+        runs = spy(monkeypatch, groebner, "_buchberger")
         report = jumping_numbers_unit_interval(quartic5, None)
         assert report.candidate_count > 100
+        unit_runs = [gens for (gens,) in runs if len(gens) == 1 and gens[0].is_one()]
         assert len(unit_runs) == 0
 
     def test_walk_starts_from_state_zero(self, quartic5):
@@ -418,7 +392,7 @@ class TestEngineFixedWork:
     def test_carry_of_one_row_skips_the_kernel(self, monkeypatch, quartic5):
         # tau(f^1) is the carry f * 1: one front-end row, its own reduced basis
         engine = FrobeniusRootEngine(quartic5)
-        runs = count_buchberger(monkeypatch)
+        runs = spy(monkeypatch, groebner, "_buchberger")
         got = engine.root_power(1, 0)
         assert runs == []
         assert got.basis() == (quartic5.monic(),)
@@ -429,27 +403,21 @@ class TestEngineFixedWork:
         # tau(f^1); a carry taken before is one lookup on the state index
         # and N, like a step
         engine = FrobeniusRootEngine(quartic5)
-        roots = []
-
-        def spied(ring, products, q):
-            roots.append(q)
-            return _root(ring, products, q)
-
-        monkeypatch.setattr(froot, "_root", spied)
+        roots = spy(monkeypatch, froot, "_root")
         first = engine.root_power(1, 0)
-        assert roots == [1]
+        assert [q for _, _, q in roots] == [1]
         assert engine.root_power(1, 0) is first
         # 6 = 1 + 5: the digit 1 steps from (1) to tau(f^(1/5)) = (1), whose
         # carry 1 is the one kept above
         assert engine.root_power(6, 1) is first
-        assert roots == [1, 5]
+        assert [q for _, _, q in roots] == [1, 5]
 
     def test_carry_of_single_terms_skips_the_kernel(self, monkeypatch):
         # f^13 = x^26*y^13 over F_5: the digit 3 steps from (1) to (x), and
         # the carry x * f^2 = x^5*y^2 is a single term
         ring = PolyRing(5, ["x", "y"])
         engine = FrobeniusRootEngine(parse_polynomial("x^2*y", ring))
-        runs = count_buchberger(monkeypatch)
+        runs = spy(monkeypatch, groebner, "_buchberger")
         got = engine.root_power(13, 1)
         assert runs == []
         assert [str(g) for g in got.basis()] == ["x^5*y^2"]
@@ -475,14 +443,7 @@ class TestEngineFixedWork:
     def test_cusp_fpt_products(self, monkeypatch):
         # Each digit power is one product with a cached neighbour, not a
         # binary powering from scratch.
-        multiply = Polynomial.__mul__
-        products = []
-
-        def counted(a, b):
-            products.append(None)
-            return multiply(a, b)
-
-        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        products = spy(monkeypatch, Polynomial, "__mul__")
         cusp = parse_polynomial("x^2 + y^3", PolyRing(101, ["x", "y"]))
         assert TestIdealComputer(cusp).fpt() == Fraction(84, 101)
         assert len(products) <= 60

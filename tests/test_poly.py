@@ -9,11 +9,16 @@ from hypothesis import strategies as st
 
 from fptkit import (
     DomainError,
+    FrobeniusRootEngine,
+    Ideal,
     InfeasibleError,
     ParseError,
     Polynomial,
     PolyRing,
+    TestIdealComputer,
+    local_ideal_equal,
     maximal_ideal_power,
+    normal_form,
     parse_polynomial,
     partial_derivative,
     power,
@@ -22,6 +27,8 @@ from fptkit.cli import main
 
 from conftest import random_poly, src_env
 from groebner_oracle import grevlex_key
+
+RING_MISMATCH = "^ring mismatch: the operands live in different rings$"
 
 
 @st.composite
@@ -81,8 +88,30 @@ class TestArithmetic:
     def test_ring_mismatch(self):
         a = PolyRing(5, ["x", "y"]).one()
         b = PolyRing(7, ["x", "y"]).one()
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=RING_MISMATCH):
             a * b
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f5, f7: f5 + f7,
+            lambda f5, f7: Ideal(f5.ring, (f5, f7)),
+            lambda f5, f7: Ideal(f5.ring, (f5,)).contains_ideal(Ideal(f7.ring, (f7,))),
+            lambda f5, f7: Ideal(f5.ring, (f5,)).contains(f7),
+            lambda f5, f7: normal_form(f7, Ideal(f5.ring, (f5,))),
+            lambda f5, f7: FrobeniusRootEngine(f5).nu(Ideal(f7.ring, (f7,)), 1),
+            lambda f5, f7: TestIdealComputer(f5, 2).f_threshold(Ideal(f7.ring, (f7,))),
+            lambda f5, f7: local_ideal_equal(Ideal(f5.ring, (f5,)), Ideal(f7.ring, (f7,)), 1),
+        ],
+        ids=["add", "Ideal", "contains_ideal", "contains", "normal_form", "nu",
+             "f_threshold", "local_ideal_equal"],
+    )
+    def test_ring_mismatch_at_every_entry_point(self, call):
+        # one check and one message wherever two rings meet; * is above
+        f5 = PolyRing(5, ["x", "y"]).variable("x")
+        f7 = PolyRing(7, ["x", "y"]).variable("x")
+        with pytest.raises(DomainError, match=RING_MISMATCH):
+            call(f5, f7)
 
     def test_subtraction(self, ring5, quartic5):
         x = ring5.variable("x")

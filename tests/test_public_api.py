@@ -39,7 +39,6 @@ PUBLIC = [
     "frobenius_root_ideal",
     "is_exponent_pair",
     "jacobian",
-    "jacobian_stability_check",
     "jumping_numbers_unit_interval",
     "least_parameter",
     "local_ideal_equal",
