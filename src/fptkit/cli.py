@@ -26,7 +26,7 @@ from .errors import DomainError, EngineError, InfeasibleError, ParseError
 from .froot import FrobeniusRootEngine
 from .groebner import Ideal, maximal_ideal
 from .parsing import parse_polynomial
-from .poly import PolyRing
+from .poly import PolyRing, _head
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -92,9 +92,7 @@ def _emit(args, payload: dict | list, human_lines) -> int:
 def _cmd_fpt(args) -> int:
     c = testideal.TestIdealComputer(_poly(args), args.bound)
     f, bound, value = c.f, c.bound, c.fpt()
-    payload = {
-        "prime": f.ring.prime,
-        "poly": str(f),
+    payload = _head(f) | {
         "bound": bound,
         "fpt": format_rational(value),
     }
@@ -122,9 +120,7 @@ def _cmd_tau(args) -> int:
     c = testideal.TestIdealComputer(f, args.bound)
     ideal = c.ideal_at(lam)
     s = testideal.stabilization_exponent(lam, c.bound, c.p)
-    payload = {
-        "prime": f.ring.prime,
-        "poly": str(f),
+    payload = _head(f) | {
         "bound": c.bound,
         "lambda": format_rational(lam),
         "stabilizationExponent": s,
@@ -139,9 +135,7 @@ def _cmd_nu(args) -> int:
     f = _poly(args)
     b = maximal_ideal(f.ring) if args.ideal is None else _ideal(args.ideal, f.ring)
     value = FrobeniusRootEngine(f).nu(b, args.e)
-    payload = {
-        "prime": f.ring.prime,
-        "poly": str(f),
+    payload = _head(f) | {
         "e": args.e,
         "ideal": b.to_json(),
         "nu": value,
@@ -155,9 +149,7 @@ def _cmd_ft(args) -> int:
     cap = Fraction(f.ring.dimension) if args.cap is None else parse_rational(args.cap)
     c = testideal.TestIdealComputer(f, args.bound)
     bound, value = c.bound, c.f_threshold(b, cap)
-    payload = {
-        "prime": f.ring.prime,
-        "poly": str(f),
+    payload = _head(f) | {
         "ideal": b.to_json(),
         "bound": bound,
         "cap": format_rational(cap),
@@ -191,7 +183,7 @@ def _cmd_constancy(args) -> int:
     exponents = None if args.exponents is None else _exponents(args.exponents)
     report = constancy_mod.constancy_report(f, exponents, args.samples, args.seed)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             fh.write(report.to_csv())
     lines = [
         f"constancy report for {f}   [p = {f.ring.prime}, ell = {report.profile.ell}, "
@@ -221,9 +213,7 @@ def _cmd_verify(args) -> int:
     report = testideal.jumping_numbers_unit_interval(f, args.bound)
     checks = report.checks()
     passed = all(ok for _, ok in checks)
-    payload = {
-        "prime": f.ring.prime,
-        "poly": str(f),
+    payload = _head(f) | {
         "bound": report.bound,
         "checks": [{"name": name, "passed": ok} for name, ok in checks],
         "passed": passed,
@@ -241,7 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, summary, poly=True):
+    def command(name, handler, summary, poly=True, bound=None):
+        # bound: None (no --bound), "optional" or "required"
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         p.add_argument("--char", type=int, required=True, help="prime characteristic p")
@@ -250,41 +241,40 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("poly", nargs="?", help="polynomial text, e.g. 'x^4 + y^3 + x^2*y^2'")
             p.add_argument("--input-file", help="read the polynomial text from a file")
         p.add_argument("--json", action="store_true", help="emit one JSON document")
+        if bound:
+            p.add_argument("--bound", type=int, required=bound == "required",
+                           help="jumping-number count bound B: candidates have u + v <= B "
+                           "(default, given f: default_bound(f))")
         return p
 
-    p = command("fpt", _cmd_fpt, "F-pure threshold")
-    p.add_argument("--bound", type=int, help="override the jumping-number count bound")
+    command("fpt", _cmd_fpt, "F-pure threshold", bound="optional")
+    command("jn", _cmd_jn, "jumping numbers and test ideals in [0,1)", bound="optional")
 
-    p = command("jn", _cmd_jn, "jumping numbers and test ideals in [0,1)")
-    p.add_argument("--bound", type=int)
-
-    p = command("tau", _cmd_tau, "test ideal at a parameter")
+    p = command("tau", _cmd_tau, "test ideal at a parameter", bound="optional")
     p.add_argument("--lambda", dest="lam", required=True, help="rational parameter, e.g. 7/12")
-    p.add_argument("--bound", type=int)
 
     p = command("nu", _cmd_nu, "largest N with f^N outside b^[p^e]")
-    p.add_argument("--e", type=int, required=True)
+    p.add_argument("--e", type=int, required=True, help="Frobenius level e >= 0 of b^[p^e]")
     p.add_argument("--ideal", help="generators 'g1; g2; ...' (default: the maximal ideal)")
 
-    p = command("ft", _cmd_ft, "F-threshold of f with respect to an ideal")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--bound", type=int)
+    p = command("ft", _cmd_ft, "F-threshold of f with respect to an ideal", bound="optional")
+    p.add_argument("--ideal", required=True, help="generators 'g1; g2; ...' of the ideal b")
     p.add_argument("--cap", help="search cap (default: dim R)")
 
-    p = command("candidates", _cmd_candidates, "candidate jumping numbers in a window", poly=False)
-    p.add_argument("--bound", type=int, required=True)
+    p = command("candidates", _cmd_candidates, "candidate jumping numbers in a window",
+                poly=False, bound="required")
     p.add_argument("--window", default="0:1", help="half-open window 'lo:hi'")
 
     command("profile", _cmd_profile, "singularity profile (ell and perturbation bounds)")
 
     p = command("constancy", _cmd_constancy, "perturbation-constancy report")
     p.add_argument("--exponents", help="comma-separated perturbation orders (default: ell+3)")
-    p.add_argument("--samples", type=int, default=1)
-    p.add_argument("--seed", default="0")
+    p.add_argument("--samples", type=int, default=1, help="perturbations per order (default: 1)")
+    p.add_argument("--seed", default="0", help="seed of the draws, echoed in the report")
     p.add_argument("--csv", help="also write the CSV summary to this path")
 
-    p = command("verify", _cmd_verify, "run the invariant suite against a polynomial")
-    p.add_argument("--bound", type=int)
+    command("verify", _cmd_verify, "run the invariant suite against a polynomial",
+            bound="optional")
 
     return top
 

@@ -26,7 +26,7 @@ from .basep import format_rational
 from .errors import DomainError, StabilityError
 from .groebner import Ideal, maximal_ideal_power
 from .parsing import _decimal
-from .poly import Polynomial, PolyRing, _require_same_ring
+from .poly import Polynomial, PolyRing, _head, _require_same_ring
 from .testideal import TestIdealComputer, isolated_jacobian, jumping_numbers_unit_interval
 
 __all__ = [
@@ -59,9 +59,7 @@ class SingularityProfile:
 
     def to_json(self) -> dict:
         N, M = self.bound_fpt, self.bound_test_ideals
-        return {
-            "prime": self.poly.ring.prime,
-            "poly": str(self.poly),
+        return _head(self.poly) | {
             "isIsolated": self.is_isolated,
             "ell": self.ell,
             "boundN": None if N is None else _decimal(N),
@@ -195,9 +193,7 @@ class ConstancyReport:
     records: tuple[PerturbationRecord, ...]
 
     def to_json(self) -> dict:
-        return {
-            "prime": self.profile.poly.ring.prime,
-            "poly": str(self.profile.poly),
+        return _head(self.profile.poly) | {
             "bound": self.profile.ell,
             "seed": str(self.seed),
             "profile": self.profile.to_json(),

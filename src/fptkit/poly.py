@@ -351,13 +351,6 @@ class Polynomial:
         out._lm = self._lm
         return out
 
-    def truncate(self, degree: int) -> "Polynomial":
-        """The terms of total degree below degree."""
-        bound = max(degree, 0) << self.ring._top
-        return Polynomial._from_packed(
-            self.ring, {m: c for m, c in self._packed.items() if m < bound}
-        )
-
     # -- comparison / hashing ------------------------------------------------
 
     def __eq__(self, other):
@@ -394,6 +387,11 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.ring.prime}, {str(self)!r})"
+
+
+def _head(f: Polynomial) -> dict:
+    """The first two keys of every JSON answer about f."""
+    return {"prime": f.ring.prime, "poly": str(f)}
 
 
 def power(f: Polynomial, n: int) -> Polynomial:

@@ -57,7 +57,7 @@ from .basep import (
 from .errors import DomainError, InfeasibleError, NotMPrimaryError
 from .froot import FrobeniusRootEngine
 from .groebner import Ideal, artinian_length, bracket_power, jacobian, maximal_ideal
-from .poly import Polynomial, _require_same_ring
+from .poly import Polynomial, _head, _require_same_ring
 
 __all__ = [
     "JumpingNumberReport",
@@ -116,9 +116,7 @@ class JumpingNumberReport:
         return self.computer.bound
 
     def to_json(self) -> dict:
-        return {
-            "prime": self.poly.ring.prime,
-            "poly": str(self.poly),
+        return _head(self.poly) | {
             "bound": self.bound,
             "fpt": format_rational(self.fpt),
             "jumpingNumbers": [format_rational(x) for x in self.jumping_numbers],

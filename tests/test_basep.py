@@ -52,6 +52,11 @@ class TestPrimality:
         assert is_prime(2**61 - 1)
         assert not is_prime(2**61)
 
+    @pytest.mark.parametrize("n", [1, 1763], ids=["one", "41*43"])
+    def test_non_primes(self, n):
+        # 41*43 has no factor among the trial divisors, so Miller-Rabin rejects it
+        assert is_prime(n) is False
+
     def test_reject_composite_characteristic(self):
         with pytest.raises(DomainError):
             truncate(F(1, 2), 1, 4)
@@ -369,3 +374,24 @@ class TestLeastInteger:
         d = 1 << (gap - 1).bit_length()
         assert probes[: d.bit_length()] == [lo + (1 << i) for i in range(d.bit_length())]
         assert max(probes) == lo + d < lo + 2 * gap
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: truncate(F(1, 2), -1, 5), "truncation index must be >= 0"),
+        (lambda: canonical_pair(0, 5), "exponent pairs are defined for positive rationals"),
+        (
+            # (0, 1) is a pair of 1/2, (3, 1) is none of 1/3
+            lambda: equal_by_truncation(
+                F(1, 2), F(1, 3), ExponentPair(0, 1), ExponentPair(3, 1), 5
+            ),
+            "(3, 1) is not an exponent pair of 1/3",
+        ),
+    ],
+    ids=["truncate", "canonical_pair", "equal_by_truncation"],
+)
+def test_guards(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message

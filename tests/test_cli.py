@@ -122,6 +122,15 @@ class TestSubcommands:
         assert len(doc["records"]) == 1
         assert csv_path.read_text().startswith("k,sample,fptF")
 
+    def test_constancy_csv_bytes(self, tmp_path, capsys, cusp7):
+        # the file holds to_csv() as it is: rows end in \r\n on every platform
+        csv_path = tmp_path / "out.csv"
+        argv = ["constancy", "--char", "7", "--vars", "x,y", "x^2+y^3", "--exponents", "5,6",
+                "--seed", "5", "--csv", str(csv_path)]
+        assert main(argv) == 0
+        report = constancy.constancy_report(cusp7, [5, 6], 1, "5")
+        assert csv_path.read_bytes() == report.to_csv().encode()
+
     def test_constancy_profiles_once(self, monkeypatch, capsys):
         profiled = []
         real = constancy.singularity_profile
@@ -577,14 +586,29 @@ def module_container_sizes() -> dict:
     }
 
 
+def subparsers() -> dict:
+    """{name: parser} of every subcommand."""
+    return next(
+        a.choices for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)
+    )
+
+
 def test_no_module_level_cache(capsys):
     """Any memo a query needs lives on its ring, engine or computer: running
     every command leaves each module-level container of fptkit as it was."""
-    commands = next(
-        a.choices for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    assert sorted(argv[0] for argv in EVERY_COMMAND) == sorted(commands)
+    assert sorted(argv[0] for argv in EVERY_COMMAND) == sorted(subparsers())
     before = module_container_sizes()
     for argv in EVERY_COMMAND:
         assert main([*argv, "--json"]) == 0, argv
     assert module_container_sizes() == before
+
+
+def test_every_option_has_help():
+    """Every subcommand's --help describes every option, and --bound means
+    the same wherever it is taken."""
+    actions = [(name, a) for name, p in subparsers().items() for a in p._actions]
+    bare = [f"{name} {(a.option_strings or [a.dest])[0]}" for name, a in actions if not a.help]
+    assert bare == []
+    bound = [(name, a.help) for name, a in actions if "--bound" in a.option_strings]
+    assert sorted(name for name, _ in bound) == ["candidates", "fpt", "ft", "jn", "tau", "verify"]
+    assert len({text for _, text in bound}) == 1

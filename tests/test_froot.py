@@ -447,3 +447,18 @@ class TestEngineFixedWork:
         cusp = parse_polynomial("x^2 + y^3", PolyRing(101, ["x", "y"]))
         assert TestIdealComputer(cusp).fpt() == Fraction(84, 101)
         assert len(products) <= 60
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda engine: engine.root_power(-1, 0), "root_power requires N >= 0 and e >= 0"),
+        (lambda engine: engine.root_power(0, -1), "root_power requires N >= 0 and e >= 0"),
+        (lambda engine: engine.nu(ideal_of(engine.ring, "x", "y"), -1), "nu requires e >= 0"),
+    ],
+    ids=["negative N", "negative e", "nu"],
+)
+def test_guards(quartic5, call, message):
+    with pytest.raises(DomainError) as err:
+        call(FrobeniusRootEngine(quartic5))
+    assert str(err.value) == message

@@ -481,3 +481,19 @@ class TestPairUpdate:
         xyz = PolyRing(5, ["x", "y", "z"])
         assert len(maximal_ideal_power(xyz, 5).basis()) == 21
         assert formed_spolys == []
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda ring: Ideal(ring, ["x"]), "ideal generators must be polynomials"),
+        (lambda ring: bracket_power(maximal_ideal(ring), -1),
+         "bracket power exponent must be >= 0"),
+        (lambda ring: maximal_ideal_power(ring, -1), "power must be >= 0"),
+    ],
+    ids=["Ideal", "bracket_power", "maximal_ideal_power"],
+)
+def test_guards(ring5, call, message):
+    with pytest.raises(DomainError) as err:
+        call(ring5)
+    assert str(err.value) == message

@@ -491,3 +491,20 @@ class TestParsing:
             parse_polynomial("x + ", ring5)
         with pytest.raises(ParseError):
             parse_polynomial("2 ** x", ring5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda f: f.ring.pack((1, 2, 3)), "bad exponent vector (1, 2, 3)"),
+        (lambda f: f.ring.variable("q"), "unknown variable 'q'"),
+        (lambda f: f.ring.variable(5), "variable index 5 out of range"),
+        (lambda f: f.ring.zero().leading_monomial(), "the zero polynomial has no leading monomial"),
+        (lambda f: f.frobenius(-1), "frobenius exponent must be >= 0"),
+    ],
+    ids=["pack", "variable name", "variable index", "leading_monomial", "frobenius"],
+)
+def test_guards(quartic5, call, message):
+    with pytest.raises(DomainError) as err:
+        call(quartic5)
+    assert str(err.value) == message

@@ -824,3 +824,18 @@ class TestBoundTooSmall:
         f = parse_polynomial("x^2*y^2 + x*y^3", PolyRing(3, ["x", "y"]))
         with pytest.raises(DomainError, match="too small"):
             jumping_numbers_unit_interval(f, 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda c: c.ideal_at(Fraction(-1, 2)), "test ideal parameters must be >= 0"),
+        (lambda c: c.left_limit_at(0), "left limits require a positive parameter"),
+        (lambda c: c.is_jump(0), "jumping-number tests require a positive parameter"),
+    ],
+    ids=["ideal_at", "left_limit_at", "is_jump"],
+)
+def test_guards(quartic5, call, message):
+    with pytest.raises(DomainError) as err:
+        call(TestIdealComputer(quartic5, 6))
+    assert str(err.value) == message
