@@ -30,6 +30,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # candidate_set refuses a window with more candidate numerators than this; a
 # search's final window holds at most two candidates
 MAX_CANDIDATES = 1_000_000
+# _narrow refuses a search of more levels than this.  Level e makes about
+# log2(p) evaluations of e digit steps each; at the limit, nu of x^2 + y^3
+# takes 0.6 s at p = 5 and 2.7 s at p = 103 (2-vCPU Xeon, Python 3.11),
+# and the largest bound of the benchmark's queries, 28, needs 57 levels
+MAX_LEVELS = 1_000
 
 
 def is_prime(n: int) -> bool:
@@ -269,6 +274,28 @@ def _least_integer(holds, lo: int, hi: int | None = None) -> int:
         else:
             lo = mid
     return hi
+
+
+def _narrow(holds, lo: int, p: int, levels: int, keep=None) -> int | None:
+    """The least integer a with holds(a, levels), by p-adic narrowing; None
+    when keep(a) is false at level 0's answer a.
+
+    holds(k, e) is a monotone question at the grid point k/p^e: false at
+    (lo, 0), and the same at (k, e) and (p*k, e+1).  Level 0 is
+    _least_integer from lo with no upper end; level e >= 1 bisects k over
+    the cell (p*(a-1), p*a] of level e-1's answer a.  A search of more than
+    MAX_LEVELS levels raises InfeasibleError before any level is run.
+    """
+    if levels > MAX_LEVELS:
+        raise InfeasibleError(
+            f"a search of {levels} levels passes the limit of {MAX_LEVELS} levels"
+        )
+    a = _least_integer(lambda k: holds(k, 0), lo)
+    if keep is not None and not keep(a):
+        return None
+    for e in range(1, levels + 1):
+        a = _least_integer(lambda k: holds(k, e), p * (a - 1), p * a)
+    return a
 
 
 def frac_orbit(lam, count: int, p: int) -> list[Fraction]:

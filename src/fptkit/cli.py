@@ -5,7 +5,10 @@ a polynomial is involved, --vars plus the polynomial text (inline or via
 --input-file).  --json emits exactly one JSON document on stdout; the
 default is a small aligned human report.  Error classes map to distinct
 exit codes: parse errors 2, domain errors 3, cap/infeasibility 4, anything
-unexpected 70.  The parser is built once, at import.  A command that needs
+unexpected 70.  The parser is built once, at import, and main hands the
+arguments after a subcommand's name to that subcommand's parser alone; the
+top-level parser reads argv only when it names no subcommand or leaves
+arguments over, so help and error text are argparse's.  A command that needs
 a bound builds one TestIdealComputer, which resolves an omitted --bound, and
 reports the bound it used; verify formats the checks of the jn report
 (JumpingNumberReport.checks), and nu is asked of a bare root engine.
@@ -224,7 +227,8 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and {name: parser} of its subcommands."""
     top = argparse.ArgumentParser(
         prog="fptkit",
         description="F-pure thresholds, F-jumping numbers, and test ideals over F_p",
@@ -276,14 +280,21 @@ def _build_parser() -> argparse.ArgumentParser:
     command("verify", _cmd_verify, "run the invariant suite against a polynomial",
             bound="optional")
 
-    return top
+    return top, sub.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        args, left = command.parse_known_args(argv[1:])
+    # no subcommand named, or arguments left over: the top-level parser
+    # reports it, with the usage and exit code it always gave
+    if command is None or left:
+        args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except ParseError as exc:

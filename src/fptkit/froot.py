@@ -32,12 +32,16 @@ has index 0, and the engine also keeps its table of powers f^d; the
 TestIdealComputer of a query owns one, so every evaluation of that query
 shares them.  The nu invariants are a question asked of the engine too
 (engine.nu(b, e)), and so is whether f lies in sqrt(b)
-(engine.in_radical(b)).
+(engine.in_radical(b)).  nu narrows on the p-adic grid, as the searches
+of testideal do: by Mustata-Takagi-Watanabe, nu_f^b(p^e) = ceil(c * p^e) - 1
+for the F-threshold c of f with respect to b, and level j of the narrowing
+finds ceil(c * p^j), the least k with root_j(f^k) inside b, so level e
+gives nu with no search over N at full depth.
 """
 
 from __future__ import annotations
 
-from .basep import _least_integer
+from .basep import _narrow
 from .errors import DomainError
 from .groebner import Ideal, _front_end, radical_member
 from .poly import Polynomial, _require_same_ring, power
@@ -191,10 +195,18 @@ class FrobeniusRootEngine:
         """Largest N with f^N outside b^[p^e]; 0 when already f in b^[p^e].
 
         f^N lies in b^[p^e] exactly when root_e(f^N) is contained in b, so no
-        large power of f is ever expanded; _least_integer gallops from N = 0
-        (f^0 = 1 is outside b).  It ends because in_radical first checks f in
-        sqrt(b): then f^k is in b for some k, and f^(k*p^e) in b^[p^e].  The
-        engine remembers each b it has certified, so that check runs once per b.
+        large power of f is ever expanded.  nu is a_e - 1 for a_j the least k
+        with root_j(f^k) inside b, and basep._narrow finds a_e level by
+        level, as least_parameter does: since root_(j+1)(f^(p*k)) =
+        root_j(f^k), a_(j+1) lies in the cell (p*(a_j - 1), p*a_j], which
+        level j+1 bisects.  This is Mustata-Takagi-Watanabe's
+        nu = ceil(c * p^e) - 1 for the F-threshold c of f with respect to b:
+        a_j/p^j is c rounded up to the level-j grid.  Level 0 gallops from
+        N = 0 (f^0 = 1 is outside b) over the powers (f^k) themselves.  It
+        ends because in_radical first checks f in sqrt(b): then f^k is in b
+        for some k.  The engine remembers each b it has certified, so that
+        check runs once per b.  An e past basep.MAX_LEVELS raises
+        InfeasibleError.
         """
         if e < 0:
             raise DomainError("nu requires e >= 0")
@@ -203,5 +215,5 @@ class FrobeniusRootEngine:
             raise DomainError("nu is undefined for the unit ideal")
         if not self.in_radical(b):
             raise DomainError("no power of f lies in b: f is not in the radical of b")
-
-        return _least_integer(lambda n: b.contains_ideal(self.root_power(n, e)), 0) - 1
+        p = self.ring.prime
+        return _narrow(lambda k, j: b.contains_ideal(self.root_power(k, j)), 0, p, e) - 1

@@ -24,8 +24,8 @@ the packed lcm, a quotient of monomials is an int difference, and
 divisibility and lcm are the ring's masked operations (``PolyRing.divides``,
 ``PolyRing.lcm``).  An lcm whose degree would pass the packed limit raises
 InfeasibleError.  ``radical_member`` is the one helper that extends the
-ring, by an auxiliary variable for the Rabinowitsch trick; the order stays
-grevlex there too.
+ring, by an auxiliary variable for the Rabinowitsch trick, and only for an
+ideal that is not monomial; the order stays grevlex there too.
 """
 
 from __future__ import annotations
@@ -417,10 +417,21 @@ def _lift(f: Polynomial, big: PolyRing) -> Polynomial:
 
 
 def radical_member(g: Polynomial, J: Ideal) -> bool:
-    """g in sqrt(J), decided with an auxiliary inverse variable."""
+    """g in sqrt(J).
+
+    When every generator of J is a single term, sqrt(J) is generated by
+    their supports (squarefree parts), so g lies in it exactly when each
+    term of g is divisible by the support of some generator; no basis is
+    formed.  Any other J is decided with an auxiliary inverse variable
+    (Rabinowitsch): g is in sqrt(J) iff J + (1 - t*g) is the unit ideal.
+    """
     if g.is_zero():
         return True
-    big = _extend_ring(J.ring)
+    ring = J.ring
+    if all(len(f._packed) == 1 for f in J.generators):
+        supports = [ring.pack(min(e, 1) for e in ring.unpack(f._lead())) for f in J.generators]
+        return all(any(ring.divides(s, m) for s in supports) for m in g._packed)
+    big = _extend_ring(ring)
     t = big.variable(0)
     gens = [_lift(f, big) for f in J.generators]
     gens.append(big.one() - t * _lift(g, big))

@@ -48,7 +48,7 @@ from .basep import (
     _as_fraction,
     _ceil_times,
     _check_bound,
-    _least_integer,
+    _narrow,
     candidates_left_open,
     canonical_pair,
     format_rational,
@@ -293,13 +293,14 @@ def least_parameter(computer: TestIdealComputer, predicate, lo, hi, guess=None) 
     tau(f^(k/p^e)) = root_e(f^k) (Blickle-Mustata-Smith).  Level e keeps an
     integer a whose cell ((a-1)/p^e, a/p^e], cut to (lo, hi], holds the
     answer.  Grid points at or below lo read false and those at or above hi
-    read true.  Level 0 is _least_integer from floor(lo) with no upper end,
-    so no power of f past twice the answer's ceiling is formed, and hi is
-    evaluated only when that search ends at or past it.  Each later level
-    bisects k over (p*(a-1), p*a].  The least lam is a
-    jumping number, so it is a candidate for the computer's bound B, and
-    candidates lie more than p^(-2B) apart: after 2B+1 levels the cell holds
-    it as its only candidate.
+    read true.  The levels are basep._narrow's: level 0 is _least_integer
+    from floor(lo) with no upper end, so no power of f past twice the
+    answer's ceiling is formed, and hi is evaluated only when that search
+    ends at or past it.  Each later level bisects k over (p*(a-1), p*a].
+    The least lam is a jumping number, so it is a candidate for the
+    computer's bound B, and candidates lie more than p^(-2B) apart: after
+    2B+1 levels the cell holds it as its only candidate.  More than
+    basep.MAX_LEVELS levels raise InfeasibleError before any is run.
     """
     lo, hi = _as_fraction(lo), _as_fraction(hi)
     if not 0 <= lo < hi:
@@ -319,12 +320,10 @@ def least_parameter(computer: TestIdealComputer, predicate, lo, hi, guess=None) 
             return True
         return predicate(computer.grid_ideal(k, e))
 
-    a = _least_integer(lambda k: holds(k, 0), floor(lo))
-    if a >= hi and not predicate(computer.ideal_at(hi)):
-        return None
     levels = 2 * bound + 1
-    for e in range(1, levels + 1):
-        a = _least_integer(lambda k: holds(k, e), p * (a - 1), p * a)
+    a = _narrow(holds, floor(lo), p, levels, lambda a: a < hi or predicate(computer.ideal_at(hi)))
+    if a is None:
+        return None
     q = p**levels
     left, right = max(lo, Fraction(a - 1, q)), min(hi, Fraction(a, q))
     cands = candidates_left_open(p, bound, left, right)

@@ -21,7 +21,7 @@ from fptkit import (
 from fptkit.cli import main
 from fptkit.froot import FrobeniusRootEngine
 
-from conftest import random_poly, src_env
+from conftest import random_poly, spy, src_env
 
 
 def run_cli(*argv, timeout=60):
@@ -372,6 +372,20 @@ class TestExitCodes:
         )
         assert proc.returncode == 4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fpt", "--char", "2", "--vars", "x,y", "--bound", "100000", "x^2+y^3"),
+            ("nu", "--char", "5", "--vars", "x,y", "--e", "100000", "x"),
+        ],
+        ids=["fpt", "nu"],
+    )
+    def test_search_past_the_level_budget(self, argv):
+        # 200,001 and 100,000 levels: refused before any level is run
+        proc = run_cli(*argv, timeout=10)
+        assert proc.returncode == 4
+        assert "passes the limit of 1000 levels" in proc.stderr
+
     def test_success_is_zero(self):
         assert run_cli("candidates", "--char", "3", "--bound", "1").returncode == 0
 
@@ -503,6 +517,55 @@ def test_main_reuses_one_parser(monkeypatch, capsys):
     for _ in range(2):
         assert main(["candidates", "--char", "2", "--bound", "2"]) == 0
     assert capsys.readouterr().out == "0, 1/3, 1/2, 2/3\n" * 2
+
+
+def test_a_valid_command_reads_only_its_own_parser(monkeypatch, capsys):
+    # main hands argv after the name to the subcommand's parser; the
+    # top-level parser is never asked
+    top = spy(monkeypatch, cli._PARSER, "parse_known_args")
+    assert main(["candidates", "--char", "2", "--bound", "2"]) == 0
+    assert main(["fpt", *CUSP, "--json"]) == 0
+    assert main(["nu", *QUARTIC, "--e", "1", "--ideal", "x; y"]) == 0
+    assert top == []
+
+
+ARGV_CASES = [
+    ([], 2),
+    (["-h"], 0),
+    (["fpt", "-h"], 0),
+    (["bogus"], 2),
+    (["fpt", "--char", "7", "--bogus", "x^2+y^3"], 2),
+    (["fpt", "--char", "seven", "x^2+y^3"], 2),
+    (["fpt", "--char", "7", "x^2+y^3", "extra"], 2),
+    (["fpt", "x^2+y^3"], 2),
+    (["--json", "fpt", "--char", "7", "x^2+y^3"], 2),
+    (["fpt", "--char", "7", "--", "x^2+y^3", "y"], 2),
+    (["tau", "--char", "5", "x^4+y^3", "--lambda", "-1/2"], 2),
+    (["fpt", "--char", "4", "x^2+y^3"], 3),
+    (["fpt", "--ch", "7", "--", "x^2+y^3"], 0),
+]
+
+
+def answered(argv, capsys) -> tuple:
+    """(exit code, stdout, stderr) of main(argv), argparse's exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv, code", ARGV_CASES, ids=[" ".join(a) or "-" for a, _ in ARGV_CASES])
+def test_help_and_errors_read_as_the_top_level_parser_gives_them(monkeypatch, capsys, argv, code):
+    """Help, usage errors and answers are the same whether main parses argv
+    with the subcommand's parser or, as with no subcommand known, with the
+    top-level parser alone."""
+    monkeypatch.setenv("COLUMNS", "80")
+    direct = answered(argv, capsys)
+    monkeypatch.setattr(cli, "_COMMANDS", {})
+    assert direct == answered(argv, capsys)
+    assert direct[0] == code
 
 
 def quartic_consistency():

@@ -26,7 +26,7 @@ from fptkit import (
 from fptkit import groebner
 from fptkit.groebner import _extend_ring, _lift, _reduce_full, _spoly, radical_member
 
-from conftest import random_poly
+from conftest import random_poly, spy
 from groebner_oracle import _add_multiple as oracle_add_multiple
 from groebner_oracle import _spoly as oracle_spoly
 from groebner_oracle import grevlex_key, oracle_basis
@@ -388,6 +388,41 @@ class TestPairUpdate:
                 g = random_poly(rng, ring, 2, 2)
                 system = [_lift(f, big) for f in J.generators] + [big.one() - t * _lift(g, big)]
                 assert radical_member(g, J) == (oracle_basis(system) == [big.one()])
+
+    @pytest.mark.parametrize("names", [["x", "y"], ["x", "y", "z"]])
+    def test_monomial_radical_matches_oracle(self, names):
+        # a monomial J is decided on the supports of its generators; the
+        # Rabinowitsch basis from the plain Buchberger must agree, with
+        # coefficients other than 1 and now and then a unit generator
+        rng = random.Random(len(names))
+        decided = []
+        for p in (2, 3, 5, 7):
+            ring = PolyRing(p, names)
+            big = _extend_ring(ring)
+            t = big.variable(0)
+            for _ in range(36):
+                gens = [
+                    Polynomial(ring, {tuple(rng.randint(0, 3) for _ in names): rng.randrange(1, p)})
+                    for _ in range(rng.randint(1, 3))
+                ]
+                if rng.random() < 0.1:
+                    gens.append(ring.constant(rng.randrange(1, p)))
+                J = Ideal(ring, gens)
+                g = random_poly(rng, ring, 3, 3)
+                system = [_lift(f, big) for f in J.generators] + [big.one() - t * _lift(g, big)]
+                decided.append(radical_member(g, J))
+                assert decided[-1] == (oracle_basis(system) == [big.one()]), (g, J)
+        assert 0 < sum(decided) < len(decided)
+
+    def test_monomial_radical_builds_no_extended_ring(self, monkeypatch, ring5):
+        extended = spy(monkeypatch, groebner, "_extend_ring")
+        J = ideal_of(ring5, "3*x^2*y", "y^3")
+        assert radical_member(parse_polynomial("x*y + 2*y^2", ring5), J)
+        assert not radical_member(parse_polynomial("x + y", ring5), J)
+        assert extended == []
+        # any other ideal keeps the Rabinowitsch basis
+        assert radical_member(parse_polynomial("x", ring5), ideal_of(ring5, "x^2 + y^3", "y"))
+        assert len(extended) == 1
 
     @pytest.mark.parametrize("p, names, gens, expected", [c[:4] for c in FRONT_END_CASES])
     def test_front_end_cases(self, p, names, gens, expected):

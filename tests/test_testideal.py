@@ -13,6 +13,7 @@ from fptkit import (
     FrobeniusRootEngine,
     Ideal,
     InfeasibleError,
+    Polynomial,
     PolyRing,
     TestIdealComputer,
     bracket_power,
@@ -30,12 +31,13 @@ from fptkit import (
     stabilization_exponent,
 )
 
-from fptkit import testideal
+from fptkit import basep, testideal
 from fptkit.basep import candidates_left_open
 
+import gallop_oracle
 import narrowing_oracle
 import walk_oracle
-from conftest import random_poly
+from conftest import random_poly, spy
 from diagonal_oracle import diagonal_fpt, diagonal_hypersurface_fpt
 
 F = Fraction
@@ -300,9 +302,10 @@ class TestNu:
             assert engine.nu(b, e) == expected
         assert brute_nu(ring5.variable("y"), b, 1) == 44
 
-    def test_gallops_at_level_e(self, ring5, monkeypatch):
-        # nu is the least N with root_1(y^N) inside b, less one: N = 1, 2,
-        # 4, ..., 64 gallop up from 0, and (32, 64] is bisected to 45
+    def test_narrows_level_by_level(self, ring5, monkeypatch):
+        # the probes of the narrowing: level 0 gallops over (y^k) itself,
+        # k = 1, 2, 4, 8, 16, and bisects (8, 16] to a_0 = 9 (y^9 is in b);
+        # level 1 bisects root_1(y^k) over the cell (40, 45] to a_1 = 45
         probes = []
         root_power = FrobeniusRootEngine.root_power
         monkeypatch.setattr(
@@ -312,7 +315,62 @@ class TestNu:
         )
         b = ideal_of(ring5, "x^3", "x - y^3")
         assert FrobeniusRootEngine(ring5.variable("y")).nu(b, 1) == 44
-        assert probes == [(n, 1) for n in (1, 2, 4, 8, 16, 32, 64, 48, 40, 44, 46, 45)]
+        level0 = [(k, 0) for k in (1, 2, 4, 8, 16, 12, 10, 9)]
+        assert probes == level0 + [(k, 1) for k in (42, 43, 44)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_matches_the_gallop_oracle(self, p):
+        # nu and the gallop at level e agree on random f and b, monomial and
+        # not, e = 0..3: on the value, or on the DomainError and its message
+        rng = random.Random(p)
+        ring = PolyRing(p, ["x", "y"])
+
+        def monomial_ideal():
+            # half of them m-primary: pure powers of x and y among the generators
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                a = rng.randint(0, 3)
+                m = (a, rng.randint(0 if a else 1, 3))
+                gens.append(Polynomial(ring, {m: rng.randrange(1, p)}))
+            if rng.random() < 0.5:
+                gens += [ring.monomial((rng.randint(1, 4), 0)), ring.monomial((0, rng.randint(1, 4)))]
+            if rng.random() < 0.05:
+                gens.append(ring.constant(rng.randrange(1, p)))  # a unit generator
+            return Ideal(ring, gens)
+
+        def outcome(nu, f, b, e):
+            try:
+                return nu(FrobeniusRootEngine(f), b, e)
+            except DomainError as exc:
+                return str(exc)
+
+        errors = 0
+        for _ in range(320):
+            f = random_poly(rng, ring, 3, 3, min_deg=rng.randint(0, 1))
+            if rng.random() < 0.5:
+                b = monomial_ideal()
+            else:
+                b = Ideal(ring, [random_poly(rng, ring, 2, 2, 1) for _ in range(rng.randint(1, 3))])
+            e = rng.randint(0, 3)
+            expected = outcome(gallop_oracle.nu, f, b, e)
+            assert outcome(FrobeniusRootEngine.nu, f, b, e) == expected, (f, b, e)
+            errors += isinstance(expected, str)
+        assert 0 < errors < 320
+
+    def test_narrowing_pays_few_transition_misses(self, monkeypatch):
+        # the gallop at level 8 took 65 transition misses here
+        ring = PolyRing(11, ["x", "y"])
+        f = parse_polynomial("8*y^6 + 2*x^5", ring)
+        steps = spy(monkeypatch, FrobeniusRootEngine, "_step")
+        assert FrobeniusRootEngine(f).nu(maximal_ideal(ring), 8) == 77948683
+        assert len(steps) <= 13
+
+    def test_deeper_than_the_level_budget(self, ring5, monkeypatch):
+        # refused before any level is run: no root is formed
+        roots = spy(monkeypatch, FrobeniusRootEngine, "root_power")
+        with pytest.raises(InfeasibleError, match="levels"):
+            FrobeniusRootEngine(ring5.variable("x")).nu(maximal_ideal(ring5), basep.MAX_LEVELS + 1)
+        assert roots == []
 
     def test_unit_polynomial_rejected(self, ring5):
         with pytest.raises(DomainError):
