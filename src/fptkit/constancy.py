@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .basep import format_rational
 from .errors import DomainError, StabilityError
-from .groebner import Ideal, maximal_ideal_power
+from .groebner import Ideal, maximal_ideal_power, radical_member
 from .parsing import _decimal
 from .poly import Polynomial, PolyRing, _head, _require_same_ring
 from .testideal import TestIdealComputer, isolated_jacobian, jumping_numbers_unit_interval
@@ -288,7 +288,7 @@ def threshold_ideal_consistency(f: Polynomial, g: Polynomial, lam, bound: int) -
     def thresholds_match(target: Ideal) -> bool:
         if target.is_unit():
             return True  # both thresholds are 0 by convention
-        if not (cf.engine.in_radical(target) and cg.engine.in_radical(target)):
+        if not (radical_member(f, target) and radical_member(g, target)):
             return False
         return cf.f_threshold(target) == cg.f_threshold(target)
 

@@ -22,21 +22,22 @@ consumed least-significant first, intermediate ideals are canonicalized at
 every level, and no power beyond f^(p-1) times current generators is ever
 expanded, so N may vastly exceed p^e.
 
-A FrobeniusRootEngine holds the digit-transition table for one f: each
-interned state has an index and a row, which maps each digit already
-stepped to the index of the next state.  A row holds only the steps taken,
+A FrobeniusRootEngine is the digit automaton of one f: its interned
+states, its table of powers f^d and one row per state.  Each state has an
+index, and its row maps each digit d already stepped to the index of the
+next state, and each final carry N already taken to the index of its root,
+under the key -N, which no digit takes.  A row holds only the steps taken,
 not p slots, so a large p costs no memory per state.  Most states are
 monomial ideals, and a product x^a * f^d is f^d shifted by a on packed
 ints, so a step from one forms no polynomial product.  The start state (1)
-has index 0, and the engine also keeps its table of powers f^d; the
-TestIdealComputer of a query owns one, so every evaluation of that query
-shares them.  The nu invariants are a question asked of the engine too
-(engine.nu(b, e)), and so is whether f lies in sqrt(b)
-(engine.in_radical(b)).  nu narrows on the p-adic grid, as the searches
-of testideal do: by Mustata-Takagi-Watanabe, nu_f^b(p^e) = ceil(c * p^e) - 1
-for the F-threshold c of f with respect to b, and level j of the narrowing
-finds ceil(c * p^j), the least k with root_j(f^k) inside b, so level e
-gives nu with no search over N at full depth.
+has index 0.  The TestIdealComputer of a query owns one engine, so every
+evaluation of that query shares its tables.  The nu invariants are a
+question asked of the engine too (engine.nu(b, e)).  nu narrows on the
+p-adic grid, as the searches of testideal do: by Mustata-Takagi-Watanabe,
+nu_f^b(p^e) = ceil(c * p^e) - 1 for the F-threshold c of f with respect to
+b, and level j of the narrowing finds ceil(c * p^j), the least k with
+root_j(f^k) inside b, so level e gives nu with no search over N at full
+depth.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class FrobeniusRootEngine:
     the digit powers f^d and the final carry come from one power table.
     """
 
-    __slots__ = ("f", "ring", "_fpow", "_states", "_ideals", "_rows", "_carries", "_radical")
+    __slots__ = ("f", "ring", "_fpow", "_states", "_ideals", "_rows")
 
     def __init__(self, f: Polynomial):
         self.f = f
@@ -116,10 +117,8 @@ class FrobeniusRootEngine:
         self._fpow: dict[int, Polynomial] = {0: f.ring.one(), 1: f}
         self._states: dict[Ideal, int] = {}  # each interned state -> its index
         self._ideals: list[Ideal] = []  # index -> interned state
-        self._rows: list[dict[int, int]] = []  # index -> {digit: next index}
-        self._carries: dict[tuple[int, int], int] = {}  # (index, carry N) -> index of the root
+        self._rows: list[dict[int, int]] = []  # index -> {digit d or -carry N: next index}
         self._intern(_root(self.ring, [{0: 1}], 1))  # the start state (1) has index 0
-        self._radical: set[Ideal] = set()  # each b already certified to hold f in sqrt(b)
 
     def _f_power(self, d: int) -> Polynomial:
         """f^d from the power table: the largest cached f^c with c < d times
@@ -156,8 +155,9 @@ class FrobeniusRootEngine:
 
     def _step(self, i: int, digit: int) -> int:
         """The index of root_1(f^d * J) for the state J of index i: _root of
-        the products, stored under d in J's row.  root_power calls it only
-        while the row has no d."""
+        the products, stored under d in J's row, beside the carries that
+        root_power stores there under negative keys.  root_power calls it
+        only while the row has no d."""
         products = self._products(self._ideals[i], digit)
         j = self._rows[i][digit] = self._intern(_root(self.ring, products, self.ring.prime))
         return j
@@ -168,8 +168,8 @@ class FrobeniusRootEngine:
         before is two lookups on a state index and a digit.  What is left
         of N, N div p^e, is the final carry: the root at q = 1 of the
         products f^(N div p^e) * g over the last state's basis, interned
-        like every state and kept, like a step, under the last state's index
-        and N.  root_power(0, 0) is the start state (1)."""
+        like every state and kept, like a step, in the last state's row,
+        under the key -N.  root_power(0, 0) is the start state (1)."""
         if N < 0 or e < 0:
             raise DomainError("root_power requires N >= 0 and e >= 0")
         i, p, rows = 0, self.ring.prime, self._rows
@@ -178,18 +178,10 @@ class FrobeniusRootEngine:
             j = rows[i].get(d)
             i = self._step(i, d) if j is None else j
         if N:
-            if (i, N) not in self._carries:
-                products = self._products(self._ideals[i], N)
-                self._carries[i, N] = self._intern(_root(self.ring, products, 1))
-            i = self._carries[i, N]
+            if -N not in rows[i]:
+                rows[i][-N] = self._intern(_root(self.ring, self._products(self._ideals[i], N), 1))
+            i = rows[i][-N]
         return self._ideals[i]
-
-    def in_radical(self, b: Ideal) -> bool:
-        """Whether f lies in sqrt(b); each b certified to hold f is remembered."""
-        if b in self._radical or radical_member(self.f, b):
-            self._radical.add(b)
-            return True
-        return False
 
     def nu(self, b: Ideal, e: int) -> int:
         """Largest N with f^N outside b^[p^e]; 0 when already f in b^[p^e].
@@ -203,17 +195,15 @@ class FrobeniusRootEngine:
         nu = ceil(c * p^e) - 1 for the F-threshold c of f with respect to b:
         a_j/p^j is c rounded up to the level-j grid.  Level 0 gallops from
         N = 0 (f^0 = 1 is outside b) over the powers (f^k) themselves.  It
-        ends because in_radical first checks f in sqrt(b): then f^k is in b
-        for some k.  The engine remembers each b it has certified, so that
-        check runs once per b.  An e past basep.MAX_LEVELS raises
-        InfeasibleError.
+        ends because radical_member first checks f in sqrt(b): then f^k is
+        in b for some k.  An e past basep.MAX_LEVELS raises InfeasibleError.
         """
         if e < 0:
             raise DomainError("nu requires e >= 0")
         _require_same_ring(self, b)
         if b.is_unit():
             raise DomainError("nu is undefined for the unit ideal")
-        if not self.in_radical(b):
+        if not radical_member(self.f, b):
             raise DomainError("no power of f lies in b: f is not in the radical of b")
         p = self.ring.prime
         return _narrow(lambda k, j: b.contains_ideal(self.root_power(k, j)), 0, p, e) - 1

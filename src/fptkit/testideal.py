@@ -45,6 +45,7 @@ from functools import cached_property
 from math import ceil, comb, floor
 
 from .basep import (
+    MAX_DIGITS,
     _as_fraction,
     _ceil_times,
     _check_bound,
@@ -56,7 +57,7 @@ from .basep import (
 )
 from .errors import DomainError, InfeasibleError, NotMPrimaryError
 from .froot import FrobeniusRootEngine
-from .groebner import Ideal, artinian_length, bracket_power, jacobian, maximal_ideal
+from .groebner import Ideal, artinian_length, bracket_power, jacobian, maximal_ideal, radical_member
 from .poly import Polynomial, _head, _require_same_ring
 
 __all__ = [
@@ -171,9 +172,11 @@ class TestIdealComputer:
     a bound of None means default_bound(f), and any other bound must be an
     int >= 1.  Every evaluation is one grid_ideal call, root_s(f^N) through
     the engine, whose final carry folds parameters >= 1 (Skoda), and
-    evaluations counts them.  The searches (is_jump, fpt, f_threshold) are
-    methods, so all questions asked of one computer share its engine, and
-    the Jacobian length it resolved the bound from.
+    evaluations counts them; ideal_at and left_limit_at refuse one of more
+    than basep.MAX_DIGITS digit steps with InfeasibleError.  The searches
+    (is_jump, fpt, f_threshold) are methods, so all questions asked of one
+    computer share its engine, and the Jacobian length it resolved the
+    bound from.
     """
 
     __test__ = False  # a computation, not a pytest test class
@@ -200,8 +203,7 @@ class TestIdealComputer:
         lam = _as_fraction(lam)
         if lam < 0:
             raise DomainError("test ideal parameters must be >= 0")
-        s = stabilization_exponent(lam, self.bound, self.p)
-        return self.grid_ideal(_ceil_times(self.p**s, lam), s)
+        return self._grid_point(lam, stabilization_exponent(lam, self.bound, self.p), 0)
 
     def grid_ideal(self, k: int, e: int) -> Ideal:
         """tau(f^(k/p^e)) = root_e(f^k), exact for every bound (Blickle-Mustata-Smith)."""
@@ -216,7 +218,16 @@ class TestIdealComputer:
         # the gap below an integer needs its full pair (0, 1), so s = bound
         # there; only the ideal at the integer itself takes s = 0
         s = stabilization_exponent(lam, self.bound, self.p) or self.bound
-        return self.grid_ideal(_ceil_times(self.p**s, lam) - 1, s)
+        return self._grid_point(lam, s, 1)
+
+    def _grid_point(self, lam: Fraction, s: int, below: int) -> Ideal:
+        """grid_ideal(ceil(p^s * lam) - below, s).  An s past basep.MAX_DIGITS
+        raises InfeasibleError before p^s is formed or any digit stepped."""
+        if s > MAX_DIGITS:
+            raise InfeasibleError(
+                f"an evaluation of {s} digit steps passes the limit of {MAX_DIGITS} digits"
+            )
+        return self.grid_ideal(_ceil_times(self.p**s, lam) - below, s)
 
     def certified(self, predicate, lam) -> Ideal | None:
         """tau(f^lam) when lam is the least parameter at which the monotone
@@ -259,13 +270,13 @@ class TestIdealComputer:
         One least_parameter search over (0, max(ceil(cap), 1)]; the
         predicate is false at 0 because b is proper.  tau(f^lam) contains
         f^ceil(lam), so no lam qualifies unless f lies in sqrt(b); the
-        engine checks that first, before any power of f is formed.
+        radical check comes first, before any power of f is formed.
         """
         _require_same_ring(self.f, b)
         if b.is_unit():
             return Fraction(0)
         cap = Fraction(self.f.ring.dimension) if cap is None else _as_fraction(cap)
-        if self.engine.in_radical(b):
+        if radical_member(self.f, b):
             found = least_parameter(self, b.contains_ideal, 0, max(ceil(cap), 1))
             if found is not None and found[0] <= cap:
                 return found[0]
@@ -301,6 +312,11 @@ def least_parameter(computer: TestIdealComputer, predicate, lo, hi, guess=None) 
     computer's bound B, and candidates lie more than p^(-2B) apart: after
     2B+1 levels the cell holds it as its only candidate.  More than
     basep.MAX_LEVELS levels raise InfeasibleError before any is run.
+
+    For a valid B no jump lies between that candidate and the cell's right
+    end a/p^(2B+1), so its ideal equals the bound-free root_(2B+1)(f^a).  A
+    cell without a single candidate, a failed recheck or a mismatch there
+    raises DomainError: the bound is too small.
     """
     lo, hi = _as_fraction(lo), _as_fraction(hi)
     if not 0 <= lo < hi:
@@ -334,10 +350,12 @@ def least_parameter(computer: TestIdealComputer, predicate, lo, hi, guess=None) 
         )
     value = cands[0]
     ideal = computer.ideal_at(value)
-    if not predicate(ideal):
+    if not predicate(ideal) or (
+        right == Fraction(a, q) and ideal != computer.engine.root_power(a, levels)
+    ):
         raise DomainError(
-            "the isolated candidate fails the search predicate; the supplied bound "
-            "is too small for f"
+            "the isolated candidate fails the search predicate or the grid ideal at "
+            f"{right}; the supplied bound is too small for f"
         )
     return value, ideal
 

@@ -361,6 +361,12 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "too small" in proc.stderr
 
+    def test_bound_too_small_for_a_walk_that_answered_wrongly(self):
+        # B = 1 once gave the jumps 0, 1/2 here; the default bound gives 0, 1/2, 2/3
+        proc = run_cli("jn", "--char", "3", "--vars", "x,y", "--bound", "1", "x^2*y^2 + x*y^3")
+        assert proc.returncode == 3
+        assert "too small" in proc.stderr
+
     def test_nu_outside_radical(self):
         proc = run_cli("nu", "--char", "5", "--vars", "x,y", "--e", "1", "--ideal", "y", "x")
         assert proc.returncode == 3
@@ -385,6 +391,22 @@ class TestExitCodes:
         proc = run_cli(*argv, timeout=10)
         assert proc.returncode == 4
         assert "passes the limit of 1000 levels" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tau", "--char", "2", "--vars", "x,y", "--bound", "100000", "--lambda", "1/3",
+             "x^2+y^3"),
+            ("jn", "--char", "2", "--vars", "x,y", "--bound", "100000", "x^2+y^3"),
+        ],
+        ids=["tau", "jn"],
+    )
+    def test_evaluation_past_the_digit_budget(self, argv):
+        # 200,000 and 100,000 digit steps (tau(f^(1/3)) and the walk's first
+        # left limit at 1): refused before any digit step is taken
+        proc = run_cli(*argv, timeout=10)
+        assert proc.returncode == 4
+        assert "passes the limit of 20000 digits" in proc.stderr
 
     def test_success_is_zero(self):
         assert run_cli("candidates", "--char", "3", "--bound", "1").returncode == 0
@@ -607,12 +629,17 @@ def test_one_context_per_query(monkeypatch, capsys, query, engines, computers):
 
 
 @pytest.mark.parametrize(
-    "module, name", [(testideal, "artinian_length"), (froot, "radical_member")]
+    "module, name, count",
+    [
+        pytest.param(testideal, "artinian_length", 1, id="fptkit.testideal-artinian_length"),
+        pytest.param(froot, "radical_member", 3, id="fptkit.froot-radical_member"),
+    ],
 )
-def test_verify_asks_fixed_questions_once(monkeypatch, capsys, module, name):
+def test_verify_asks_fixed_questions_once(monkeypatch, capsys, module, name, count):
     """verify without --bound reuses the Jacobian length its computer resolved
-    the bound from for the Jacobian check, and its engine certifies f in
-    sqrt(m) once for the three nu calls."""
+    the bound from for the Jacobian check.  Each of the three nu calls asks
+    for f in sqrt(m) itself: for a monomial b that is a support scan, with
+    no Groebner basis, so nothing is kept."""
     calls = []
     real = getattr(module, name)
 
@@ -622,7 +649,7 @@ def test_verify_asks_fixed_questions_once(monkeypatch, capsys, module, name):
 
     monkeypatch.setattr(module, name, counting)
     assert main(["verify", *QUARTIC, "--json"]) == 0
-    assert len(calls) == 1
+    assert len(calls) == count
 
 
 EVERY_COMMAND = [

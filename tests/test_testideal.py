@@ -458,9 +458,16 @@ class TestLeastParameter:
     def test_isolated_candidate_is_rechecked(self):
         # a duck-typed computer whose "ideal" at lam is lam itself, and at
         # the grid point k/p^e is k/p^e: 5 levels of 2-adic narrowing leave
-        # (5/16, 11/32], whose one candidate for B = 2 is 1/3
+        # (5/16, 11/32], whose one candidate for B = 2 is 1/3.  Its engine
+        # reads the grid point k/p^e as the largest candidate at or below it,
+        # constant between candidates as tau is between jumps, so the cell's
+        # right end 11/32 reads 1/3 and agrees with the recheck
+        engine = SimpleNamespace(
+            root_power=lambda k, e: max(c for c in (0, F(1, 3), F(1, 2), 1) if c <= F(k, 2**e))
+        )
         computer = SimpleNamespace(
-            p=2, bound=2, ideal_at=lambda lam: lam, grid_ideal=lambda k, e: F(k, 2**e)
+            p=2, bound=2, ideal_at=lambda lam: lam, grid_ideal=lambda k, e: F(k, 2**e),
+            engine=engine,
         )
         assert least_parameter(computer, lambda lam: lam >= F(1, 3), 0, 1) == (F(1, 3), F(1, 3))
         with pytest.raises(DomainError, match="fails the search predicate"):
@@ -730,6 +737,22 @@ class TestBounds:
         with pytest.raises(DomainError):
             TestIdealComputer(ring5.zero())
 
+    def test_evaluation_budget(self, monkeypatch):
+        # tau(f^(1/3)) at p = 2 takes s = 2B digit steps: B = MAX_DIGITS/2
+        # is admitted, one more is refused before any digit step, and so is
+        # the left limit at 1, which takes s = B
+        ring = PolyRing(2, ["x", "y"])
+        cusp = parse_polynomial("x^2+y^3", ring)
+        limit = basep.MAX_DIGITS // 2
+        assert TestIdealComputer(cusp, limit).ideal_at(F(1, 3)).is_unit()  # fpt is 1/2
+        steps = spy(monkeypatch, FrobeniusRootEngine, "_step")
+        c = TestIdealComputer(cusp, limit + 1)
+        with pytest.raises(InfeasibleError, match="20002 digit steps"):
+            c.ideal_at(F(1, 3))
+        with pytest.raises(InfeasibleError, match="20000 digits"):
+            TestIdealComputer(cusp, basep.MAX_DIGITS + 1).left_limit_at(1)
+        assert (steps, c.evaluations) == ([], 0)
+
 
 class TestFastFpt:
     def test_known_values(self, ring5, ring7, quartic5, cusp7):
@@ -850,9 +873,7 @@ class TestCuspClosedForm:
 
 
 class TestBoundTooSmall:
-    # A bound below the number of jumps must fail, never answer wrongly.  The
-    # strict xfail pins a known break of that contract: ideal_at evaluates at
-    # s = u + v*B with the caller's B, so a too-small B can give a wrong walk.
+    # A bound below the number of jumps must fail, never answer wrongly.
     def test_fpt(self):
         f = parse_polynomial("x^3*y^2 + x*y^4", PolyRing(2, ["x", "y"]))
         assert TestIdealComputer(f).fpt() == F(3, 8)
@@ -875,10 +896,11 @@ class TestBoundTooSmall:
             ideal_of(ring, "y^2", "x*y"),
         )
 
-    @pytest.mark.xfail(strict=True, reason="B = 1 gives the jumps 0, 1/2 instead of raising")
     def test_walk_that_answers_wrongly(self):
-        # jn --char 3 --vars x,y --bound 1 "x^2*y^2 + x*y^3" answers 0, 1/2
-        # with tau(f^(1/2)) = (y^2, x*y), and verify --bound 1 passes it
+        # ideal_at(1/2) at s = u + v*B = 1 reads (y^2, x*y), past the next
+        # jump 2/3, and so did the walk once: jumps 0, 1/2 with that ideal.
+        # The grid ideal at the search cell's right end 14/27 is (y), and
+        # the mismatch shows that B = 1 is too small
         f = parse_polynomial("x^2*y^2 + x*y^3", PolyRing(3, ["x", "y"]))
         with pytest.raises(DomainError, match="too small"):
             jumping_numbers_unit_interval(f, 1)
