@@ -5,19 +5,22 @@ a polynomial is involved, --vars plus the polynomial text (inline or via
 --input-file).  --json emits exactly one JSON document on stdout; the
 default is a small aligned human report.  Error classes map to distinct
 exit codes: parse errors 2, domain errors 3, cap/infeasibility 4, anything
-unexpected 70.  The parser is built once, at import, and main hands the
-arguments after a subcommand's name to that subcommand's parser alone; the
-top-level parser reads argv only when it names no subcommand or leaves
-arguments over, so help and error text are argparse's.  A command that needs
-a bound builds one TestIdealComputer, which resolves an omitted --bound, and
-reports the bound it used; verify formats the checks of the jn report
-(JumpingNumberReport.checks), and nu is asked of a bare root engine.
+unexpected 70, and 141 (128 + SIGPIPE, with nothing on stderr) when the
+reader of stdout has closed it.  The parser is built once, at import, and
+main hands the arguments after a subcommand's name to that subcommand's
+parser alone; the top-level parser reads argv only when it names no
+subcommand or leaves arguments over, so help and error text are argparse's.
+A command that needs a bound builds one TestIdealComputer, which resolves
+an omitted --bound, and reports the bound it used; verify formats the
+checks of the jn report (JumpingNumberReport.checks), and nu is asked of a
+bare root engine.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -37,6 +40,7 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_INFEASIBLE = 4
 EXIT_INTERNAL = 70
+EXIT_BROKEN_PIPE = 141
 
 
 def _poly(args):
@@ -296,7 +300,14 @@ def main(argv=None) -> int:
     if command is None or left:
         args = _PARSER.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone; devnull keeps the interpreter's final
+        # flush from reporting it again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

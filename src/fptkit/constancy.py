@@ -113,35 +113,25 @@ def local_ideal_equal(J: Ideal, K: Ideal, ell: int) -> bool:
     return first
 
 
-def random_perturbation(
-    ring: PolyRing, k: int, max_degree: int, term_count: int, seed
-) -> Polynomial:
-    """A seeded random polynomial whose monomials have degree in [k, max_degree].
+def random_perturbation(ring: PolyRing, k: int, seed) -> Polynomial:
+    """A seeded random h of at most 3 terms, each of degree k or k+1.
 
-    Deterministic in seed, at most term_count terms, nonzero unless
-    term_count is 0: a draw whose terms all cancel mod p is redrawn.  Over
-    F_2 with one admissible monomial an even term_count cancels in every
-    draw, so that case raises DomainError.
+    Deterministic in seed and never zero: a draw whose terms all cancel mod
+    p (1 + 1 + 1 on one monomial at p = 3) is redrawn.
     """
-    if max_degree < k:
-        raise DomainError("max_degree must be >= k")
-    if term_count < 0:
-        raise DomainError("term_count must be >= 0")
+    if k < 0:
+        raise DomainError("k must be >= 0")
     p = ring.prime
-    if p == 2 and term_count and term_count % 2 == 0 and k == max_degree and (
-        ring.dimension == 1 or k == 0
-    ):
-        raise DomainError("every draw of an even term_count of one monomial over F_2 cancels")
     rng = random.Random(repr(seed))
     while True:
         terms: dict = {}
-        for _ in range(term_count):
-            d = rng.randint(k, max_degree)
+        for _ in range(3):
+            d = rng.randint(k, k + 1)
             cuts = [0, *sorted(rng.randint(0, d) for _ in range(ring.dimension - 1)), d]
             m = tuple(b - a for a, b in zip(cuts, cuts[1:]))
             terms[m] = terms.get(m, 0) + (rng.randrange(1, p) if p > 2 else 1)
         h = Polynomial(ring, terms)
-        if not h.is_zero() or not terms:
+        if not h.is_zero():
             return h
 
 
@@ -214,7 +204,7 @@ class ConstancyReport:
 def constancy_report(f: Polynomial, exponents, samples_per_exponent: int, seed) -> ConstancyReport:
     """Perturb f inside m^k for each requested k and compare the walks of f and f + h.
 
-    Each perturbation h has at most 3 terms, all of degree in [k, k+1].
+    Each perturbation h has at most 3 terms, each of degree k or k+1.
     Requires an isolated singularity and k >= ell + 3, so that the bound
     B = ell is valid for f and for the jumps of f + h at the origin.  The
     walks are global, though: h can give f + h singular points away from
@@ -245,7 +235,7 @@ def constancy_report(f: Polynomial, exponents, samples_per_exponent: int, seed) 
     records = []
     for k in exponents:
         for idx in range(samples_per_exponent):
-            h = random_perturbation(f.ring, k, k + 1, 3, (seed, k, idx))
+            h = random_perturbation(f.ring, k, (seed, k, idx))
             pert = jumping_numbers_unit_interval(f + h, ell, base.jumping_numbers)
             fpt_equal = base.fpt == pert.fpt
             jn_equal = base.jumping_numbers == pert.jumping_numbers

@@ -367,6 +367,33 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "too small" in proc.stderr
 
+    def test_closed_stdout(self):
+        # stdout is a pipe whose read end is closed before the child starts,
+        # so every write fails: exit 128 + SIGPIPE, not a domain error
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fptkit", "jn", "--char", "3", "--vars", "x,y",
+                 "x^2*y^2 + x^3"],
+                env=src_env(),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
+
+    def test_unwritable_csv(self, capsys):
+        # an OSError other than a closed stdout stays a domain error
+        argv = ["constancy", "--char", "7", "--vars", "x,y", "--csv", "/nonexistent/out.csv",
+                "x^2+y^3"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("domain error: [Errno 2] ")
+
     def test_nu_outside_radical(self):
         proc = run_cli("nu", "--char", "5", "--vars", "x,y", "--e", "1", "--ideal", "y", "x")
         assert proc.returncode == 3

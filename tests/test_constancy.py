@@ -193,6 +193,16 @@ class TestLocalIdealEqual:
         assert local_ideal_equal(a, c, 2)
 
 
+# 15 draws of degree 2..5, at most 3 terms each, over F_5 in x, y
+CUT_DRAWS = [
+    "4x^4*y + 2x^2*y + 3x*y^2", "3y^5 + 4x*y^3 + x*y^2", "3x^2*y^3 + 3y^5 + 3x*y^3",
+    "x^3*y^2 + y^3 + 4y^2", "y^4 + 2x^3 + 4x^2", "4x^4 + 3x^2*y + 3x*y", "3x^2 + 2y^2",
+    "4x^4*y + 4x^3*y^2 + 4x^2*y", "3x^2*y + 2y^3 + 4x^2", "2x^2*y^3 + 3x^3*y + 4x^2*y^2",
+    "3x^3 + 2x*y^2 + 2x*y", "x^2 + x*y", "2x*y^3 + x^3", "2x^2*y^2 + 4x^3 + 4x^2",
+    "3x*y^4 + x^2*y^2 + 4x^2*y",
+]
+
+
 class TestJacobianStability:
     @pytest.mark.parametrize(
         "p, text",
@@ -221,7 +231,7 @@ class TestJacobianStability:
         ell, lowest = profile.ell, 0
         for k in (ell + 3, ell + 4):
             for idx in range(4):
-                h = random_perturbation(ring, k, k + 1, 3, (text, k, idx))
+                h = random_perturbation(ring, k, (text, k, idx))
                 lowest += any(sum(m) == ell + 3 for m, _ in h.terms())
                 assert local_ideal_equal(profile.jacobian, jacobian(f + h), ell), (str(h), k)
         assert lowest > 0
@@ -231,9 +241,9 @@ class TestJacobianStability:
         # from the global basis; h of low order makes both answers occur
         jac_f = jacobian(quartic5)
         seen = set()
-        for idx in range(15):
+        for idx, text in enumerate(CUT_DRAWS):
             k = 2 + idx % 5
-            h = random_perturbation(ring5, 2, 5, 3, ("cut", idx))
+            h = parse_polynomial(text, ring5)
             jac = jacobian(quartic5 + h)
             cut = Ideal(ring5, tuple(
                 Polynomial(ring5, {m: c for m, c in g._terms.items() if sum(m) < k})
@@ -246,55 +256,36 @@ class TestJacobianStability:
 
 
 class TestRandomPerturbation:
-    def test_shape(self, ring5):
-        h = random_perturbation(ring5, 3, 3, 1, seed=1)
-        assert h.term_count() == 1
-        assert h.total_degree() == 3
-
-    def test_degree_window(self, ring5):
-        h = random_perturbation(ring5, 5, 8, 4, seed=9)
-        degrees = sorted(sum(m) for m, _ in h.terms())
-        assert all(5 <= d <= 8 for d in degrees)
+    def test_shape(self):
+        # at most 3 terms, each of degree k or k+1, never 0
+        for p, names in product((2, 3, 5, 7), (["x"], ["x", "y"], ["x", "y", "z"])):
+            ring = PolyRing(p, names)
+            for k in (0, 1, 4):
+                for seed in range(20):
+                    h = random_perturbation(ring, k, seed)
+                    assert 1 <= h.term_count() <= 3
+                    assert all(sum(m) in (k, k + 1) for m, _ in h.terms())
 
     def test_determinism(self, ring5):
-        a = random_perturbation(ring5, 5, 7, 3, seed=("s", 5, 0))
-        b = random_perturbation(ring5, 5, 7, 3, seed=("s", 5, 0))
+        a = random_perturbation(ring5, 5, seed=("s", 5, 0))
+        b = random_perturbation(ring5, 5, seed=("s", 5, 0))
         assert a == b
 
-    def test_empty(self, ring5):
-        assert random_perturbation(ring5, 3, 3, 0, seed=1).is_zero()
-
     @pytest.mark.parametrize(
-        "p, names, k, max_degree, term_count, seed, expected",
+        "p, names, k, seed, expected",
         [
-            # the first draw, x^4 + x^4, cancels mod 2 and is redrawn
-            (2, "x", 3, 4, 2, 1, "x^4 + x^3"),
             # 2y*z^2 of the first draw vanishes mod 2; x*y*z stays
-            (2, "x,y,z", 2, 3, 3, 2, "x*y*z"),
-            (3, "x,y", 4, 5, 3, ("s", 4, 0), "x^3*y^2 + 2y^5 + x*y^3"),
-            (5, "x,y,z", 5, 6, 5, 7, "2x^3*y^3 + x^3*y*z^2 + 2x*y^4 + 3x^2*y^2*z + 4x*y*z^3"),
-            (7, "x", 2, 6, 4, "seven", "3x^6 + 3x^5 + x^4 + 3x^3"),
-            # one admissible monomial drawn an odd number of times stays
-            (2, "x", 3, 3, 3, 0, "x^3"),
-            (5, "x,y", 3, 3, 0, 1, "0"),
-            (2, "x,y,z", 3, 3, 0, "zero", "0"),
+            (2, "x,y,z", 2, 2, "x*y*z"),
+            (3, "x,y", 4, ("s", 4, 0), "x^3*y^2 + 2y^5 + x*y^3"),
+            # the first draw, three terms on x^2 summing to 6x^2, cancels mod 3
+            # and is redrawn
+            (3, "x", 2, 4, "2x^3 + x^2"),
         ],
     )
-    def test_golden_draws(self, p, names, k, max_degree, term_count, seed, expected):
+    def test_golden_draws(self, p, names, k, seed, expected):
         # every draw is pinned: constancy records print h
         ring = PolyRing(p, names.split(","))
-        assert str(random_perturbation(ring, k, max_degree, term_count, seed)) == expected
-
-    def test_rejects_bad_window(self, ring5):
-        with pytest.raises(DomainError):
-            random_perturbation(ring5, 4, 3, 1, seed=1)
-
-    @pytest.mark.parametrize("names, k", [(["x"], 3), (["x", "y"], 0)])
-    def test_rejects_draws_that_always_cancel(self, names, k):
-        # one admissible monomial, drawn an even number of times over F_2:
-        # every draw is 0, so redrawing would never end
-        with pytest.raises(DomainError, match="cancels"):
-            random_perturbation(PolyRing(2, names), k, k, 2, 0)
+        assert str(random_perturbation(ring, k, seed)) == expected
 
 
 class TestConstancyReport:
@@ -326,9 +317,8 @@ class TestConstancyReport:
     def test_bound_sharing(self, cusp7):
         # every jumping number of f + h stays inside the candidate set for ell
         prof = singularity_profile(cusp7)
-        rng = random.Random(43)
-        for i in range(4):
-            h = random_perturbation(cusp7.ring, prof.ell + 3, prof.ell + 4, 2, seed=i)
+        for text in ("x*y^5 + 3y^6", "x^3*y^3 + 4x^3*y^2", "6x^6 + 3y^5", "3x^4*y^2 + 6y^5"):
+            h = parse_polynomial(text, cusp7.ring)
             rep = jumping_numbers_unit_interval(cusp7 + h, prof.ell)
             for lam in rep.jumping_numbers:
                 if lam > 0:
@@ -341,8 +331,8 @@ class TestConstancyReport:
         # perturbed walk sparse
         prof = singularity_profile(cusp7)
         N = prof.bound_fpt
-        h = random_perturbation(ring7, N, N + 1, 1, (11, N, 0))
-        assert h.term_count() == 1
+        h = parse_polynomial("4x^1864*y^2938", ring7)
+        assert N == 4802 and h.total_degree() == N
         base = jumping_numbers_unit_interval(cusp7, prof.ell)
         assert jumping_numbers_unit_interval(cusp7 + h, prof.ell).fpt == base.fpt
 
@@ -425,7 +415,7 @@ class TestThresholdIdealConsistency:
     "call, message",
     [
         (lambda f: local_ideal_equal(jacobian(f), jacobian(f), -1), "ell must be >= 0"),
-        (lambda f: random_perturbation(f.ring, 3, 4, -1, 0), "term_count must be >= 0"),
+        (lambda f: random_perturbation(f.ring, -1, 0), "k must be >= 0"),
         (lambda f: constancy_report(f, None, 0, 1), "samples_per_exponent must be >= 1"),
         (lambda f: threshold_ideal_consistency(f + 1, f, F(7, 12), 6),
          "both polynomials must vanish at the origin"),

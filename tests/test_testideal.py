@@ -526,7 +526,7 @@ class TestGuesses:
         ell = singularity_profile(f).ell
         base = jumping_numbers_unit_interval(f, ell)
         for seed in seeds:
-            h = random_perturbation(ring, ell + 3, ell + 4, 3, (seed, ell + 3, 0))
+            h = random_perturbation(ring, ell + 3, (seed, ell + 3, 0))
             yield base, f + h, ell
 
     @staticmethod
