@@ -2,24 +2,19 @@
 """Tour of the exact base-p machinery that candidate jumping numbers live on."""
 
 from fractions import Fraction
+from math import ceil
 
-from fptkit import (
-    candidate_set,
-    canonical_pair,
-    format_rational,
-    frac_orbit,
-    is_exponent_pair,
-    truncate,
-)
+from fptkit import candidate_set, canonical_pair, format_rational
 
 p = 5
 lam = Fraction(7, 12)
 
-# Truncations: the e-th prefix of the non-terminating base-p expansion.
-# They increase with e, stay strictly below lam, and converge to it.
+# Truncations: the e-th prefix of the non-terminating base-p expansion,
+# (ceil(p^e * lam) - 1) / p^e.  They increase with e, stay strictly below
+# lam, and converge to it.
 print(f"base-{p} truncations of {lam}:")
 for e in range(6):
-    t = truncate(lam, e, p)
+    t = Fraction(ceil(p**e * lam) - 1, p**e)
     print(f"  e={e}:  {t}   (gap {lam - t})")
 
 # Every positive rational has a minimal exponent pair (u, v) with
@@ -27,11 +22,12 @@ for e in range(6):
 pair = canonical_pair(lam, p)
 print(f"\ncanonical pair of {lam}: (u, v) = ({pair.u}, {pair.v})")
 print(f"  5^{pair.u} * (5^{pair.v} - 1) * {lam} =", 5**pair.u * (5**pair.v - 1) * lam)
-print("  (u+1, 2v) also works:", is_exponent_pair(lam, type(pair)(pair.u + 1, 2 * pair.v), p))
+doubled = p ** (pair.u + 1) * (p ** (2 * pair.v) - 1) * lam
+print("  (u+1, 2v) also works:", doubled.denominator == 1)
 
 # Multiplying by p and taking fractional parts walks the expansion; the
 # first u+v entries are pairwise distinct.
-orbit = frac_orbit(lam, pair.u + pair.v, p)
+orbit = [p**e * lam % 1 for e in range(pair.u + pair.v)]
 print(f"\nfractional orbit of {lam}: {[str(x) for x in orbit]}")
 
 # Small exponent pairs generate a finite, well-spaced candidate set.

@@ -3,7 +3,7 @@
 The package computes prime-characteristic singularity invariants of
 polynomials in F_p[x_1..x_n] with exact rational arithmetic throughout:
 
-* base-p candidate machinery (truncations, exponent pairs, candidate sets),
+* base-p candidate machinery (exponent pairs, candidate sets),
 * sparse polynomial and Groebner arithmetic over F_p,
 * Frobenius-root ideals with a digit recursion for huge exponents,
 * test ideals, jumping numbers, F-pure thresholds, F-thresholds,

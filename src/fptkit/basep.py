@@ -1,9 +1,9 @@
 """Exact base-p arithmetic on non-negative rationals.
 
 The objects here are the number-theoretic side of the jumping-number
-machinery: truncations of non-terminating base-p expansions, exponent
-pairs (u, v) with p^u * (p^v - 1) * lam integral, and the finite candidate
-sets that small exponent pairs generate.  Everything is exact; there is no
+machinery: exponent pairs (u, v) with p^u * (p^v - 1) * lam integral, the
+finite candidate sets that small exponent pairs generate, and the p-adic
+narrowing that searches them.  Everything is exact; there is no
 floating point anywhere.
 """
 
@@ -16,12 +16,8 @@ from .errors import DomainError, InfeasibleError
 
 __all__ = [
     "ExponentPair",
-    "truncate",
     "canonical_pair",
-    "is_exponent_pair",
     "candidate_set",
-    "frac_orbit",
-    "equal_by_truncation",
     "format_rational",
     "parse_rational",
 ]
@@ -77,7 +73,7 @@ class ExponentPair:
     """A pair (u, v) with u >= 0 and v >= 1.
 
     The pair belongs to a rational lam when p^u * (p^v - 1) * lam is an
-    integer; see is_exponent_pair.
+    integer.
     """
 
     u: int
@@ -130,22 +126,6 @@ def _ceil_times(q: int, lam: Fraction) -> int:
     return -((-q * lam.numerator) // lam.denominator)
 
 
-def truncate(lam, e: int, p: int) -> Fraction:
-    """e-th truncation of the non-terminating base-p expansion of lam.
-
-    Equals (ceil(p^e * lam) - 1) / p^e, which is strictly below lam,
-    non-decreasing in e, and within p^(-e) of lam.
-    """
-    require_prime(p)
-    lam = _as_fraction(lam)
-    if lam <= 0:
-        raise DomainError("truncation requires a positive rational")
-    if e < 0:
-        raise DomainError("truncation index must be >= 0")
-    q = p**e
-    return Fraction(_ceil_times(q, lam) - 1, q)
-
-
 def _p_valuation(n: int, p: int) -> tuple[int, int]:
     """Largest k with p^k | n, and the cofactor n / p^k."""
     k = 0
@@ -179,14 +159,6 @@ def canonical_pair(lam, p: int) -> ExponentPair:
         raise DomainError("exponent pairs are defined for positive rationals")
     u, n = _p_valuation(lam.denominator, p)
     return ExponentPair(u, _multiplicative_order(p, n))
-
-
-def is_exponent_pair(lam, pair: ExponentPair, p: int) -> bool:
-    """True iff p^u * (p^v - 1) * lam is an integer."""
-    require_prime(p)
-    lam = _as_fraction(lam)
-    u, v = pair
-    return (p**u * (p**v - 1) * lam).denominator == 1
 
 
 def is_candidate(lam, p: int, bound: int) -> bool:
@@ -302,38 +274,3 @@ def _narrow(holds, lo: int, p: int, levels: int, keep=None) -> int | None:
     for e in range(1, levels + 1):
         a = _least_integer(lambda k: holds(k, e), p * (a - 1), p * a)
     return a
-
-
-def frac_orbit(lam, count: int, p: int) -> list[Fraction]:
-    """Fractional parts of p^e * lam for e = 0 .. count-1.
-
-    When count = u + v for the canonical pair (u, v) of lam, the entries
-    are pairwise distinct.
-    """
-    require_prime(p)
-    lam = _as_fraction(lam)
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    out = []
-    x = lam
-    for _ in range(count):
-        x -= x.numerator // x.denominator
-        out.append(x)
-        x *= p
-    return out
-
-
-def equal_by_truncation(lam, gam, pair_lam: ExponentPair, pair_gam: ExponentPair, p: int) -> bool:
-    """Decide lam == gam by comparing truncations at index u + a + v*b.
-
-    pair_lam = (u, v) must belong to lam and pair_gam = (a, b) to gam;
-    agreement of the truncations at that single index already forces the
-    two rationals to be equal.
-    """
-    lam, gam = _as_fraction(lam), _as_fraction(gam)
-    if not is_exponent_pair(lam, pair_lam, p):
-        raise DomainError(f"({pair_lam.u}, {pair_lam.v}) is not an exponent pair of {lam}")
-    if not is_exponent_pair(gam, pair_gam, p):
-        raise DomainError(f"({pair_gam.u}, {pair_gam.v}) is not an exponent pair of {gam}")
-    s = pair_lam.u + pair_gam.u + pair_lam.v * pair_gam.v
-    return truncate(lam, s, p) == truncate(gam, s, p)

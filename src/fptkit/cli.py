@@ -189,7 +189,7 @@ def _cmd_constancy(args) -> int:
     f = _poly(args)
     exponents = None if args.exponents is None else _exponents(args.exponents)
     report = constancy_mod.constancy_report(f, exponents, args.samples, args.seed)
-    if args.csv:
+    if args.csv is not None:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             fh.write(report.to_csv())
     lines = [

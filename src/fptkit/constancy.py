@@ -24,10 +24,10 @@ from fractions import Fraction
 
 from .basep import format_rational
 from .errors import DomainError, StabilityError
-from .groebner import Ideal, maximal_ideal_power, radical_member
+from .groebner import Ideal, maximal_ideal_power
 from .parsing import _decimal
 from .poly import Polynomial, PolyRing, _head, _require_same_ring
-from .testideal import TestIdealComputer, isolated_jacobian, jumping_numbers_unit_interval
+from .testideal import isolated_jacobian, jumping_numbers_unit_interval
 
 __all__ = [
     "SingularityProfile",
@@ -37,7 +37,6 @@ __all__ = [
     "local_ideal_equal",
     "random_perturbation",
     "constancy_report",
-    "threshold_ideal_consistency",
 ]
 
 
@@ -259,29 +258,3 @@ def constancy_report(f: Polynomial, exponents, samples_per_exponent: int, seed) 
                 )
             )
     return ConstancyReport(profile, seed, tuple(records))
-
-
-def threshold_ideal_consistency(f: Polynomial, g: Polynomial, lam, bound: int) -> bool:
-    """Instance check: matching F-thresholds force matching test ideals.
-
-    Computes a = tau(f^lam) and b = tau(g^lam) plus the four thresholds of
-    f and g against a and b.  When both pairs of thresholds agree, the two
-    ideals must coincide; the function reports whether that implication
-    holds on this instance.  A threshold whose radical precondition fails
-    counts as "hypotheses not met", which makes the implication vacuous.
-    """
-    if f.constant_term() != 0 or g.constant_term() != 0:
-        raise DomainError("both polynomials must vanish at the origin")
-    cf, cg = TestIdealComputer(f, bound), TestIdealComputer(g, bound)
-    a, b = cf.ideal_at(lam), cg.ideal_at(lam)
-
-    def thresholds_match(target: Ideal) -> bool:
-        if target.is_unit():
-            return True  # both thresholds are 0 by convention
-        if not (radical_member(f, target) and radical_member(g, target)):
-            return False
-        return cf.f_threshold(target) == cg.f_threshold(target)
-
-    if thresholds_match(a) and thresholds_match(b):
-        return a == b
-    return True

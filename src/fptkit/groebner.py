@@ -286,10 +286,6 @@ class Ideal:
         self.generators = tuple(gens)
         self._basis = None
 
-    @classmethod
-    def unit(cls, ring: PolyRing) -> "Ideal":
-        return cls(ring, (ring.one(),))
-
     def basis(self) -> tuple[Polynomial, ...]:
         if self._basis is None:
             self._basis = tuple(_buchberger(self.generators))

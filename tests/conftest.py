@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fptkit import Polynomial, PolyRing, parse_polynomial
+from fptkit import Ideal, Polynomial, PolyRing, parse_polynomial
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -15,6 +15,11 @@ def src_env() -> dict:
     first on PYTHONPATH, so that it imports the fptkit under test."""
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
+
+def unit_ideal(ring: PolyRing) -> Ideal:
+    """The unit ideal (1) of ring."""
+    return Ideal(ring, (ring.one(),))
 
 
 def spy(monkeypatch, owner, name) -> list:

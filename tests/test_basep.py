@@ -12,18 +12,15 @@ from fptkit import (
     TestIdealComputer,
     candidate_set,
     canonical_pair,
-    equal_by_truncation,
     format_rational,
-    frac_orbit,
-    is_exponent_pair,
     parse_rational,
     stabilization_exponent,
-    truncate,
 )
 from fptkit import basep
 from fptkit.basep import candidates_left_open, is_candidate, is_prime
 
 import candidate_oracle
+from truncation_oracle import equal_by_truncation, frac_orbit, is_exponent_pair, truncate
 
 F = Fraction
 

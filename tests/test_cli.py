@@ -22,6 +22,7 @@ from fptkit.cli import main
 from fptkit.froot import FrobeniusRootEngine
 
 from conftest import random_poly, spy, src_env
+from consistency_oracle import threshold_ideal_consistency
 
 
 def run_cli(*argv, timeout=60):
@@ -242,8 +243,9 @@ class TestExitCodes:
             (("constancy", "--exponents", ""), "at least one perturbation exponent"),
             (("ft", "--ideal", "x; y", "--cap", ""), "invalid rational ''"),
             (("fpt", "--input-file", ""), "No such file or directory: ''"),
+            (("constancy", "--csv", ""), "No such file or directory: ''"),
         ],
-        ids=["constancy-exponents", "ft-cap", "input-file"],
+        ids=["constancy-exponents", "ft-cap", "input-file", "constancy-csv"],
     )
     def test_empty_option_value(self, capsys, argv, message):
         # an empty value is an error, not the option's default
@@ -620,7 +622,7 @@ def test_help_and_errors_read_as_the_top_level_parser_gives_them(monkeypatch, ca
 def quartic_consistency():
     ring = PolyRing(5, ["x", "y"])
     f = parse_polynomial("x^4+y^3+x^2*y^2", ring)
-    assert constancy.threshold_ideal_consistency(f, f + ring.monomial((9, 0)), Fraction(7, 12), 6)
+    assert threshold_ideal_consistency(f, f + ring.monomial((9, 0)), Fraction(7, 12), 6)
 
 
 @pytest.mark.parametrize(

@@ -21,13 +21,13 @@ from fptkit import (
     power,
     random_perturbation,
     singularity_profile,
-    threshold_ideal_consistency,
 )
 
 from fptkit import constancy, groebner
 from fptkit.constancy import _equal_mod_m_power
 
 from conftest import random_poly, spy
+from consistency_oracle import threshold_ideal_consistency
 
 F = Fraction
 

@@ -21,7 +21,7 @@ from fptkit import (
 from fptkit import froot
 from fptkit.froot import FrobeniusRootEngine, _root
 
-from conftest import random_poly, spy
+from conftest import random_poly, spy, unit_ideal
 from root_oracle import root_generators, split_terms
 
 
@@ -39,7 +39,7 @@ class TestRootOfPolynomial:
 
     def test_requires_positive_level(self, ring5):
         with pytest.raises(DomainError):
-            frobenius_root_ideal(Ideal.unit(ring5), 0)
+            frobenius_root_ideal(unit_ideal(ring5), 0)
 
     def test_minimality(self, ring5):
         rng = random.Random(21)
@@ -61,7 +61,7 @@ class TestRootOfIdeal:
     def test_examples(self, ring5):
         root = frobenius_root_ideal(ideal_of(ring5, "x^7", "y^7"), 1)
         assert root == ideal_of(ring5, "x", "y")
-        assert frobenius_root_ideal(Ideal.unit(ring5), 3).is_unit()
+        assert frobenius_root_ideal(unit_ideal(ring5), 3).is_unit()
         root = frobenius_root_ideal(ideal_of(ring5, "x^5 + y^5", "x^10"), 1)
         assert root == ideal_of(ring5, "x + y", "x^2")
 
@@ -146,7 +146,7 @@ class TestRootPower:
         engine = FrobeniusRootEngine(ring5.variable("x"))
         a, b = engine.root_power(30, 2), engine.root_power(35, 2)
         assert a == ideal_of(ring5, "x") and a is b
-        assert set(engine._states) == {Ideal.unit(ring5), a}
+        assert set(engine._states) == {unit_ideal(ring5), a}
         assert all(state is J for J, state in interned_states(engine))
 
     def test_degree_past_the_packed_limit(self):
@@ -236,7 +236,7 @@ class TestMonomialStep:
                     if kernel:
                         outcomes.add("kernel")
                     else:
-                        outcomes.add("unit" if got is state_for(engine, Ideal.unit(ring)) else "monomial")
+                        outcomes.add("unit" if got is state_for(engine, unit_ideal(ring)) else "monomial")
             assert all(state is J for J, state in interned_states(engine))
         assert outcomes == {"unit", "monomial", "kernel"}
 

@@ -26,7 +26,7 @@ from fptkit import (
 from fptkit import groebner
 from fptkit.groebner import _extend_ring, _lift, _reduce_full, _spoly, radical_member
 
-from conftest import random_poly, spy
+from conftest import random_poly, spy, unit_ideal
 from groebner_oracle import _add_multiple as oracle_add_multiple
 from groebner_oracle import _spoly as oracle_spoly
 from groebner_oracle import grevlex_key, oracle_basis
@@ -209,7 +209,7 @@ class TestLength:
             artinian_length(ideal_of(ring5, "x"))
 
     def test_unit_ideal(self, ring5):
-        assert artinian_length(Ideal.unit(ring5)) == 0
+        assert artinian_length(unit_ideal(ring5)) == 0
         assert artinian_length(ideal_of(ring5, "x + 1", "x")) == 0
 
     def test_supported_off_origin(self, ring5):

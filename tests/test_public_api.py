@@ -33,11 +33,8 @@ PUBLIC = [
     "constancy_report",
     "default_bound",
     "degree_bound",
-    "equal_by_truncation",
     "format_rational",
-    "frac_orbit",
     "frobenius_root_ideal",
-    "is_exponent_pair",
     "jacobian",
     "jumping_numbers_unit_interval",
     "least_parameter",
@@ -52,8 +49,6 @@ PUBLIC = [
     "random_perturbation",
     "singularity_profile",
     "stabilization_exponent",
-    "threshold_ideal_consistency",
-    "truncate",
 ]
 
 

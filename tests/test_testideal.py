@@ -36,8 +36,9 @@ from fptkit.basep import candidates_left_open
 
 import gallop_oracle
 import narrowing_oracle
+import truncation_oracle
 import walk_oracle
-from conftest import random_poly, spy
+from conftest import random_poly, spy, unit_ideal
 from diagonal_oracle import diagonal_fpt, diagonal_hypersurface_fpt
 
 F = Fraction
@@ -92,7 +93,7 @@ class TestTestIdeal:
         with pytest.raises(DomainError):
             TestIdealComputer(ring5.zero()).f_threshold(maximal_ideal(ring5))
         with pytest.raises(DomainError):
-            TestIdealComputer(ring5.zero()).f_threshold(Ideal.unit(ring5))
+            TestIdealComputer(ring5.zero()).f_threshold(unit_ideal(ring5))
 
     @pytest.mark.parametrize("lam", ["abc", "1/0", "7/12", 0.5])
     @pytest.mark.parametrize(
@@ -185,6 +186,22 @@ class TestLeftLimit:
         assert report.jumping_numbers[-1] == F(11, 12)
         assert report.computer.left_limit_at(1) == report.test_ideals[-1]
 
+    @pytest.mark.parametrize(
+        "p, text, bound",
+        [(5, "x^4 + y^3 + x^2*y^2", 6), (7, "x^2 + y^3", 2), (3, "x^2*y^2 + x^3", None)],
+        ids=["quartic5", "cusp7", "x^2*y^2+x^3-at-3"],
+    )
+    def test_is_the_ideal_at_the_truncation(self, p, text, bound):
+        # the module's workhorse identity: the left limit at lam is tau at the
+        # s-th truncation of lam, s = u + v*B, or B when lam is an integer;
+        # every candidate of bound 2 in (0, 2], 1 and 2 among them
+        c = TestIdealComputer(parse_polynomial(text, PolyRing(p, ["x", "y"])), bound)
+        lams = candidates_left_open(p, 2, 0, 2)
+        assert {F(1), F(2)} <= set(lams)
+        for lam in lams:
+            s = stabilization_exponent(lam, c.bound, p) or c.bound
+            assert c.left_limit_at(lam) == c.ideal_at(truncation_oracle.truncate(lam, s, p)), lam
+
 
 class TestJumpDetection:
     def test_examples(self, ring5, quartic5):
@@ -206,7 +223,7 @@ class TestUnitIntervalReport:
         assert report.jumping_numbers == (F(0), F(7, 12), F(4, 5), F(11, 12))
         assert report.fpt == F(7, 12)
         expected = [
-            Ideal.unit(ring5),
+            unit_ideal(ring5),
             ideal_of(ring5, "x", "y"),
             ideal_of(ring5, "x^2", "y"),
             ideal_of(ring5, "x^2", "x*y", "y^2"),
@@ -376,7 +393,7 @@ class TestNu:
         with pytest.raises(DomainError):
             FrobeniusRootEngine(ring5.constant(2)).nu(maximal_ideal(ring5), 1)
         with pytest.raises(DomainError):
-            FrobeniusRootEngine(ring5.variable("x")).nu(Ideal.unit(ring5), 1)
+            FrobeniusRootEngine(ring5.variable("x")).nu(unit_ideal(ring5), 1)
         with pytest.raises(DomainError, match="radical"):
             FrobeniusRootEngine(ring5.variable("x")).nu(ideal_of(ring5, "y"), 1)
 
@@ -387,7 +404,7 @@ class TestFThreshold:
         c = TestIdealComputer(quartic5, 6)
         assert c.f_threshold(m) == F(7, 12)
         assert c.f_threshold(ideal_of(ring5, "x^2", "y")) == F(4, 5)
-        assert c.f_threshold(Ideal.unit(ring5)) == 0
+        assert c.f_threshold(unit_ideal(ring5)) == 0
 
     def test_agrees_with_fpt(self, ring5, quartic5):
         c = TestIdealComputer(quartic5, 6)
@@ -725,7 +742,7 @@ class TestBounds:
         with pytest.raises(DomainError):
             TestIdealComputer(quartic5, 0).f_threshold(maximal_ideal(ring5))
         with pytest.raises(DomainError):
-            TestIdealComputer(quartic5, 0).f_threshold(Ideal.unit(ring5))
+            TestIdealComputer(quartic5, 0).f_threshold(unit_ideal(ring5))
 
     def test_default_bound_without_a_computer(self, ring5):
         # Jac(f) is zero or the unit ideal, so ell is None and the bound is
@@ -891,7 +908,7 @@ class TestBoundTooSmall:
         report = jumping_numbers_unit_interval(f, default_bound(f))
         assert report.jumping_numbers == (0, F(1, 2), F(2, 3))
         assert report.test_ideals == (
-            Ideal.unit(ring),
+            unit_ideal(ring),
             ideal_of(ring, "y"),
             ideal_of(ring, "y^2", "x*y"),
         )

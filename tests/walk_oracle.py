@@ -19,7 +19,7 @@ def walk(f, bound):
     """
     computer = TestIdealComputer(f, bound)
     jumps = [Fraction(0)]
-    ideals = [Ideal.unit(f.ring)]
+    ideals = [Ideal(f.ring, (f.ring.one(),))]
     for lam in candidate_set(f.ring.prime, bound, (Fraction(0), Fraction(1)))[1:]:
         cur = computer.ideal_at(lam)
         if cur != ideals[-1]:
