@@ -11,9 +11,10 @@ main hands the arguments after a subcommand's name to that subcommand's
 parser alone; the top-level parser reads argv only when it names no
 subcommand or leaves arguments over, so help and error text are argparse's.
 A command that needs a bound builds one TestIdealComputer, which resolves
-an omitted --bound, and reports the bound it used; verify formats the
-checks of the jn report (JumpingNumberReport.checks), and nu is asked of a
-bare root engine.
+an omitted --bound, and reports the bound it used; jn reads the closed
+digit automaton of its engine and checks the bound against the jumps,
+verify formats the checks of the walk's report (JumpingNumberReport.checks),
+and nu is asked of a bare root engine.
 """
 
 from __future__ import annotations
@@ -109,11 +110,11 @@ def _cmd_fpt(args) -> int:
 
 def _cmd_jn(args) -> int:
     f = _poly(args)
-    report = testideal.jumping_numbers_unit_interval(f, args.bound)
+    report = testideal.jumping_numbers_closed(f, args.bound)
     lines = [
         f"jumping numbers of {f} in [0,1)   [p = {f.ring.prime}, bound = {report.bound}]",
         f"fpt = {format_rational(report.fpt)}",
-        f"ideal evaluations: {report.candidate_count}",
+        f"transitions computed: {report.candidate_count}",
     ]
     width = max(len(format_rational(x)) for x in report.jumping_numbers)
     for lam, ideal in zip(report.jumping_numbers, report.test_ideals):

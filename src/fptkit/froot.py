@@ -38,16 +38,31 @@ nu_f^b(p^e) = ceil(c * p^e) - 1 for the F-threshold c of f with respect to
 b, and level j of the narrowing finds ceil(c * p^j), the least k with
 root_j(f^k) inside b, so level e gives nu with no search over N at full
 depth.
+
+The automaton is finite, and its states reachable from (1) are the test
+ideals on [0, 1): after the digits d_1..d_e of some n < p^e, least
+significant first, it holds root_e(f^n) = tau(f^(n/p^e)), tau is right
+continuous and piecewise constant, and grid points are dense.  close()
+fills every reachable row, and jumps() reads off each state's jump, the
+infimum of the grid points that reach it, with no bound B and no search.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .basep import _narrow
-from .errors import DomainError
+from .errors import DomainError, InfeasibleError
 from .groebner import Ideal, _front_end, radical_member
 from .poly import Polynomial, _require_same_ring, power
 
 __all__ = ["frobenius_root_ideal", "FrobeniusRootEngine"]
+
+# close() refuses an automaton of more states than this.  There is one state
+# per jump in [0, 1), and the time grows faster than the count: at p = 5,
+# x^101 + y^103 has 838 states (2.7 s to close) and x^301 + y^302 has 4,392
+# (62 s), on a 2-vCPU Xeon with Python 3.11
+MAX_STATES = 5_000
 
 
 def _split(ring, terms: dict, q: int) -> dict:
@@ -109,11 +124,12 @@ class FrobeniusRootEngine:
     the digit powers f^d and the final carry come from one power table.
     """
 
-    __slots__ = ("f", "ring", "_fpow", "_states", "_ideals", "_rows")
+    __slots__ = ("f", "ring", "transitions", "_fpow", "_states", "_ideals", "_rows")
 
     def __init__(self, f: Polynomial):
         self.f = f
         self.ring = f.ring
+        self.transitions = 0  # transitions computed: _step calls
         self._fpow: dict[int, Polynomial] = {0: f.ring.one(), 1: f}
         self._states: dict[Ideal, int] = {}  # each interned state -> its index
         self._ideals: list[Ideal] = []  # index -> interned state
@@ -156,8 +172,9 @@ class FrobeniusRootEngine:
     def _step(self, i: int, digit: int) -> int:
         """The index of root_1(f^d * J) for the state J of index i: _root of
         the products, stored under d in J's row, beside the carries that
-        root_power stores there under negative keys.  root_power calls it
-        only while the row has no d."""
+        root_power stores there under negative keys.  root_power and close
+        call it only while the row has no d, and transitions counts it."""
+        self.transitions += 1
         products = self._products(self._ideals[i], digit)
         j = self._rows[i][digit] = self._intern(_root(self.ring, products, self.ring.prime))
         return j
@@ -183,6 +200,80 @@ class FrobeniusRootEngine:
             i = rows[i][-N]
         return self._ideals[i]
 
+    def close(self) -> list[int]:
+        """The indices of the states reachable from state 0 over the digits
+        0..p-1, in breadth-first order, each with a full row.
+
+        delta(J, d) = root_1(f^d * J) descends in d, since f^(d+1) * J lies
+        in f^d * J, so when both ends of a span of digits reach one state,
+        every digit between them does too.  A row steps its first and last
+        digit and bisects only the spans whose ends differ.  More than
+        MAX_STATES states raise InfeasibleError.
+        """
+        p, rows = self.ring.prime, self._rows
+
+        def fill(row, i, lo, hi):
+            # the digits strictly between lo and hi, whose ends are in row
+            if row[lo] == row[hi]:
+                row.update(dict.fromkeys(range(lo + 1, hi), row[lo]))
+            elif hi - lo > 1:
+                mid = (lo + hi) // 2
+                if mid not in row:
+                    self._step(i, mid)
+                fill(row, i, lo, mid)
+                fill(row, i, mid, hi)
+
+        order, seen = [0], {0}
+        for i in order:  # order grows as new states are met
+            row = rows[i]
+            for d in (0, p - 1):
+                if d not in row:
+                    self._step(i, d)
+            fill(row, i, 0, p - 1)
+            for d in range(p):
+                if row[d] not in seen:
+                    seen.add(row[d])
+                    order.append(row[d])
+            if len(order) > MAX_STATES:
+                raise InfeasibleError(
+                    f"the digit automaton of f passes the limit of {MAX_STATES} states"
+                )
+        return order
+
+    def jumps(self) -> list[tuple[Fraction, Ideal]]:
+        """(x_J, J) for every state J reachable from state 0, ascending in
+        x_J: the F-jumping numbers in [0, 1) and their test ideals.
+
+        x_J is the infimum of the grid points k/p^e whose digits, least
+        significant first, lead from (1) to J, and so the jump where tau
+        takes the value J.  It is the unique solution of x_0 = 0 and
+        x_J = min over edges I ->d J of (x_I + d)/p, unique because each
+        map contracts by 1/p.  Policy iteration (Howard, 1960) solves it
+        exactly: start from the breadth-first tree, take the values of the
+        chosen edges (_policy_values), and move each state to an edge that
+        gives it a strictly smaller value, until none does.  Only the least
+        digit of each pair of states I, J matters, since (x_I + d)/p grows
+        with d.
+        """
+        p, rows, order = self.ring.prime, self._rows, self.close()
+        into: dict[int, dict[int, int]] = {j: {} for j in order}  # J -> {I: least d}
+        for i in order:
+            for d in range(p):
+                into[rows[i][d]].setdefault(i, d)
+        # each state's first edge is the one close() met it by
+        policy = {j: next(iter(edges.items())) for j, edges in into.items() if j}
+        while True:
+            x = _policy_values(policy, p)
+            better = {}
+            for j, edges in into.items():
+                if j:
+                    i, d = min(edges.items(), key=lambda edge: x[edge[0]] + edge[1])
+                    if x[i] + d < p * x[j]:
+                        better[j] = i, d
+            if not better:
+                return sorted(((x[j], self._ideals[j]) for j in order), key=lambda pair: pair[0])
+            policy.update(better)
+
     def nu(self, b: Ideal, e: int) -> int:
         """Largest N with f^N outside b^[p^e]; 0 when already f in b^[p^e].
 
@@ -207,3 +298,28 @@ class FrobeniusRootEngine:
             raise DomainError("no power of f lies in b: f is not in the radical of b")
         p = self.ring.prime
         return _narrow(lambda k, j: b.contains_ideal(self.root_power(k, j)), 0, p, e) - 1
+
+
+def _policy_values(policy: dict, p: int) -> dict:
+    """x_J = (x_I + d)/p along the chosen edge (I, d) of each state J, and
+    x_0 = 0.  Each chain of chosen predecessors ends at state 0 or in a
+    cycle.  A cycle of v states J_1 <- J_2 <- ... <- J_v <- J_1 with digits
+    d_1..d_v gives x_(J_1) = c/(p^v - 1), c = d_1*p^(v-1) + ... + d_v, the
+    purely periodic base-p expansion 0.(d_1..d_v)."""
+    x = {0: Fraction(0)}
+    for j in policy:
+        path, at = [], {}
+        while j not in x and j not in at:
+            at[j] = len(path)
+            path.append(j)
+            j = policy[j][0]
+        if j not in x:  # a cycle that starts at j
+            c = 0
+            for k in path[at[j]:]:
+                c = c * p + policy[k][1]
+            x[j] = Fraction(c, p ** (len(path) - at[j]) - 1)
+        for k in reversed(path):
+            if k != j:
+                i, d = policy[k]
+                x[k] = (x[i] + d) / p
+    return x

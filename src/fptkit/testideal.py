@@ -34,6 +34,8 @@ checked bound and the root engine, and every question of the query
 (ideal_at, grid_ideal, left_limit_at, certified, is_jump, fpt, f_threshold)
 is one of its methods.  The invariants a walk's output must satisfy are
 JumpingNumberReport.checks, asked of the walk's own computer and engine.
+jumping_numbers_closed finds the same jumps with no search: the states of
+the engine's closed digit automaton, ascending in their jumps.
 """
 
 from __future__ import annotations
@@ -97,8 +99,9 @@ class JumpingNumberReport:
     sit above the first global drop of the ideal family; the origin-local
     number is the one the nu invariants bracket.
 
-    computer is the TestIdealComputer the walk ran on, and poly and bound are
-    read through it; candidate_count counts the walk's own evaluations.
+    computer is the TestIdealComputer the report was found on, and poly and
+    bound are read through it; candidate_count counts its work: the walk's
+    own evaluations, or the transitions that jumping_numbers_closed computed.
     """
 
     jumping_numbers: tuple[Fraction, ...]
@@ -387,15 +390,42 @@ def jumping_numbers_unit_interval(
             break
         jumps.append(found[0])
         ideals.append(found[1])
+    return _report(computer, jumps, ideals, computer.evaluations, start)
+
+
+def jumping_numbers_closed(f: Polynomial, bound: int | None) -> JumpingNumberReport:
+    """The jumping numbers in [0, 1) and their test ideals, read off the
+    closed digit automaton of f: the states of FrobeniusRootEngine.jumps,
+    ascending in their jumps.
+
+    No bound is used.  The bound, given or default_bound(f), is checked as
+    a claim: a jump that is no candidate for it raises DomainError.
+    candidate_count holds the number of transitions computed.
+    """
+    if f.constant_term() != 0:
+        raise DomainError("the polynomial must vanish at the origin")
+    start = time.perf_counter()
+    computer = TestIdealComputer(f, bound)
+    jumps, ideals = zip(*computer.engine.jumps())
+    for lam in jumps:
+        if not is_candidate(lam, computer.p, computer.bound):
+            raise DomainError(
+                f"the jump {format_rational(lam)} is no candidate for bound {computer.bound}; "
+                "the supplied bound is too small for f"
+            )
+    return _report(computer, jumps, ideals, computer.engine.transitions, start)
+
+
+def _report(computer, jumps, ideals, count: int, start: float) -> JumpingNumberReport:
+    """The report of the jumps and ideals found on computer, with the fpt,
+    the first jump whose ideal lies in m, or 1 if none does."""
     inside_m = (lam for lam, ideal in zip(jumps[1:], ideals[1:]) if _inside_m(ideal))
-    fpt_value = next(inside_m, Fraction(1))
-    elapsed = time.perf_counter() - start
     return JumpingNumberReport(
         jumping_numbers=tuple(jumps),
         test_ideals=tuple(ideals),
-        fpt=fpt_value,
-        candidate_count=computer.evaluations,
-        elapsed=elapsed,
+        fpt=next(inside_m, Fraction(1)),
+        candidate_count=count,
+        elapsed=time.perf_counter() - start,
         computer=computer,
     )
 
