@@ -45,9 +45,11 @@ for lam in (Fraction(7, 12), Fraction(4, 5)):
     at = c.ideal_at(lam)
     print(f"\nat {lam}: left limit {left}  vs  value {at}")
 
-# Every evaluation is a grid point n/5^s, tau = root_s(f^n): ideal_at(lam)
-# takes s = stabilization_exponent(lam) and n = ceil(5^s * lam).  The huge
-# power behind 7/12, f^142415365, is never expanded: it takes 12 digit steps.
+# Every evaluation is a grid point n/5^s, tau = root_s(f^n).  At the depth
+# s = stabilization_exponent(lam), which a valid bound sets, n = ceil(5^s * lam)
+# gives tau(f^lam); ideal_at itself reads a depth off the digits of lam alone.
+# The huge power behind 7/12, f^142415365, is never expanded: it takes 12
+# digit steps.
 lam = Fraction(7, 12)
 s = stabilization_exponent(lam, c.bound, 5)
 n = -((-(5**s) * lam.numerator) // lam.denominator)

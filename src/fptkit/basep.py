@@ -31,11 +31,11 @@ MAX_CANDIDATES = 1_000_000
 # takes 0.6 s at p = 5 and 2.7 s at p = 103 (2-vCPU Xeon, Python 3.11),
 # and the largest bound of the benchmark's queries, 28, needs 57 levels
 MAX_LEVELS = 1_000
-# a test-ideal evaluation refuses more digit steps than this.  Each step is
-# a divmod of what is left of ceil(p^s * lam), so time grows with s^2; at
-# the limit one evaluation at x^2 + y^3 takes 0.05 s at p = 2, 0.3 s at
-# p = 103 and 0.5 s at p = 1009 (2-vCPU Xeon, Python 3.11), and the
-# deepest evaluation of the benchmark's queries takes 112 steps
+# a test-ideal evaluation refuses a depth past this, which lam alone sets
+# (TestIdealComputer._evaluate), before it steps that deep.  At the limit
+# tau(f^(1/p^20000)) at x^2 + y^3 takes 0.19 s at p = 2 and 1.8 s at
+# p = 1009, nearly all in canonical_pair (2-vCPU Xeon, Python 3.11), and the
+# deepest evaluation of the benchmark's queries takes 6 steps
 MAX_DIGITS = 20_000
 
 

@@ -1,32 +1,25 @@
 """Test ideals, F-jumping numbers, F-pure thresholds, and F-thresholds.
 
-The workhorse identity: given a valid bound B on the number of jumping
-numbers in [0,1) and the canonical pair (u, v) of a positive rational lam,
-the interval between the s-th truncation of lam and truncation + p^(-s)
-contains no jumping number for s = u + v*B.  Hence
-
-    tau(f^lam)   = root_s(f^ceil(p^s * lam))        (right end of the gap)
-    left limit   = root_s(f^(ceil(p^s * lam) - 1))  (left end of the gap)
-
-with root_s evaluated by the digit recursion in froot, so the astronomical
-exponent ceil(p^s * lam) is never expanded.  stabilization_exponent gives
-the s.  This one formula serves every lam > 0, including lam >= 1: the
-engine's final carry multiplies by f^(N div p^s), which is Skoda's identity
-tau(f^(lam+1)) = f * tau(f^lam).
-
-On the p-adic grid no bound is needed at all:
+Every test ideal is read off the p-adic grid, where no bound is needed:
 
     tau(f^(k/p^e)) = root_e(f^k)                (Blickle-Mustata-Smith)
 
-and both formulas above are grid points with e = s: every evaluation is
-one TestIdealComputer.grid_ideal(k, e) call.  Every search here (the next
+with root_e evaluated by the digit recursion in froot, so the exponent k
+is never expanded.  The engine's final carry multiplies by f^(k div p^e),
+which is Skoda's identity tau(f^(lam+1)) = f * tau(f^lam).  Any rational
+lam >= 0 is a grid point from some depth on: tau(f^lam) is
+root_s(f^ceil(p^s * lam)) and its left limit root_s(f^(ceil(p^s * lam) - 1))
+for every large enough s = u + v*n, (u, v) the canonical pair of lam, and
+TestIdealComputer._evaluate finds such an n from the digits of lam alone.
+So every evaluation is one grid_ideal(k, e) call, and none reads the
+bound B.  Every search here (the next
 jumping number, the fpt, an F-threshold) asks for the least lam where a
 monotone predicate of the descending family tau(f^lam) turns true.
 least_parameter answers that by p-adic bisection over grid points k/p^e:
 the answer is a jumping number, hence a candidate, and candidates lie
 more than p^(-2B) apart, so only a cell holding a single candidate is
 ever enumerated.  It returns that candidate with the ideal that
-rechecked it, through the formula above.  A search first tries its guess,
+rechecked it.  A search first tries its guess,
 if given one, with the certificate TestIdealComputer.certified.
 
 TestIdealComputer is the one context a query builds: it holds f, the
@@ -74,10 +67,10 @@ __all__ = [
 
 
 def stabilization_exponent(lam, bound: int, p: int) -> int:
-    """The s with tau(f^lam) = root_s(f^ceil(p^s * lam)) for a valid bound.
-
-    An integer lam >= 0 has tau(f^lam) = (f^lam), the formula at s = 0.
-    Otherwise s = u + v * bound for the canonical pair (u, v) of lam.
+    """The depth s = u + v * bound, (u, v) the canonical pair of lam, at
+    which no jump lies between lam and its grid point ceil(p^s * lam)/p^s
+    when the bound is valid; 0 at an integer lam >= 0.  It is what tau
+    reports as its stabilizationExponent; no evaluation reads it.
     """
     _check_bound(bound)
     lam = _as_fraction(lam)
@@ -175,8 +168,8 @@ class TestIdealComputer:
     a bound of None means default_bound(f), and any other bound must be an
     int >= 1.  Every evaluation is one grid_ideal call, root_s(f^N) through
     the engine, whose final carry folds parameters >= 1 (Skoda), and
-    evaluations counts them; ideal_at and left_limit_at refuse one of more
-    than basep.MAX_DIGITS digit steps with InfeasibleError.  The searches
+    evaluations counts them; ideal_at and left_limit_at take s from lam
+    alone (_evaluate), not from the bound.  The searches
     (is_jump, fpt, f_threshold) are methods, so all questions asked of one
     computer share its engine, and the Jacobian length it resolved the
     bound from.
@@ -202,11 +195,11 @@ class TestIdealComputer:
         return isolated_jacobian(self.f)
 
     def ideal_at(self, lam) -> Ideal:
-        """tau(f^lam) for any rational lam >= 0: the grid point ceil(p^s * lam)/p^s."""
+        """tau(f^lam) for any rational lam >= 0."""
         lam = _as_fraction(lam)
         if lam < 0:
             raise DomainError("test ideal parameters must be >= 0")
-        return self._grid_point(lam, stabilization_exponent(lam, self.bound, self.p), 0)
+        return self._evaluate(lam, 0)
 
     def grid_ideal(self, k: int, e: int) -> Ideal:
         """tau(f^(k/p^e)) = root_e(f^k), exact for every bound (Blickle-Mustata-Smith)."""
@@ -218,19 +211,44 @@ class TestIdealComputer:
         lam = _as_fraction(lam)
         if lam <= 0:
             raise DomainError("left limits require a positive parameter")
-        # the gap below an integer needs its full pair (0, 1), so s = bound
-        # there; only the ideal at the integer itself takes s = 0
-        s = stabilization_exponent(lam, self.bound, self.p) or self.bound
-        return self._grid_point(lam, s, 1)
+        return self._evaluate(lam, 1)
 
-    def _grid_point(self, lam: Fraction, s: int, below: int) -> Ideal:
-        """grid_ideal(ceil(p^s * lam) - below, s).  An s past basep.MAX_DIGITS
-        raises InfeasibleError before p^s is formed or any digit stepped."""
-        if s > MAX_DIGITS:
-            raise InfeasibleError(
-                f"an evaluation of {s} digit steps passes the limit of {MAX_DIGITS} digits"
-            )
-        return self.grid_ideal(_ceil_times(self.p**s, lam) - below, s)
+    def _evaluate(self, lam: Fraction, below: int) -> Ideal:
+        """grid_ideal(ceil(p^s * lam) - below, s) at a depth s that serves
+        every larger one: tau(f^lam) at below = 0, its left limit at 1.
+
+        Write p^u * lam = I + c/(p^v - 1), 0 <= c < p^v - 1, for the
+        canonical pair (u, v).  At s = u + v*n the numerator reads, least
+        significant digit first, n blocks of v digits, then the digits of I:
+        blocks c+1, c, c, ... for tau, c, c, ... for the left limit, and at
+        c = 0 blocks p^v - 1, then I - 1, for the left limit.  The states
+        after n blocks form a chain (ascending for tau, descending for the
+        left limit) in which, past the first block, each is one run of the
+        same block from the last, so a run that leaves the state unchanged
+        fixes it for every larger n.  On the grid, tau reads blocks 0, which
+        fix the start state (1), so s = u.  A depth past basep.MAX_DIGITS
+        raises InfeasibleError before any digit step at that depth.
+        """
+        p, engine = self.p, self.engine
+        u, v = canonical_pair(lam, p) if lam.denominator > 1 else (0, 1)
+
+        def point(n: int) -> tuple[int, int]:  # the grid point of n blocks
+            s = u + v * n
+            if s > MAX_DIGITS:
+                raise InfeasibleError(
+                    f"an evaluation of {s} digit steps passes the limit of {MAX_DIGITS} digits"
+                )
+            return _ceil_times(p**s, lam) - below, s
+
+        def state(n: int) -> Ideal:  # the engine's state after n blocks
+            return engine.root_power(point(n)[0] % p ** (v * n), v * n)
+
+        if not below and lam.denominator == p**u:
+            return self.grid_ideal(*point(0))
+        n, current = 1, state(1)
+        while (after := state(n + 1)) is not current:  # states are interned
+            n, current = n + 1, after
+        return self.grid_ideal(*point(n))
 
     def certified(self, predicate, lam) -> Ideal | None:
         """tau(f^lam) when lam is the least parameter at which the monotone
@@ -239,7 +257,7 @@ class TestIdealComputer:
         The certificate: the predicate holds at tau(f^lam) and fails at the
         left limit at lam, so it fails on some (lam - eps, lam) and hence,
         being monotone, everywhere below lam.  Both evaluations are exact
-        for a valid bound (Blickle-Mustata-Smith); lam must be positive.
+        for every bound (Blickle-Mustata-Smith); lam must be positive.
         The left limit goes first: a guess past the answer fails there, and
         tau(f^lam) is then never formed.
         """

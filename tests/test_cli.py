@@ -379,6 +379,14 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["jumpingNumbers"] == ["0", "1/2", "5/6"]
 
+    def test_verify_with_a_bound_too_small_for_a_jump_just_below_one(self):
+        # the walk's last search tries the guess 1 with the left limit at 1,
+        # which is tau(f^(5/6)) whatever the bound, so the guess fails and the
+        # narrowing at B = 1 finds no single candidate
+        proc = run_cli("verify", "--char", "3", "--vars", "x,y", "--bound", "1", "x^2*y^2 + x^3")
+        assert proc.returncode == 3
+        assert "too small" in proc.stderr
+
     def test_closed_stdout(self):
         # stdout is a pipe whose read end is closed before the child starts,
         # so every write fails: exit 128 + SIGPIPE, not a domain error
@@ -435,15 +443,17 @@ class TestExitCodes:
         "argv",
         [
             ("tau", "--char", "2", "--vars", "x,y", "--bound", "100000", "--lambda", "1/3",
-             "x^2+y^3"),
+             "x^2+y^3", "--json"),
         ],
         ids=["tau"],
     )
-    def test_evaluation_past_the_digit_budget(self, argv):
-        # 200,000 digit steps for tau(f^(1/3)): refused before any is taken
+    def test_evaluation_at_a_bound_past_the_digit_budget(self, argv):
+        # s = u + v*B would be 200,000 digit steps; the evaluation reads its
+        # depth off lam alone, and the fpt is 1/2, so tau(f^(1/3)) = (1)
         proc = run_cli(*argv, timeout=10)
-        assert proc.returncode == 4
-        assert "passes the limit of 20000 digits" in proc.stderr
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert (doc["testIdeal"], doc["stabilizationExponent"]) == (["1"], 200000)
 
     def test_success_is_zero(self):
         assert run_cli("candidates", "--char", "3", "--bound", "1").returncode == 0

@@ -203,6 +203,44 @@ class TestLeftLimit:
             assert c.left_limit_at(lam) == c.ideal_at(truncation_oracle.truncate(lam, s, p)), lam
 
 
+class TestEvaluationReadsNoBound:
+    """tau(f^lam) and its left limit depend on lam alone (Blickle-Mustata-
+    Smith), so a computer's bound must not move them."""
+
+    def test_small_bounds_give_the_default_bounds_values(self):
+        rng = random.Random(38)
+        lams = [F(1, 2), F(2, 3), F(3, 4), F(4, 5), F(5, 6), F(7, 9), F(1)]
+        mismatches = compared = 0
+        for p in (2, 3, 5):
+            ring = PolyRing(p, ["x", "y"])
+            for _ in range(50):
+                f = random_poly(rng, ring, 4, 3, min_deg=2)
+                while f.term_count() < 2:
+                    f = random_poly(rng, ring, 4, 3, min_deg=2)
+                default = TestIdealComputer(f)
+                for bound in (1, 2):
+                    c = TestIdealComputer(f, bound)
+                    for lam in lams:
+                        for at in ("ideal_at", "left_limit_at"):
+                            compared += 1
+                            mismatches += getattr(c, at)(lam) != getattr(default, at)(lam)
+        assert (mismatches, compared) == (0, 4200)
+
+    @pytest.mark.parametrize("lam", [F(1, 3), F(5, 6), F(1)])
+    def test_digit_steps_do_not_grow_with_the_bound(self, monkeypatch, lam):
+        ring = PolyRing(2, ["x", "y"])
+        cusp = parse_polynomial("x^2+y^3", ring)
+        calls = spy(monkeypatch, FrobeniusRootEngine, "root_power")
+        seen = []
+        for bound in (2, 10**5):
+            c = TestIdealComputer(cusp, bound)
+            calls.clear()
+            ideals = c.ideal_at(lam), c.left_limit_at(lam)
+            seen.append((sum(e for _, _, e in calls), ideals, c.evaluations))
+        assert seen[0] == seen[1]
+        assert seen[0][2] == 2  # one grid point each
+
+
 class TestJumpDetection:
     def test_examples(self, ring5, quartic5):
         c = TestIdealComputer(quartic5, 6)
@@ -755,20 +793,21 @@ class TestBounds:
             TestIdealComputer(ring5.zero())
 
     def test_evaluation_budget(self, monkeypatch):
-        # tau(f^(1/3)) at p = 2 takes s = 2B digit steps: B = MAX_DIGITS/2
-        # is admitted, one more is refused before any digit step, and so is
-        # the left limit at 1, which takes s = B
+        # the depth comes from lam: tau(f^(1/2^e)) at p = 2 is the grid point
+        # root_e(f), so e = MAX_DIGITS is admitted and one more is refused
+        # before any digit step, as is the left limit at 1/2^MAX_DIGITS,
+        # whose first block takes it one digit deeper
         ring = PolyRing(2, ["x", "y"])
         cusp = parse_polynomial("x^2+y^3", ring)
-        limit = basep.MAX_DIGITS // 2
-        assert TestIdealComputer(cusp, limit).ideal_at(F(1, 3)).is_unit()  # fpt is 1/2
-        steps = spy(monkeypatch, FrobeniusRootEngine, "_step")
-        c = TestIdealComputer(cusp, limit + 1)
-        with pytest.raises(InfeasibleError, match="20002 digit steps"):
-            c.ideal_at(F(1, 3))
-        with pytest.raises(InfeasibleError, match="20000 digits"):
-            TestIdealComputer(cusp, basep.MAX_DIGITS + 1).left_limit_at(1)
-        assert (steps, c.evaluations) == ([], 0)
+        limit = basep.MAX_DIGITS
+        assert TestIdealComputer(cusp, 1).ideal_at(F(1, 2**limit)).is_unit()  # fpt is 1/2
+        evaluated = spy(monkeypatch, FrobeniusRootEngine, "root_power")
+        c = TestIdealComputer(cusp, 1)
+        with pytest.raises(InfeasibleError, match="20001 digit steps"):
+            c.ideal_at(F(1, 2 ** (limit + 1)))
+        with pytest.raises(InfeasibleError, match="passes the limit of 20000 digits"):
+            c.left_limit_at(F(1, 2**limit))
+        assert (evaluated, c.evaluations) == ([], 0)
 
 
 class TestFastFpt:
