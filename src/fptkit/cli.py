@@ -10,11 +10,13 @@ reader of stdout has closed it.  The parser is built once, at import, and
 main hands the arguments after a subcommand's name to that subcommand's
 parser alone; the top-level parser reads argv only when it names no
 subcommand or leaves arguments over, so help and error text are argparse's.
-A command that needs a bound builds one TestIdealComputer, which resolves
-an omitted --bound, and reports the bound it used; jn reads the closed
-digit automaton of its engine and checks the bound against the jumps,
-verify formats the checks of the walk's report (JumpingNumberReport.checks),
-and nu is asked of a bare root engine.
+A command that needs a test ideal builds one TestIdealComputer, which
+resolves an omitted --bound when it is first read; fpt, jn, ft and verify
+report the bound they used, which only caps a search, whose answer is
+certified exactly.  jn reads the closed digit automaton of its engine and
+checks the bound against the jumps, verify formats the checks of the walk's
+report (JumpingNumberReport.checks), tau reads no bound at all, and nu is
+asked of a bare root engine.
 """
 
 from __future__ import annotations
@@ -125,18 +127,12 @@ def _cmd_jn(args) -> int:
 def _cmd_tau(args) -> int:
     f = _poly(args)
     lam = parse_rational(args.lam)
-    c = testideal.TestIdealComputer(f, args.bound)
-    ideal = c.ideal_at(lam)
-    s = testideal.stabilization_exponent(lam, c.bound, c.p)
+    ideal = testideal.TestIdealComputer(f).ideal_at(lam)
     payload = _head(f) | {
-        "bound": c.bound,
         "lambda": format_rational(lam),
-        "stabilizationExponent": s,
         "testIdeal": ideal.to_json(),
     }
-    return _emit(
-        args, payload, [f"tau(({f})^({format_rational(lam)})) = {ideal}   [s = {s}]"]
-    )
+    return _emit(args, payload, [f"tau(({f})^({format_rational(lam)})) = {ideal}"])
 
 
 def _cmd_nu(args) -> int:
@@ -259,7 +255,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     command("fpt", _cmd_fpt, "F-pure threshold", bound="optional")
     command("jn", _cmd_jn, "jumping numbers and test ideals in [0,1)", bound="optional")
 
-    p = command("tau", _cmd_tau, "test ideal at a parameter", bound="optional")
+    p = command("tau", _cmd_tau, "test ideal at a parameter")
     p.add_argument("--lambda", dest="lam", required=True, help="rational parameter, e.g. 7/12")
 
     p = command("nu", _cmd_nu, "largest N with f^N outside b^[p^e]")

@@ -18,17 +18,18 @@ monotone predicate of the descending family tau(f^lam) turns true.
 least_parameter answers that by p-adic bisection over grid points k/p^e:
 the answer is a jumping number, hence a candidate, and candidates lie
 more than p^(-2B) apart, so only a cell holding a single candidate is
-ever enumerated.  It returns that candidate with the ideal that
-rechecked it.  A search first tries its guess,
-if given one, with the certificate TestIdealComputer.certified.
+ever enumerated.  B caps the search's levels and nothing else: the
+certificate TestIdealComputer.certified proves that candidate the answer,
+exactly at every B, or refutes it.  A search first tries its guess, if
+given one, with the same certificate.
 
 TestIdealComputer is the one context a query builds: it holds f, the
-checked bound and the root engine, and every question of the query
-(ideal_at, grid_ideal, left_limit_at, certified, is_jump, fpt, f_threshold)
-is one of its methods.  The invariants a walk's output must satisfy are
-JumpingNumberReport.checks, asked of the walk's own computer and engine.
-jumping_numbers_closed finds the same jumps with no search: the states of
-the engine's closed digit automaton, ascending in their jumps.
+bound, resolved on first use, and the root engine, and every question of
+the query (ideal_at, grid_ideal, left_limit_at, certified, is_jump, fpt,
+f_threshold) is one of its methods.  The invariants a walk's output must
+satisfy are JumpingNumberReport.checks, asked of the walk's own computer
+and engine.  jumping_numbers_closed finds the same jumps with no search:
+the states of the engine's closed digit automaton, ascending in their jumps.
 """
 
 from __future__ import annotations
@@ -58,26 +59,11 @@ from .poly import Polynomial, _head, _require_same_ring
 __all__ = [
     "JumpingNumberReport",
     "TestIdealComputer",
-    "stabilization_exponent",
     "least_parameter",
     "jumping_numbers_unit_interval",
     "degree_bound",
     "default_bound",
 ]
-
-
-def stabilization_exponent(lam, bound: int, p: int) -> int:
-    """The depth s = u + v * bound, (u, v) the canonical pair of lam, at
-    which no jump lies between lam and its grid point ceil(p^s * lam)/p^s
-    when the bound is valid; 0 at an integer lam >= 0.  It is what tau
-    reports as its stabilizationExponent; no evaluation reads it.
-    """
-    _check_bound(bound)
-    lam = _as_fraction(lam)
-    if lam.denominator == 1 and lam >= 0:
-        return 0
-    pair = canonical_pair(lam, p)
-    return pair.u + pair.v * bound
 
 
 @dataclass(frozen=True)
@@ -164,15 +150,15 @@ class JumpingNumberReport:
 class TestIdealComputer:
     """Shared evaluation context: one polynomial, one bound, one root engine.
 
-    The one place that checks f and resolves the bound: f must be nonzero,
-    a bound of None means default_bound(f), and any other bound must be an
-    int >= 1.  Every evaluation is one grid_ideal call, root_s(f^N) through
-    the engine, whose final carry folds parameters >= 1 (Skoda), and
-    evaluations counts them; ideal_at and left_limit_at take s from lam
-    alone (_evaluate), not from the bound.  The searches
-    (is_jump, fpt, f_threshold) are methods, so all questions asked of one
-    computer share its engine, and the Jacobian length it resolved the
-    bound from.
+    The one place that checks f and the bound: f must be nonzero, and a
+    given bound must be an int >= 1; an omitted one is default_bound(f),
+    resolved when a search first reads it.  Every evaluation is one
+    grid_ideal call, root_s(f^N) through the engine, whose final carry
+    folds parameters >= 1 (Skoda), and evaluations counts them; ideal_at,
+    left_limit_at, certified and is_jump take s from lam alone (_evaluate),
+    not from the bound.  The searches (fpt, f_threshold) are methods, so
+    all questions asked of one computer share its engine, and the Jacobian
+    length it resolved the bound from.
     """
 
     __test__ = False  # a computation, not a pytest test class
@@ -181,13 +167,18 @@ class TestIdealComputer:
         if f.is_zero():
             raise DomainError("test ideals of the zero polynomial are undefined")
         self.f = f
-        if bound is None:
-            bound = default_bound(f, self.isolated_jacobian)
-        _check_bound(bound)
-        self.bound = bound
+        if bound is not None:
+            _check_bound(bound)
+            self.bound = bound
         self.p = f.ring.prime
         self.engine = FrobeniusRootEngine(f)
         self.evaluations = 0
+
+    @cached_property
+    def bound(self) -> int:
+        """default_bound(f), when no bound was given: a computer that never
+        searches forms no Jacobian basis."""
+        return default_bound(self.f, self.isolated_jacobian)
 
     @cached_property
     def isolated_jacobian(self) -> tuple[Ideal, int | None]:
@@ -267,12 +258,10 @@ class TestIdealComputer:
         return ideal if predicate(ideal) else None
 
     def is_jump(self, lam) -> bool:
-        """True iff the test ideal jumps at lam; lam must be a (p, bound) candidate."""
+        """True iff the test ideal jumps at lam > 0, exact for every bound."""
         lam = _as_fraction(lam)
         if lam <= 0:
             raise DomainError("jumping-number tests require a positive parameter")
-        if not is_candidate(lam, self.p, self.bound):
-            raise DomainError(f"{lam} is not a candidate for bound {self.bound}")
         return self.left_limit_at(lam) != self.ideal_at(lam)
 
     def fpt(self) -> Fraction:
@@ -334,10 +323,10 @@ def least_parameter(computer: TestIdealComputer, predicate, lo, hi, guess=None) 
     2B+1 levels the cell holds it as its only candidate.  More than
     basep.MAX_LEVELS levels raise InfeasibleError before any is run.
 
-    For a valid B no jump lies between that candidate and the cell's right
-    end a/p^(2B+1), so its ideal equals the bound-free root_(2B+1)(f^a).  A
-    cell without a single candidate, a failed recheck or a mismatch there
-    raises DomainError: the bound is too small.
+    The answer is that candidate once computer.certified proves it the
+    least parameter, exactly at every B.  A cell without a single
+    candidate, or a candidate the certificate refutes, raises DomainError:
+    the bound is too small.
     """
     lo, hi = _as_fraction(lo), _as_fraction(hi)
     if not 0 <= lo < hi:
@@ -370,13 +359,11 @@ def least_parameter(computer: TestIdealComputer, predicate, lo, hi, guess=None) 
             "the supplied bound is too small for f"
         )
     value = cands[0]
-    ideal = computer.ideal_at(value)
-    if not predicate(ideal) or (
-        right == Fraction(a, q) and ideal != computer.engine.root_power(a, levels)
-    ):
+    ideal = computer.certified(predicate, value)
+    if ideal is None:
         raise DomainError(
-            "the isolated candidate fails the search predicate or the grid ideal at "
-            f"{right}; the supplied bound is too small for f"
+            f"the isolated candidate {format_rational(value)} is not the least parameter; "
+            "the supplied bound is too small for f"
         )
     return value, ideal
 

@@ -62,7 +62,6 @@ class TestSubcommands:
         )
         doc = json.loads(proc.stdout)
         assert doc["testIdeal"] == ["y", "x^2"]
-        assert doc["stabilizationExponent"] == 7
 
     def test_tau_at_integer(self):
         # tau(f^2) = (f^2) is the evaluation formula at s = 0
@@ -72,7 +71,15 @@ class TestSubcommands:
         )
         doc = json.loads(proc.stdout)
         assert doc["testIdeal"] == ["x^8 + 2x^6*y^2 + x^4*y^4 + 2x^4*y^3 + 2x^2*y^5 + y^6"]
-        assert doc["stabilizationExponent"] == 0
+
+    def test_tau_forms_no_jacobian(self, monkeypatch, capsys):
+        # tau reads no bound, so it never resolves default_bound(f), whose
+        # Jacobian basis and length would only have been printed
+        calls = spy(monkeypatch, testideal, "isolated_jacobian")
+        assert main(["tau", "--char", "5", "--vars", "x,y", "--lambda", "4/5",
+                     "x^4+y^3+x^2*y^2", "--json"]) == 0
+        assert calls == []
+        assert "bound" not in json.loads(capsys.readouterr().out)
 
     def test_candidates(self):
         proc = run_cli("candidates", "--char", "2", "--bound", "2")
@@ -441,19 +448,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ("tau", "--char", "2", "--vars", "x,y", "--bound", "100000", "--lambda", "1/3",
-             "x^2+y^3", "--json"),
-        ],
+        [("tau", "--char", "2", "--vars", "x,y", "--lambda", "1/3", "x^2+y^3", "--json")],
         ids=["tau"],
     )
     def test_evaluation_at_a_bound_past_the_digit_budget(self, argv):
-        # s = u + v*B would be 200,000 digit steps; the evaluation reads its
-        # depth off lam alone, and the fpt is 1/2, so tau(f^(1/3)) = (1)
+        # s = u + v*B at --bound 100000 was 200,000 digit steps; the
+        # evaluation reads its depth off lam alone, and the fpt is 1/2, so
+        # tau(f^(1/3)) = (1).  tau takes no --bound at all now
         proc = run_cli(*argv, timeout=10)
         assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
-        assert (doc["testIdeal"], doc["stabilizationExponent"]) == (["1"], 200000)
+        assert json.loads(proc.stdout)["testIdeal"] == ["1"]
+        assert run_cli(*argv[:1], "--bound", "3", *argv[1:], timeout=10).returncode == 2
 
     def test_success_is_zero(self):
         assert run_cli("candidates", "--char", "3", "--bound", "1").returncode == 0
@@ -518,7 +523,7 @@ class TestHumanOutput:
             ),
             (
                 ("tau", *QUARTIC, "--lambda", "4/5"),
-                "tau((x^4 + x^2*y^2 + y^3)^(4/5)) = (y, x^2)   [s = 7]\n",
+                "tau((x^4 + x^2*y^2 + y^3)^(4/5)) = (y, x^2)\n",
             ),
             (("nu", *QUARTIC, "--e", "1"), "nu(f, b, e=1) = 2   [b = (y, x)]\n"),
             (("ft", *QUARTIC, "--ideal", "x^2; y"), "ft(f | b) = 4/5   [b = (y, x^2)]\n"),
@@ -563,7 +568,6 @@ class TestBoundKey:
         [
             ("fpt", *CUSP),
             ("jn", *CUSP),
-            ("tau", *CUSP, "--lambda", "1/2"),
             ("ft", *CUSP, "--ideal", "x; y"),
             ("verify", *CUSP),
         ],
@@ -747,5 +751,5 @@ def test_every_option_has_help():
     bare = [f"{name} {(a.option_strings or [a.dest])[0]}" for name, a in actions if not a.help]
     assert bare == []
     bound = [(name, a.help) for name, a in actions if "--bound" in a.option_strings]
-    assert sorted(name for name, _ in bound) == ["candidates", "fpt", "ft", "jn", "tau", "verify"]
+    assert sorted(name for name, _ in bound) == ["candidates", "fpt", "ft", "jn", "verify"]
     assert len({text for _, text in bound}) == 1

@@ -366,7 +366,7 @@ class TestEngineFixedWork:
 
         monkeypatch.setattr(FrobeniusRootEngine, "_step", bracketed)
         if search == "quartic walk":
-            assert jumping_numbers_unit_interval(quartic5, 6).candidate_count == 111
+            assert jumping_numbers_unit_interval(quartic5, 6).candidate_count == 114
         else:
             cusp = parse_polynomial("x^2 + y^3", PolyRing(101, ["x", "y"]))
             assert TestIdealComputer(cusp).fpt() == Fraction(84, 101)

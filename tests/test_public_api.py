@@ -48,7 +48,6 @@ PUBLIC = [
     "power",
     "random_perturbation",
     "singularity_profile",
-    "stabilization_exponent",
 ]
 
 

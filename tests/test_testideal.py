@@ -28,11 +28,10 @@ from fptkit import (
     power,
     random_perturbation,
     singularity_profile,
-    stabilization_exponent,
 )
 
 from fptkit import basep, testideal
-from fptkit.basep import candidates_left_open
+from fptkit.basep import candidates_left_open, canonical_pair
 
 import gallop_oracle
 import narrowing_oracle
@@ -58,13 +57,6 @@ def brute_nu(f, b, e):
         n += 1
 
 
-class TestStabilizationExponent:
-    def test_examples(self):
-        assert stabilization_exponent(F(7, 12), 6, 5) == 12
-        assert stabilization_exponent(F(4, 5), 6, 5) == 7
-        assert stabilization_exponent(F(1, 2), 1, 3) == 1
-
-
 class TestTestIdeal:
     def test_known_values(self, ring5, quartic5):
         c = TestIdealComputer(quartic5, 6)
@@ -79,11 +71,7 @@ class TestTestIdeal:
 
     def test_result_metadata(self, ring5, quartic5):
         c = TestIdealComputer(quartic5, 6)
-        s = stabilization_exponent(F(4, 5), c.bound, 5)
-        assert s == 7
         assert c.bound == 6
-        scaled = 5**s * F(4, 5)
-        assert scaled.denominator == 1
 
     def test_zero_polynomial_rejected(self, ring5):
         with pytest.raises(DomainError):
@@ -136,7 +124,6 @@ class TestTestIdeal:
                     direct = frobenius_root_ideal(Ideal(ring, (power(f, int(p**e * lam)),)), e)
                     assert folded == direct
                     if lam.denominator == 1:
-                        assert stabilization_exponent(lam, c.bound, p) == 0
                         assert exponents == [0]
 
     def test_monotone_on_candidates(self, ring5, quartic5):
@@ -180,8 +167,8 @@ class TestLeftLimit:
 
 
     def test_integer_gap_uses_full_pair(self, quartic5):
-        # the gap below 1 needs s = u + v*B = B for the pair (0, 1); at s = 0
-        # the left limit at 1 would be (f^0) = (1), not the last jump's ideal
+        # the left limit at 1 is tau at the last jump below 1, read past
+        # depth 0: at depth 0 it would be (f^0) = (1)
         report = jumping_numbers_unit_interval(quartic5, 6)
         assert report.jumping_numbers[-1] == F(11, 12)
         assert report.computer.left_limit_at(1) == report.test_ideals[-1]
@@ -192,14 +179,16 @@ class TestLeftLimit:
         ids=["quartic5", "cusp7", "x^2*y^2+x^3-at-3"],
     )
     def test_is_the_ideal_at_the_truncation(self, p, text, bound):
-        # the module's workhorse identity: the left limit at lam is tau at the
-        # s-th truncation of lam, s = u + v*B, or B when lam is an integer;
-        # every candidate of bound 2 in (0, 2], 1 and 2 among them
+        # at a valid B no jump lies in [trunc_s(lam), lam) for s = u + v*B,
+        # (u, v) the canonical pair of lam, (0, 1) at an integer, so the
+        # bound-free left limit at lam is tau at that truncation; every
+        # candidate of bound 2 in (0, 2], 1 and 2 among them
         c = TestIdealComputer(parse_polynomial(text, PolyRing(p, ["x", "y"])), bound)
         lams = candidates_left_open(p, 2, 0, 2)
         assert {F(1), F(2)} <= set(lams)
         for lam in lams:
-            s = stabilization_exponent(lam, c.bound, p) or c.bound
+            u, v = canonical_pair(lam, p)
+            s = u + v * c.bound
             assert c.left_limit_at(lam) == c.ideal_at(truncation_oracle.truncate(lam, s, p)), lam
 
 
@@ -249,10 +238,10 @@ class TestJumpDetection:
         x = ring5.variable("x")
         assert not TestIdealComputer(x, 1).is_jump(F(1, 2))
 
-    def test_non_candidate_rejected(self, ring5, quartic5):
-        # ord of 5 mod 23 is 22, far beyond the bound
-        with pytest.raises(DomainError):
-            TestIdealComputer(quartic5, 6).is_jump(F(1, 23))
+    def test_non_candidate_is_exact(self, quartic5):
+        # ord of 5 mod 23 is 22, far beyond the bound, and the left limit
+        # and the value are exact at every bound: 1/23 is below the fpt 7/12
+        assert not TestIdealComputer(quartic5, 6).is_jump(F(1, 23))
 
 
 class TestUnitIntervalReport:
@@ -513,20 +502,40 @@ class TestLeastParameter:
     def test_isolated_candidate_is_rechecked(self):
         # a duck-typed computer whose "ideal" at lam is lam itself, and at
         # the grid point k/p^e is k/p^e: 5 levels of 2-adic narrowing leave
-        # (5/16, 11/32], whose one candidate for B = 2 is 1/3.  Its engine
-        # reads the grid point k/p^e as the largest candidate at or below it,
-        # constant between candidates as tau is between jumps, so the cell's
-        # right end 11/32 reads 1/3 and agrees with the recheck
-        engine = SimpleNamespace(
-            root_power=lambda k, e: max(c for c in (0, F(1, 3), F(1, 2), 1) if c <= F(k, 2**e))
-        )
+        # (5/16, 11/32], whose one candidate for B = 2 is 1/3.  The family
+        # jumps everywhere, so its left limit at lam reads just below lam,
+        # and the certificate of TestIdealComputer confirms 1/3 for the
+        # threshold 1/3 and refutes it for 17/50
         computer = SimpleNamespace(
             p=2, bound=2, ideal_at=lambda lam: lam, grid_ideal=lambda k, e: F(k, 2**e),
-            engine=engine,
+            left_limit_at=lambda lam: lam - F(1, 2**64),
         )
+        computer.certified = lambda *args: TestIdealComputer.certified(computer, *args)
         assert least_parameter(computer, lambda lam: lam >= F(1, 3), 0, 1) == (F(1, 3), F(1, 3))
-        with pytest.raises(DomainError, match="fails the search predicate"):
+        with pytest.raises(DomainError, match="is not the least parameter"):
             least_parameter(computer, lambda lam: lam >= F(17, 50), 0, 1)
+
+    def test_last_cell_gap_is_refused(self):
+        # a duck-typed family with the jumps 0, 21/64, 1 at p = 2, B = 2:
+        # 21/64 has the pair (6, 1), so it is no candidate.  Its last cell
+        # (5/16, 11/32] holds 21/64 and the one candidate 1/3, with no jump
+        # between 1/3 and the right end 11/32, so the grid ideal there
+        # (engine.root_power, which the search once compared against)
+        # agrees with tau(f^(1/3)); the left limit at 1/3 is already
+        # nonzero, so the certificate refutes 1/3, and B = 2 is too small
+        jumps = (F(0), F(21, 64), F(1))
+
+        def tau(lam):
+            return max(x for x in jumps if x <= lam)
+
+        computer = SimpleNamespace(
+            p=2, bound=2, ideal_at=tau, grid_ideal=lambda k, e: tau(F(k, 2**e)),
+            left_limit_at=lambda lam: max(x for x in jumps if x < lam),
+            engine=SimpleNamespace(root_power=lambda k, e: tau(F(k, 2**e))),
+        )
+        computer.certified = lambda *args: TestIdealComputer.certified(computer, *args)
+        with pytest.raises(DomainError, match="too small"):
+            least_parameter(computer, lambda ideal: ideal != 0, 0, 1)
 
     def test_level_zero_doubles_up_from_the_bottom(self, ring5):
         # the answer 4/5 lies far below hi = 100: level 0 evaluates the
@@ -955,8 +964,9 @@ class TestBoundTooSmall:
     def test_walk_that_answers_wrongly(self):
         # ideal_at(1/2) at s = u + v*B = 1 reads (y^2, x*y), past the next
         # jump 2/3, and so did the walk once: jumps 0, 1/2 with that ideal.
-        # The grid ideal at the search cell's right end 14/27 is (y), and
-        # the mismatch shows that B = 1 is too small
+        # Evaluation now reads its depth off lam alone, so 1/2 is certified
+        # with its ideal (y), and the search for the next jump 2/3, no
+        # candidate for B = 1, shows that B = 1 is too small
         f = parse_polynomial("x^2*y^2 + x*y^3", PolyRing(3, ["x", "y"]))
         with pytest.raises(DomainError, match="too small"):
             jumping_numbers_unit_interval(f, 1)
