@@ -9,7 +9,7 @@ floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, InfeasibleError
@@ -68,23 +68,19 @@ def require_prime(p: int) -> None:
         raise DomainError(f"characteristic must be prime, got {p}")
 
 
-@dataclass(frozen=True)
-class ExponentPair:
-    """A pair (u, v) with u >= 0 and v >= 1.
+class ExponentPair(namedtuple("ExponentPair", "u v")):
+    """A pair (u, v) of ints with u >= 0 and v >= 1.
 
     The pair belongs to a rational lam when p^u * (p^v - 1) * lam is an
     integer.
     """
 
-    u: int
-    v: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.u < 0 or self.v < 1:
-            raise DomainError(f"invalid exponent pair ({self.u}, {self.v})")
-
-    def __iter__(self):
-        return iter((self.u, self.v))
+    def __new__(cls, u: int, v: int):
+        if u < 0 or v < 1:
+            raise DomainError(f"invalid exponent pair ({u}, {v})")
+        return super().__new__(cls, u, v)
 
 
 def _as_fraction(lam) -> Fraction:

@@ -9,7 +9,8 @@ unexpected 70, and 141 (128 + SIGPIPE, with nothing on stderr) when the
 reader of stdout has closed it.  The parser is built once, at import, and
 main hands the arguments after a subcommand's name to that subcommand's
 parser alone; the top-level parser reads argv only when it names no
-subcommand or leaves arguments over, so help and error text are argparse's.
+subcommand or leaves arguments over, so help and error text are argparse's,
+except that an option the subcommand does not take is named with its value.
 A command that needs a test ideal builds one TestIdealComputer, which
 resolves an omitted --bound when it is first read; fpt, jn, ft and verify
 report the bound they used, which only caps a search, whose answer is
@@ -287,6 +288,30 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 _PARSER, _COMMANDS = _build_parser()
 
 
+def _parse_top(argv) -> argparse.Namespace:
+    """argv as the top-level parser reads it, exiting 2 with argparse's usage
+    on any argument it does not take.  argparse reads the token after an
+    option that the subcommand does not take as the polynomial, and so
+    names the polynomial as unrecognized; here each such option after the
+    subcommand's name is named with the token after it, and only what is
+    left over once both are dropped is named besides."""
+    args, left = _PARSER.parse_known_args(argv)
+    if not left:
+        return args
+    # the top-level parser takes no option with a value, so its first
+    # positional is the subcommand's name
+    sub = next((i for i, token in enumerate(argv) if not token.startswith("-")), len(argv))
+    end = argv.index("--") if "--" in argv else len(argv)
+    stray = set()
+    for i in range(end):
+        if argv[i].startswith("-") and argv[i] in left:
+            stray.add(i)
+            if sub < i < end - 1 and "=" not in argv[i] and not argv[i + 1].startswith("-"):
+                stray.add(i + 1)
+    _, left = _PARSER.parse_known_args([t for i, t in enumerate(argv) if i not in stray])
+    _PARSER.error("unrecognized arguments: " + " ".join([argv[i] for i in sorted(stray)] + left))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = _COMMANDS.get(argv[0]) if argv else None
@@ -295,7 +320,7 @@ def main(argv=None) -> int:
     # no subcommand named, or arguments left over: the top-level parser
     # reports it, with the usage and exit code it always gave
     if command is None or left:
-        args = _PARSER.parse_args(argv)
+        args = _parse_top(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .basep import format_rational
@@ -40,21 +40,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SingularityProfile:
+class SingularityProfile(namedtuple(
+    "SingularityProfile", "poly jacobian is_isolated ell bound_fpt bound_test_ideals"
+)):
     """Data attached to f when its Jacobian ideal is primary to the origin.
 
-    bound_fpt is the perturbation order past which the F-pure threshold is
-    guaranteed stable; bound_test_ideals the (much larger) order past which
-    all test ideals with parameter below 1 are stable.
+    poly is f and jacobian its Jacobian ideal; ell, bound_fpt and
+    bound_test_ideals are ints when is_isolated, else None.  bound_fpt is
+    the perturbation order past which the F-pure threshold is guaranteed
+    stable; bound_test_ideals the (much larger) order past which all test
+    ideals with parameter below 1 are stable.
     """
 
-    poly: Polynomial
-    jacobian: Ideal
-    is_isolated: bool
-    ell: int | None
-    bound_fpt: int | None
-    bound_test_ideals: int | None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         N, M = self.bound_fpt, self.bound_test_ideals
@@ -134,20 +132,16 @@ def random_perturbation(ring: PolyRing, k: int, seed) -> Polynomial:
             return h
 
 
-@dataclass(frozen=True)
-class PerturbationRecord:
-    exponent: int
-    sample_index: int
-    h: Polynomial
-    fpt_base: Fraction
-    fpt_perturbed: Fraction
-    fpt_equal: bool
-    jumping_numbers_equal: bool
-    test_ideals_equal_locally: bool
-    jacobian_stable: bool
-    fpt_gap: Fraction
-    gap_bound: Fraction
-    theorem_violation: bool
+class PerturbationRecord(namedtuple("PerturbationRecord", [
+    "exponent", "sample_index", "h", "fpt_base", "fpt_perturbed", "fpt_equal",
+    "jumping_numbers_equal", "test_ideals_equal_locally", "jacobian_stable",
+    "fpt_gap", "gap_bound", "theorem_violation",
+])):
+    """One perturbation f + h of order exponent: the two fpts (Fractions),
+    the comparisons of f with f + h (bools), and the fpt gap against its
+    bound n/k (Fractions)."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -175,11 +169,11 @@ _CSV_COLUMNS = {
 }
 
 
-@dataclass(frozen=True)
-class ConstancyReport:
-    profile: SingularityProfile
-    seed: object
-    records: tuple[PerturbationRecord, ...]
+class ConstancyReport(namedtuple("ConstancyReport", "profile seed records")):
+    """The records of constancy_report, a tuple, for the profile of f and
+    the seed of the draws."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return _head(self.profile.poly) | {

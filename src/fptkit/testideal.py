@@ -35,7 +35,6 @@ the states of the engine's closed digit automaton, ascending in their jumps.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, comb, floor
@@ -66,14 +65,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class JumpingNumberReport:
     """Jumping numbers in [0, 1) with their test ideals.
 
-    jumping_numbers and test_ideals run in parallel, starting at 0 with the
-    unit ideal; the ideals strictly descend.  fpt is the least positive
-    jumping number whose test ideal is proper at the origin (contained in
-    the maximal ideal m), or 1 when no test ideal on (0, 1) drops into m.
+    jumping_numbers (Fractions) and test_ideals (Ideals) are tuples that run
+    in parallel, starting at 0 with the unit ideal; the ideals strictly
+    descend.  fpt is the least positive jumping number whose test ideal is
+    proper at the origin (contained in the maximal ideal m), or 1 when no
+    test ideal on (0, 1) drops into m.
     When f has extra singular points away from the origin that value can
     sit above the first global drop of the ideal family; the origin-local
     number is the one the nu invariants bracket.
@@ -81,14 +80,37 @@ class JumpingNumberReport:
     computer is the TestIdealComputer the report was found on, and poly and
     bound are read through it; candidate_count counts its work: the walk's
     own evaluations, or the transitions that jumping_numbers_closed computed.
+    elapsed (wall seconds) and computer take no part in equality or hash,
+    and repr leaves out computer.  A report is immutable.
     """
 
-    jumping_numbers: tuple[Fraction, ...]
-    test_ideals: tuple[Ideal, ...]
-    fpt: Fraction
-    candidate_count: int
-    elapsed: float = field(compare=False)
-    computer: TestIdealComputer = field(compare=False, repr=False)
+    __slots__ = ("jumping_numbers", "test_ideals", "fpt", "candidate_count", "elapsed", "computer")
+
+    def __init__(self, jumping_numbers, test_ideals, fpt, candidate_count, elapsed, computer):
+        values = (jumping_numbers, test_ideals, fpt, candidate_count, elapsed, computer)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _compared(self) -> tuple:
+        return self.jumping_numbers, self.test_ideals, self.fpt, self.candidate_count
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:5])
+        return f"{type(self).__name__}({fields})"
 
     @property
     def poly(self) -> Polynomial:

@@ -364,6 +364,25 @@ class TestExitCodes:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --term-count 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, stray",
+        [
+            (["tau", "--char", "2", "--bound", "3", "--lambda", "1/3", "x^2+y^3"], "--bound 3"),
+            (["nu", "--char", "5", "--e", "1", "--bound", "3", "x^4+y^3"], "--bound 3"),
+            (["profile", "--char", "7", "--exponents", "3", "x^2+y^3"], "--exponents 3"),
+        ],
+        ids=["tau", "nu", "profile"],
+    )
+    def test_a_stray_option_is_named_with_its_value(self, capsys, argv, stray):
+        # argparse alone reads the value as the polynomial and names the
+        # polynomial as the unrecognized argument
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fptkit ")
+        assert err.endswith(f"error: unrecognized arguments: {stray}\n")
+
     def test_bound_too_small(self):
         # the quartic has 3 jumps in (0, 1); bound 1 cannot isolate them
         proc = run_cli("jn", "--char", "5", "--vars", "x,y", "x^4+y^3+x^2*y^2", "--bound", "1")

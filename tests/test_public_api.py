@@ -1,8 +1,11 @@
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
 import fptkit
+
+from conftest import src_env
 
 # One name per question: a query builds a TestIdealComputer and asks it
 # (ideal_at, left_limit_at, is_jump, fpt, f_threshold), and nu is asked of
@@ -73,6 +76,21 @@ def test_imports_name_only_fptkit_and_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "fptkit" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def test_cli_import_loads_no_heavy_standard_modules():
+    # every CLI query pays for the import; dataclasses alone pulls in
+    # inspect, ast and dis and runs an exec per decorated class
+    code = (
+        "import sys; before = set(sys.modules); import fptkit.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True
+    )
+    added = set(proc.stdout.split())
+    assert "fptkit.cli" in added
+    assert not added & {"dataclasses", "inspect", "typing"}, sorted(added)
 
 
 def test_package_reexports_every_module_name():
