@@ -12,12 +12,12 @@ parser alone; the top-level parser reads argv only when it names no
 subcommand or leaves arguments over, so help and error text are argparse's,
 except that an option the subcommand does not take is named with its value.
 A command that needs a test ideal builds one TestIdealComputer, which
-resolves an omitted --bound when it is first read; fpt, jn, ft and verify
+resolves an omitted --bound when it is first read; fpt, ft and verify
 report the bound they used, which only caps a search, whose answer is
-certified exactly.  jn reads the closed digit automaton of its engine and
-checks the bound against the jumps, verify formats the checks of the walk's
-report (JumpingNumberReport.checks), tau reads no bound at all, and nu is
-asked of a bare root engine.
+certified exactly.  verify formats the checks of the walk's report
+(JumpingNumberReport.checks).  jn reads the closed digit automaton of its
+engine and tau evaluates at one parameter, so neither takes a bound; nu
+is asked of a bare root engine.
 """
 
 from __future__ import annotations
@@ -113,9 +113,9 @@ def _cmd_fpt(args) -> int:
 
 def _cmd_jn(args) -> int:
     f = _poly(args)
-    report = testideal.jumping_numbers_closed(f, args.bound)
+    report = testideal.jumping_numbers_closed(f)
     lines = [
-        f"jumping numbers of {f} in [0,1)   [p = {f.ring.prime}, bound = {report.bound}]",
+        f"jumping numbers of {f} in [0,1)   [p = {f.ring.prime}]",
         f"fpt = {format_rational(report.fpt)}",
         f"transitions computed: {report.candidate_count}",
     ]
@@ -254,7 +254,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         return p
 
     command("fpt", _cmd_fpt, "F-pure threshold", bound="optional")
-    command("jn", _cmd_jn, "jumping numbers and test ideals in [0,1)", bound="optional")
+    command("jn", _cmd_jn, "jumping numbers and test ideals in [0,1)")
 
     p = command("tau", _cmd_tau, "test ideal at a parameter")
     p.add_argument("--lambda", dest="lam", required=True, help="rational parameter, e.g. 7/12")

@@ -28,8 +28,8 @@ bound, resolved on first use, and the root engine, and every question of
 the query (ideal_at, grid_ideal, left_limit_at, certified, is_jump, fpt,
 f_threshold) is one of its methods.  The invariants a walk's output must
 satisfy are JumpingNumberReport.checks, asked of the walk's own computer
-and engine.  jumping_numbers_closed finds the same jumps with no search:
-the states of the engine's closed digit automaton, ascending in their jumps.
+and engine.  jumping_numbers_closed finds the same jumps with no search or
+bound: the states of the engine's closed digit automaton, by their jumps.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ class JumpingNumberReport:
     number is the one the nu invariants bracket.
 
     computer is the TestIdealComputer the report was found on, and poly and
-    bound are read through it; candidate_count counts its work: the walk's
-    own evaluations, or the transitions that jumping_numbers_closed computed.
+    a walk's bound are read through it; candidate_count counts its work: the
+    walk's own evaluations, or the transitions jumping_numbers_closed computed.
     elapsed (wall seconds) and computer take no part in equality or hash,
     and repr leaves out computer.  A report is immutable.
     """
@@ -122,7 +122,6 @@ class JumpingNumberReport:
 
     def to_json(self) -> dict:
         return _head(self.poly) | {
-            "bound": self.bound,
             "fpt": format_rational(self.fpt),
             "jumpingNumbers": [format_rational(x) for x in self.jumping_numbers],
             "testIdeals": [ideal.to_json() for ideal in self.test_ideals],
@@ -302,16 +301,18 @@ class TestIdealComputer:
         One least_parameter search over (0, max(ceil(cap), 1)]; the
         predicate is false at 0 because b is proper.  tau(f^lam) contains
         f^ceil(lam), so no lam qualifies unless f lies in sqrt(b); the
-        radical check comes first, before any power of f is formed.
+        radical check comes first, before any power of f is formed, and
+        raises DomainError as nu does, since no cap would help.
         """
         _require_same_ring(self.f, b)
         if b.is_unit():
             return Fraction(0)
         cap = Fraction(self.f.ring.dimension) if cap is None else _as_fraction(cap)
-        if radical_member(self.f, b):
-            found = least_parameter(self, b.contains_ideal, 0, max(ceil(cap), 1))
-            if found is not None and found[0] <= cap:
-                return found[0]
+        if not radical_member(self.f, b):
+            raise DomainError("no power of f lies in b: f is not in the radical of b")
+        found = least_parameter(self, b.contains_ideal, 0, max(ceil(cap), 1))
+        if found is not None and found[0] <= cap:
+            return found[0]
         raise InfeasibleError(
             f"no parameter at or below the cap {format_rational(cap)} "
             "drops the test ideal into b"
@@ -420,26 +421,19 @@ def jumping_numbers_unit_interval(
     return _report(computer, jumps, ideals, computer.evaluations, start)
 
 
-def jumping_numbers_closed(f: Polynomial, bound: int | None) -> JumpingNumberReport:
+def jumping_numbers_closed(f: Polynomial) -> JumpingNumberReport:
     """The jumping numbers in [0, 1) and their test ideals, read off the
     closed digit automaton of f: the states of FrobeniusRootEngine.jumps,
     ascending in their jumps.
 
-    No bound is used.  The bound, given or default_bound(f), is checked as
-    a claim: a jump that is no candidate for it raises DomainError.
-    candidate_count holds the number of transitions computed.
+    No bound is read, so no Jacobian is formed.  candidate_count holds the
+    number of transitions computed.
     """
     if f.constant_term() != 0:
         raise DomainError("the polynomial must vanish at the origin")
     start = time.perf_counter()
-    computer = TestIdealComputer(f, bound)
+    computer = TestIdealComputer(f)
     jumps, ideals = zip(*computer.engine.jumps())
-    for lam in jumps:
-        if not is_candidate(lam, computer.p, computer.bound):
-            raise DomainError(
-                f"the jump {format_rational(lam)} is no candidate for bound {computer.bound}; "
-                "the supplied bound is too small for f"
-            )
     return _report(computer, jumps, ideals, computer.engine.transitions, start)
 
 

@@ -55,12 +55,11 @@ def check_automaton(f) -> None:
 
 
 def assert_matches_the_walk(f) -> None:
-    closed = jumping_numbers_closed(f, None)
+    closed = jumping_numbers_closed(f)
     walk = jumping_numbers_unit_interval(f, None)
     assert closed.jumping_numbers == walk.jumping_numbers
     assert closed.test_ideals == walk.test_ideals
     assert closed.fpt == walk.fpt
-    assert closed.bound == walk.bound
 
 
 NAMED = [
@@ -94,11 +93,11 @@ def test_diagonal_fpt(exponents, p):
     # closure computes 693 transitions
     ring = PolyRing(p, ["x", "y", "z"][: len(exponents)])
     f = sum((ring.variable(i) ** a for i, a in enumerate(exponents)), ring.zero())
-    assert jumping_numbers_closed(f, None).fpt == diagonal_hypersurface_fpt(exponents, p)
+    assert jumping_numbers_closed(f).fpt == diagonal_hypersurface_fpt(exponents, p)
 
 
 def test_states_past_the_cap(monkeypatch, quartic5):
     # the quartic's automaton has 4 states
     monkeypatch.setattr(froot, "MAX_STATES", 3)
     with pytest.raises(InfeasibleError, match="limit of 3 states"):
-        jumping_numbers_closed(quartic5, None)
+        jumping_numbers_closed(quartic5)

@@ -40,9 +40,7 @@ def run_cli(*argv, timeout=60):
 
 class TestSubcommands:
     def test_jn_worked_example(self):
-        proc = run_cli(
-            "jn", "--char", "5", "--vars", "x,y", "x^4+y^3+x^2*y^2", "--bound", "6", "--json"
-        )
+        proc = run_cli("jn", "--char", "5", "--vars", "x,y", "x^4+y^3+x^2*y^2", "--json")
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["fpt"] == "7/12"
@@ -72,12 +70,14 @@ class TestSubcommands:
         doc = json.loads(proc.stdout)
         assert doc["testIdeal"] == ["x^8 + 2x^6*y^2 + x^4*y^4 + 2x^4*y^3 + 2x^2*y^5 + y^6"]
 
-    def test_tau_forms_no_jacobian(self, monkeypatch, capsys):
-        # tau reads no bound, so it never resolves default_bound(f), whose
-        # Jacobian basis and length would only have been printed
+    @pytest.mark.parametrize(
+        "argv", [("tau", "--lambda", "4/5"), ("jn",)], ids=lambda argv: argv[0]
+    )
+    def test_forms_no_jacobian(self, monkeypatch, capsys, argv):
+        # tau and jn read no bound, so they never resolve default_bound(f),
+        # whose Jacobian basis and length would only have been printed
         calls = spy(monkeypatch, testideal, "isolated_jacobian")
-        assert main(["tau", "--char", "5", "--vars", "x,y", "--lambda", "4/5",
-                     "x^4+y^3+x^2*y^2", "--json"]) == 0
+        assert main([*argv, "--char", "5", "--vars", "x,y", "x^4+y^3+x^2*y^2", "--json"]) == 0
         assert calls == []
         assert "bound" not in json.loads(capsys.readouterr().out)
 
@@ -311,14 +311,15 @@ class TestExitCodes:
         assert proc.stdout == "ft(f | b) = 4/5   [b = (y, x)]\n"
 
     def test_large_cap_outside_the_radical(self):
-        # x^2+y^3 is not in sqrt((x)): refused before any power of f is formed
+        # x^2+y^3 is not in sqrt((x)): refused before any power of f is
+        # formed, and as nu refuses it, since no cap would help
         proc = run_cli(
             "ft", "--char", "5", "--vars", "x,y", "--ideal", "x", "--cap", "1234567",
             "x^2+y^3", timeout=10,
         )
-        assert proc.returncode == 4
+        assert proc.returncode == 3
         assert proc.stderr == (
-            "infeasible: no parameter at or below the cap 1234567 drops the test ideal into b\n"
+            "domain error: no power of f lies in b: f is not in the radical of b\n"
         )
 
     @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
@@ -385,25 +386,28 @@ class TestExitCodes:
 
     def test_bound_too_small(self):
         # the quartic has 3 jumps in (0, 1); bound 1 cannot isolate them
-        proc = run_cli("jn", "--char", "5", "--vars", "x,y", "x^4+y^3+x^2*y^2", "--bound", "1")
+        proc = run_cli(
+            "verify", "--char", "5", "--vars", "x,y", "x^4+y^3+x^2*y^2", "--bound", "1"
+        )
         assert proc.returncode == 3
         assert "too small" in proc.stderr
 
     def test_bound_too_small_for_a_walk_that_answered_wrongly(self):
         # B = 1 once gave the jumps 0, 1/2 here; the default bound gives 0, 1/2, 2/3
-        proc = run_cli("jn", "--char", "3", "--vars", "x,y", "--bound", "1", "x^2*y^2 + x*y^3")
+        proc = run_cli("verify", "--char", "3", "--vars", "x,y", "--bound", "1", "x^2*y^2 + x*y^3")
         assert proc.returncode == 3
         assert "too small" in proc.stderr
 
     def test_bound_too_small_for_a_jump_just_below_one(self):
         # 5/6 lies in ((p^B - 1)/p^B, 1) = (2/3, 1) and is no candidate for
-        # B = 1; a walk whose left limit at 1 is read at s = B misses it
-        proc = run_cli("jn", "--char", "3", "--vars", "x,y", "--bound", "1", "x^2*y^2 + x^3")
-        assert proc.returncode == 3
-        assert "the jump 5/6 is no candidate for bound 1" in proc.stderr
+        # B = 1; a walk whose left limit at 1 is read at s = B misses it.
+        # jn reads the closed automaton, which needs no bound, so it takes none
         proc = run_cli("jn", "--char", "3", "--vars", "x,y", "x^2*y^2 + x^3", "--json")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["jumpingNumbers"] == ["0", "1/2", "5/6"]
+        proc = run_cli("jn", "--char", "3", "--vars", "x,y", "--bound", "1", "x^2*y^2 + x^3")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --bound 1" in proc.stderr
 
     def test_verify_with_a_bound_too_small_for_a_jump_just_below_one(self):
         # the walk's last search tries the guess 1 with the left limit at 1,
@@ -446,8 +450,9 @@ class TestExitCodes:
         assert "radical" in proc.stderr
 
     def test_infeasible(self):
+        # the threshold of x^2 for (x^6) is 3, past the cap
         proc = run_cli(
-            "ft", "--char", "5", "--vars", "x,y", "--ideal", "y", "--cap", "2", "x"
+            "ft", "--char", "5", "--vars", "x,y", "--ideal", "x^6", "--cap", "2", "x^2"
         )
         assert proc.returncode == 4
 
@@ -531,8 +536,8 @@ class TestHumanOutput:
         [
             (("fpt", *CUSP), "fpt(y^3 + x^2) = 5/6   [p = 7, bound = 2]\n"),
             (
-                ("jn", *QUARTIC, "--bound", "6"),
-                "jumping numbers of x^4 + x^2*y^2 + y^3 in [0,1)   [p = 5, bound = 6]\n"
+                ("jn", *QUARTIC),
+                "jumping numbers of x^4 + x^2*y^2 + y^3 in [0,1)   [p = 5]\n"
                 "fpt = 7/12\n"
                 "transitions computed: 17\n"
                 "      0  ->  (1)\n"
@@ -580,13 +585,13 @@ class TestHumanOutput:
 
 
 class TestBoundKey:
-    """The "bound" key is --bound when it is given and default_bound(f) when not."""
+    """The "bound" key is --bound when it is given and default_bound(f) when
+    not.  jn and tau take no bound and have no bound key."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             ("fpt", *CUSP),
-            ("jn", *CUSP),
             ("ft", *CUSP, "--ideal", "x; y"),
             ("verify", *CUSP),
         ],
@@ -770,5 +775,5 @@ def test_every_option_has_help():
     bare = [f"{name} {(a.option_strings or [a.dest])[0]}" for name, a in actions if not a.help]
     assert bare == []
     bound = [(name, a.help) for name, a in actions if "--bound" in a.option_strings]
-    assert sorted(name for name, _ in bound) == ["candidates", "fpt", "ft", "jn", "verify"]
+    assert sorted(name for name, _ in bound) == ["candidates", "fpt", "ft", "verify"]
     assert len({text for _, text in bound}) == 1

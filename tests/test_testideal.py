@@ -300,7 +300,6 @@ class TestUnitIntervalReport:
         assert set(doc) == {
             "prime",
             "poly",
-            "bound",
             "fpt",
             "jumpingNumbers",
             "testIdeals",
@@ -438,8 +437,12 @@ class TestFThreshold:
         assert c.f_threshold(maximal_ideal(ring5)) == c.fpt()
 
     def test_cap_exhaustion(self, ring5):
+        # the threshold of x for (x^4) is 4, past the cap; x is not in
+        # sqrt((y)), so no cap would help there, and that is a domain error
         x = ring5.variable("x")
         with pytest.raises(InfeasibleError):
+            TestIdealComputer(x, 1).f_threshold(ideal_of(ring5, "x^4"), cap=F(3))
+        with pytest.raises(DomainError, match="not in the radical of b"):
             TestIdealComputer(x, 1).f_threshold(ideal_of(ring5, "y"), cap=F(3))
 
     def test_cap_is_evaluated_only_when_the_search_reaches_it(self, ring5, monkeypatch):
