@@ -11,8 +11,8 @@ polynomials in F_p[x_1..x_n] with exact rational arithmetic throughout:
 
 A query builds one TestIdealComputer(f, bound) and asks it every question:
 ideal_at, grid_ideal, left_limit_at, certified, is_jump, fpt and f_threshold
-share its root engine, and the nu invariants are
-FrobeniusRootEngine(f).nu(b, e).
+share its root engine, whose closed automaton f_threshold reads with no
+bound; the nu invariants are FrobeniusRootEngine(f).nu(b, e).
 """
 
 from . import basep, constancy, errors, froot, groebner, parsing, poly, testideal

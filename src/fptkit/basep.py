@@ -253,13 +253,12 @@ def _least_integer(holds, lo: int, hi: int | None = None) -> int:
     return hi
 
 
-def _narrow(holds, lo: int, p: int, levels: int, keep=None) -> int | None:
-    """The least integer a with holds(a, levels), by p-adic narrowing; None
-    when keep(a) is false at level 0's answer a.
+def _narrow(holds, p: int, levels: int) -> int:
+    """The least integer a with holds(a, levels), by p-adic narrowing.
 
     holds(k, e) is a monotone question at the grid point k/p^e: false at
-    (lo, 0), and the same at (k, e) and (p*k, e+1).  Level 0 is
-    _least_integer from lo with no upper end; level e >= 1 bisects k over
+    (0, 0), and the same at (k, e) and (p*k, e+1).  Level 0 is
+    _least_integer from 0 with no upper end; level e >= 1 bisects k over
     the cell (p*(a-1), p*a] of level e-1's answer a.  A search of more than
     MAX_LEVELS levels raises InfeasibleError before any level is run.
     """
@@ -267,9 +266,7 @@ def _narrow(holds, lo: int, p: int, levels: int, keep=None) -> int | None:
         raise InfeasibleError(
             f"a search of {levels} levels passes the limit of {MAX_LEVELS} levels"
         )
-    a = _least_integer(lambda k: holds(k, 0), lo)
-    if keep is not None and not keep(a):
-        return None
+    a = _least_integer(lambda k: holds(k, 0), 0)
     for e in range(1, levels + 1):
         a = _least_integer(lambda k: holds(k, e), p * (a - 1), p * a)
     return a

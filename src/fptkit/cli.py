@@ -2,8 +2,8 @@
 
 One subcommand per engine capability; every command takes --char and, when
 a polynomial is involved, --vars plus the polynomial text (inline or via
---input-file).  --json emits exactly one JSON document on stdout; the
-default is a small aligned human report.  Error classes map to distinct
+--input-file, not both).  --json emits exactly one JSON document on stdout;
+the default is a small aligned human report.  Error classes map to distinct
 exit codes: parse errors 2, domain errors 3, cap/infeasibility 4, anything
 unexpected 70, and 141 (128 + SIGPIPE, with nothing on stderr) when the
 reader of stdout has closed it.  The parser is built once, at import, and
@@ -12,12 +12,12 @@ parser alone; the top-level parser reads argv only when it names no
 subcommand or leaves arguments over, so help and error text are argparse's,
 except that an option the subcommand does not take is named with its value.
 A command that needs a test ideal builds one TestIdealComputer, which
-resolves an omitted --bound when it is first read; fpt, ft and verify
-report the bound they used, which only caps a search, whose answer is
-certified exactly.  verify formats the checks of the walk's report
-(JumpingNumberReport.checks).  jn reads the closed digit automaton of its
-engine and tau evaluates at one parameter, so neither takes a bound; nu
-is asked of a bare root engine.
+resolves an omitted --bound when it is first read; fpt and verify report
+the bound they used, which only caps a search, whose answer is certified
+exactly.  verify formats the checks of the walk's report
+(JumpingNumberReport.checks).  jn and ft read the closed digit automaton
+of their engine and tau evaluates at one parameter, so none of them takes
+a bound; nu is asked of a bare root engine.
 """
 
 from __future__ import annotations
@@ -152,11 +152,9 @@ def _cmd_ft(args) -> int:
     f = _poly(args)
     b = _ideal(args.ideal, f.ring)
     cap = Fraction(f.ring.dimension) if args.cap is None else parse_rational(args.cap)
-    c = testideal.TestIdealComputer(f, args.bound)
-    bound, value = c.bound, c.f_threshold(b, cap)
+    value = testideal.TestIdealComputer(f).f_threshold(b, cap)
     payload = _head(f) | {
         "ideal": b.to_json(),
-        "bound": bound,
         "cap": format_rational(cap),
         "ft": format_rational(value),
     }
@@ -244,8 +242,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.add_argument("--char", type=int, required=True, help="prime characteristic p")
         if poly:
             p.add_argument("--vars", default="x,y", help="comma-separated variable names")
-            p.add_argument("poly", nargs="?", help="polynomial text, e.g. 'x^4 + y^3 + x^2*y^2'")
-            p.add_argument("--input-file", help="read the polynomial text from a file")
+            text = p.add_mutually_exclusive_group()
+            text.add_argument("poly", nargs="?", help="polynomial text, e.g. 'x^4 + y^3 + x^2*y^2'")
+            text.add_argument("--input-file", help="read the polynomial text from a file")
         p.add_argument("--json", action="store_true", help="emit one JSON document")
         if bound:
             p.add_argument("--bound", type=int, required=bound == "required",
@@ -263,7 +262,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--e", type=int, required=True, help="Frobenius level e >= 0 of b^[p^e]")
     p.add_argument("--ideal", help="generators 'g1; g2; ...' (default: the maximal ideal)")
 
-    p = command("ft", _cmd_ft, "F-threshold of f with respect to an ideal", bound="optional")
+    p = command("ft", _cmd_ft, "F-threshold of f with respect to an ideal")
     p.add_argument("--ideal", required=True, help="generators 'g1; g2; ...' of the ideal b")
     p.add_argument("--cap", help="search cap (default: dim R)")
 

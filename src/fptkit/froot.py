@@ -297,7 +297,7 @@ class FrobeniusRootEngine:
         if not radical_member(self.f, b):
             raise DomainError("no power of f lies in b: f is not in the radical of b")
         p = self.ring.prime
-        return _narrow(lambda k, j: b.contains_ideal(self.root_power(k, j)), 0, p, e) - 1
+        return _narrow(lambda k, j: b.contains_ideal(self.root_power(k, j)), p, e) - 1
 
 
 def _policy_values(policy: dict, p: int) -> dict:

@@ -12,16 +12,15 @@ root_s(f^ceil(p^s * lam)) and its left limit root_s(f^(ceil(p^s * lam) - 1))
 for every large enough s = u + v*n, (u, v) the canonical pair of lam, and
 TestIdealComputer._evaluate finds such an n from the digits of lam alone.
 So every evaluation is one grid_ideal(k, e) call, and none reads the
-bound B.  Every search here (the next
-jumping number, the fpt, an F-threshold) asks for the least lam where a
-monotone predicate of the descending family tau(f^lam) turns true.
-least_parameter answers that by p-adic bisection over grid points k/p^e:
-the answer is a jumping number, hence a candidate, and candidates lie
-more than p^(-2B) apart, so only a cell holding a single candidate is
-ever enumerated.  B caps the search's levels and nothing else: the
-certificate TestIdealComputer.certified proves that candidate the answer,
-exactly at every B, or refutes it.  A search first tries its guess, if
-given one, with the same certificate.
+bound B.  The searches here (the next jumping number of a walk, the fpt)
+ask for the least lam in (lo, 1] where a monotone predicate of the
+descending family tau(f^lam) turns true.  least_parameter answers that by
+p-adic bisection over grid points k/p^e: the answer is a jumping number,
+hence a candidate, and candidates lie more than p^(-2B) apart, so only a
+cell holding a single candidate is ever enumerated.  B caps the search's
+levels and nothing else: the certificate TestIdealComputer.certified
+proves that candidate the answer, exactly at every B, or refutes it.  A
+search first tries its guess, if given one, with the same certificate.
 
 TestIdealComputer is the one context a query builds: it holds f, the
 bound, resolved on first use, and the root engine, and every question of
@@ -29,7 +28,8 @@ the query (ideal_at, grid_ideal, left_limit_at, certified, is_jump, fpt,
 f_threshold) is one of its methods.  The invariants a walk's output must
 satisfy are JumpingNumberReport.checks, asked of the walk's own computer
 and engine.  jumping_numbers_closed finds the same jumps with no search or
-bound: the states of the engine's closed digit automaton, by their jumps.
+bound: the states of the engine's closed digit automaton, by their jumps,
+which f_threshold carries past 1 by Skoda's identity.
 """
 
 from __future__ import annotations
@@ -37,13 +37,14 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, comb, floor
+from math import comb
 
 from .basep import (
     MAX_DIGITS,
     _as_fraction,
     _ceil_times,
     _check_bound,
+    _least_integer,
     _narrow,
     candidates_left_open,
     canonical_pair,
@@ -177,9 +178,9 @@ class TestIdealComputer:
     grid_ideal call, root_s(f^N) through the engine, whose final carry
     folds parameters >= 1 (Skoda), and evaluations counts them; ideal_at,
     left_limit_at, certified and is_jump take s from lam alone (_evaluate),
-    not from the bound.  The searches (fpt, f_threshold) are methods, so
-    all questions asked of one computer share its engine, and the Jacobian
-    length it resolved the bound from.
+    not from the bound.  fpt and f_threshold, which reads the closed
+    automaton and no bound, are methods, so all questions asked of one
+    computer share its engine and the Jacobian length it resolved B from.
     """
 
     __test__ = False  # a computation, not a pytest test class
@@ -293,16 +294,17 @@ class TestIdealComputer:
         """
         if self.f.constant_term() != 0:
             raise DomainError("fpt requires a polynomial vanishing at the origin")
-        return least_parameter(self, _inside_m, 0, 1)[0]
+        return least_parameter(self, _inside_m, 0)[0]
 
     def f_threshold(self, b: Ideal, cap=None) -> Fraction:
         """Least parameter lam <= cap with tau(f^lam) contained in b.
 
-        One least_parameter search over (0, max(ceil(cap), 1)]; the
-        predicate is false at 0 because b is proper.  tau(f^lam) contains
-        f^ceil(lam), so no lam qualifies unless f lies in sqrt(b); the
-        radical check comes first, before any power of f is formed, and
-        raises DomainError as nu does, since no cap would help.
+        tau(f^(n + mu)) = f^n * tau(f^mu) (Skoda), so over the closure's jumps
+        0 = mu_0 < ... < mu_r the answer is the first n + mu_i whose ideal lies
+        in b, n the least integer >= 0 at which n + mu_r's ideal does, found
+        by _least_integer's gallop; a lam past the cap reads true unevaluated.
+        A DomainError, as in nu, refuses f outside sqrt(b) before any power
+        of f is formed: tau(f^lam) contains f^ceil(lam), so no cap would help.
         """
         _require_same_ring(self.f, b)
         if b.is_unit():
@@ -310,9 +312,15 @@ class TestIdealComputer:
         cap = Fraction(self.f.ring.dimension) if cap is None else _as_fraction(cap)
         if not radical_member(self.f, b):
             raise DomainError("no power of f lies in b: f is not in the radical of b")
-        found = least_parameter(self, b.contains_ideal, 0, max(ceil(cap), 1))
-        if found is not None and found[0] <= cap:
-            return found[0]
+        jumps = [mu for mu, _ in self.engine.jumps()]
+
+        def holds(lam) -> bool:
+            return lam > cap or b.contains_ideal(self.ideal_at(lam))
+
+        n = _least_integer(lambda n: holds(n + jumps[-1]), -1)
+        lam = next((n + mu for mu in jumps[:-1] if holds(n + mu)), n + jumps[-1])
+        if lam <= cap:
+            return lam
         raise InfeasibleError(
             f"no parameter at or below the cap {format_rational(cap)} "
             "drops the test ideal into b"
@@ -324,23 +332,20 @@ def _inside_m(ideal: Ideal) -> bool:
     return all(g.constant_term() == 0 for g in ideal.basis())
 
 
-def least_parameter(computer: TestIdealComputer, predicate, lo, hi, guess=None) -> tuple | None:
-    """(lam, tau(f^lam)) for the least lam in (lo, hi] with
-    predicate(tau(f^lam)), or None when the predicate is false at hi.
+def least_parameter(computer: TestIdealComputer, predicate, lo, guess=None) -> tuple:
+    """(lam, tau(f^lam)) for the least lam in (lo, 1] with predicate(tau(f^lam)).
 
     The predicate must be monotone along the descending family: false at
-    lo, and once true for some lam, true for every larger one.  A guess in
-    (lo, hi] is tried first: when computer.certified confirms it, it is the
-    answer, found with two evaluations; any other guess costs at most those
-    two, and the search runs as if none were given.  The search
+    lo, true at 1, and once true for some lam, true for every larger one.
+    A guess in (lo, 1] is tried first: when computer.certified confirms it,
+    it is the answer, found with two evaluations; any other guess costs at
+    most those two, and the search runs as if none were given.  The search
     narrows on the p-adic grid, where evaluation needs no bound:
     tau(f^(k/p^e)) = root_e(f^k) (Blickle-Mustata-Smith).  Level e keeps an
-    integer a whose cell ((a-1)/p^e, a/p^e], cut to (lo, hi], holds the
-    answer.  Grid points at or below lo read false and those at or above hi
-    read true.  The levels are basep._narrow's: level 0 is _least_integer
-    from floor(lo) with no upper end, so no power of f past twice the
-    answer's ceiling is formed, and hi is evaluated only when that search
-    ends at or past it.  Each later level bisects k over (p*(a-1), p*a].
+    integer a whose cell ((a-1)/p^e, a/p^e], cut to (lo, 1], holds the
+    answer.  Grid points at or below lo read false and those at or above 1
+    read true, unevaluated, so basep._narrow's level 0 ends at a = 1 with
+    no evaluation, and each later level bisects k over (p*(a-1), p*a].
     The least lam is a jumping number, so it is a candidate for the
     computer's bound B, and candidates lie more than p^(-2B) apart: after
     2B+1 levels the cell holds it as its only candidate.  More than
@@ -351,10 +356,10 @@ def least_parameter(computer: TestIdealComputer, predicate, lo, hi, guess=None) 
     candidate, or a candidate the certificate refutes, raises DomainError:
     the bound is too small.
     """
-    lo, hi = _as_fraction(lo), _as_fraction(hi)
-    if not 0 <= lo < hi:
-        raise DomainError(f"search window ({lo}, {hi}] must lie in [0, oo) and be nonempty")
-    if guess is not None and lo < guess <= hi:
+    lo = _as_fraction(lo)
+    if not 0 <= lo < 1:
+        raise DomainError(f"search window ({lo}, 1] must lie in [0, 1] and be nonempty")
+    if guess is not None and lo < guess <= 1:
         ideal = computer.certified(predicate, guess)
         if ideal is not None:
             return _as_fraction(guess), ideal
@@ -365,16 +370,14 @@ def least_parameter(computer: TestIdealComputer, predicate, lo, hi, guess=None) 
         q = p**e
         if k * lo.denominator <= lo.numerator * q:
             return False
-        if k * hi.denominator >= hi.numerator * q:
+        if k >= q:
             return True
         return predicate(computer.grid_ideal(k, e))
 
     levels = 2 * bound + 1
-    a = _narrow(holds, floor(lo), p, levels, lambda a: a < hi or predicate(computer.ideal_at(hi)))
-    if a is None:
-        return None
+    a = _narrow(holds, p, levels)
     q = p**levels
-    left, right = max(lo, Fraction(a - 1, q)), min(hi, Fraction(a, q))
+    left, right = max(lo, Fraction(a - 1, q)), Fraction(a, q)
     cands = candidates_left_open(p, bound, left, right)
     if len(cands) != 1:
         raise DomainError(
@@ -413,8 +416,8 @@ def jumping_numbers_unit_interval(
     while True:
         current, last = ideals[-1], jumps[-1]
         guess = min((g for g in guesses if g > last), default=1)
-        found = least_parameter(computer, lambda ideal: ideal != current, last, 1, guess)
-        if found is None or found[0] == 1:
+        found = least_parameter(computer, lambda ideal: ideal != current, last, guess)
+        if found[0] == 1:
             break
         jumps.append(found[0])
         ideals.append(found[1])

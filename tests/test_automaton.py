@@ -14,8 +14,8 @@ import random
 
 import pytest
 
-from fptkit import InfeasibleError, PolyRing, froot, jumping_numbers_unit_interval
-from fptkit import parse_polynomial
+from fptkit import InfeasibleError, PolyRing, TestIdealComputer, froot, maximal_ideal
+from fptkit import jumping_numbers_unit_interval, parse_polynomial
 from fptkit.testideal import jumping_numbers_closed
 
 from conftest import random_poly
@@ -89,7 +89,7 @@ def test_random_polynomials():
 
 @pytest.mark.parametrize("exponents, p", [((20, 23), 7), ((3, 4, 5), 7)])
 def test_diagonal_fpt(exponents, p):
-    # the walk of x^20 + y^23 at p = 7 makes some 176,000 evaluations; the
+    # the walk of x^20 + y^23 at p = 7 makes 176,509 evaluations; the
     # closure computes 693 transitions
     ring = PolyRing(p, ["x", "y", "z"][: len(exponents)])
     f = sum((ring.variable(i) ** a for i, a in enumerate(exponents)), ring.zero())
@@ -97,7 +97,9 @@ def test_diagonal_fpt(exponents, p):
 
 
 def test_states_past_the_cap(monkeypatch, quartic5):
-    # the quartic's automaton has 4 states
+    # the quartic's automaton has 4 states; jn and ft both close it
     monkeypatch.setattr(froot, "MAX_STATES", 3)
     with pytest.raises(InfeasibleError, match="limit of 3 states"):
         jumping_numbers_closed(quartic5)
+    with pytest.raises(InfeasibleError, match="limit of 3 states"):
+        TestIdealComputer(quartic5).f_threshold(maximal_ideal(quartic5.ring))

@@ -403,27 +403,17 @@ class TestNarrow:
             probes.append((k, e))
             return F(k, p**e) >= c
 
-        assert basep._narrow(holds, 0, p, levels) == basep._ceil_times(p**levels, c)
+        assert basep._narrow(holds, p, levels) == basep._ceil_times(p**levels, c)
         for e in range(1, levels + 1):
             a = basep._ceil_times(p ** (e - 1), c)
             assert all(p * (a - 1) < k < p * a for k, level in probes if level == e)
 
-    def test_keep_ends_the_search_after_level_0(self):
-        probes = []
-
-        def holds(k, e):
-            probes.append((k, e))
-            return k >= 3
-
-        assert basep._narrow(holds, 0, 5, 4, keep=lambda a: a < 3) is None
-        assert probes == [(1, 0), (2, 0), (4, 0), (3, 0)]
-
     def test_refuses_more_levels_than_the_budget(self):
         probes = []
         with pytest.raises(InfeasibleError, match="passes the limit"):
-            basep._narrow(lambda k, e: probes.append(k) or True, 0, 2, basep.MAX_LEVELS + 1)
+            basep._narrow(lambda k, e: probes.append(k) or True, 2, basep.MAX_LEVELS + 1)
         assert probes == []
-        assert basep._narrow(lambda k, e: k >= 2**e, 0, 2, basep.MAX_LEVELS) == 2**basep.MAX_LEVELS
+        assert basep._narrow(lambda k, e: k >= 2**e, 2, basep.MAX_LEVELS) == 2**basep.MAX_LEVELS
 
 
 @pytest.mark.parametrize(

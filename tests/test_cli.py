@@ -71,10 +71,12 @@ class TestSubcommands:
         assert doc["testIdeal"] == ["x^8 + 2x^6*y^2 + x^4*y^4 + 2x^4*y^3 + 2x^2*y^5 + y^6"]
 
     @pytest.mark.parametrize(
-        "argv", [("tau", "--lambda", "4/5"), ("jn",)], ids=lambda argv: argv[0]
+        "argv",
+        [("tau", "--lambda", "4/5"), ("jn",), ("ft", "--ideal", "x^2; y")],
+        ids=lambda argv: argv[0],
     )
     def test_forms_no_jacobian(self, monkeypatch, capsys, argv):
-        # tau and jn read no bound, so they never resolve default_bound(f),
+        # tau, jn and ft read no bound, so they never resolve default_bound(f),
         # whose Jacobian basis and length would only have been printed
         calls = spy(monkeypatch, testideal, "isolated_jacobian")
         assert main([*argv, "--char", "5", "--vars", "x,y", "x^4+y^3+x^2*y^2", "--json"]) == 0
@@ -247,17 +249,18 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("constancy", "--exponents", ""), "at least one perturbation exponent"),
-            (("ft", "--ideal", "x; y", "--cap", ""), "invalid rational ''"),
+            (("constancy", "--exponents", "", "x^2+y^3"), "at least one perturbation exponent"),
+            (("ft", "--ideal", "x; y", "--cap", "", "x^2+y^3"), "invalid rational ''"),
             (("fpt", "--input-file", ""), "No such file or directory: ''"),
-            (("constancy", "--csv", ""), "No such file or directory: ''"),
+            (("constancy", "--csv", "", "x^2+y^3"), "No such file or directory: ''"),
         ],
         ids=["constancy-exponents", "ft-cap", "input-file", "constancy-csv"],
     )
     def test_empty_option_value(self, capsys, argv, message):
-        # an empty value is an error, not the option's default
+        # an empty value is an error, not the option's default; the
+        # polynomial text is inline, except where --input-file is its source
         command, *options = argv
-        assert main([command, "--char", "7", *options, "x^2+y^3"]) == 3
+        assert main([command, "--char", "7", *options]) == 3
         assert message in capsys.readouterr().err
 
     def test_inverted_candidate_window(self, capsys):
@@ -586,13 +589,12 @@ class TestHumanOutput:
 
 class TestBoundKey:
     """The "bound" key is --bound when it is given and default_bound(f) when
-    not.  jn and tau take no bound and have no bound key."""
+    not.  jn, tau and ft take no bound and have no bound key."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             ("fpt", *CUSP),
-            ("ft", *CUSP, "--ideal", "x; y"),
             ("verify", *CUSP),
         ],
         ids=lambda argv: argv[0],
@@ -637,6 +639,7 @@ ARGV_CASES = [
     (["fpt", "x^2+y^3"], 2),
     (["--json", "fpt", "--char", "7", "x^2+y^3"], 2),
     (["fpt", "--char", "7", "--", "x^2+y^3", "y"], 2),
+    (["fpt", "--char", "7", "--input-file", os.path.join(os.devnull, "f"), "x^2+y^3"], 2),
     (["tau", "--char", "5", "x^4+y^3", "--lambda", "-1/2"], 2),
     (["fpt", "--char", "4", "x^2+y^3"], 3),
     (["fpt", "--ch", "7", "--", "x^2+y^3"], 0),
@@ -775,5 +778,5 @@ def test_every_option_has_help():
     bare = [f"{name} {(a.option_strings or [a.dest])[0]}" for name, a in actions if not a.help]
     assert bare == []
     bound = [(name, a.help) for name, a in actions if "--bound" in a.option_strings]
-    assert sorted(name for name, _ in bound) == ["candidates", "fpt", "ft", "verify"]
+    assert sorted(name for name, _ in bound) == ["candidates", "fpt", "verify"]
     assert len({text for _, text in bound}) == 1

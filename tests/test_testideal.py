@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import floor
+from math import ceil, floor
 from types import SimpleNamespace
 
 import pytest
@@ -446,17 +446,18 @@ class TestFThreshold:
             TestIdealComputer(x, 1).f_threshold(ideal_of(ring5, "y"), cap=F(3))
 
     def test_cap_is_evaluated_only_when_the_search_reaches_it(self, ring5, monkeypatch):
-        # the threshold of x for (x^5) is 5, inside the window (0, 7]: level 0
-        # gallops 1, 2, 4, 8 and bisects (4, 8], so it ends at 5 < 7 and
-        # tau(f^7) is never asked for; only the answer goes through ideal_at
+        # the threshold of x for (x^5) is 5, below the cap 6; x has the one
+        # jump 0, so the integer part gallops 0, 1, 3, 7 and bisects (3, 7],
+        # and 7, past the cap, reads true without tau(f^7) being asked for
         asked = []
         ideal_at = TestIdealComputer.ideal_at
         monkeypatch.setattr(
             TestIdealComputer, "ideal_at", lambda c, lam: asked.append(lam) or ideal_at(c, lam)
         )
         c = TestIdealComputer(ring5.variable("x"), 3)
-        assert c.f_threshold(ideal_of(ring5, "x^5"), cap=7) == 5
-        assert asked == [5]
+        assert c.f_threshold(ideal_of(ring5, "x^5"), cap=6) == 5
+        assert all(lam <= 6 for lam in asked)
+        assert asked == [0, 1, 3, 5, 4]
 
     def test_above_one(self, ring5, quartic5):
         # tau drops inside (f)*m only beyond the first Skoda translate
@@ -489,18 +490,24 @@ class TestLeastParameter:
     @pytest.mark.parametrize("lo, hi", [(0, 3), (F(1, 2), 3), (0, F(5, 2)), (F(1, 3), F(7, 4))])
     @pytest.mark.parametrize("target", [("x", "y"), ("x^2", "y"), ("x^5", "x*y", "y^2")])
     def test_wide_window_matches_unit_scan(self, ring5, quartic5, lo, hi, target):
+        # f_threshold at the cap hi against narrowing_oracle over the unit
+        # windows from lo up to hi; f*b has its threshold past the first
+        # Skoda translate, so above lo, and a scan that finds none is a cap miss
         c = TestIdealComputer(quartic5, 6)
-        # f*b: its threshold is past the first Skoda translate
         b = Ideal(ring5, tuple(quartic5 * g for g in ideal_of(ring5, *target).generators))
         scan, k = None, F(lo)
         while scan is None and k < hi:
-            scan = least_parameter(c, b.contains_ideal, k, min(k + 1, F(hi)))
+            scan = narrowing_oracle.least_parameter(c, b.contains_ideal, k, min(k + 1, F(hi)))
             k += 1
-        assert least_parameter(c, b.contains_ideal, lo, hi) == scan
+        if scan is None:
+            with pytest.raises(InfeasibleError):
+                c.f_threshold(b, hi)
+        else:
+            assert c.f_threshold(b, hi) == scan
 
     def test_rejects_empty_window(self, quartic5):
         with pytest.raises(DomainError):
-            least_parameter(TestIdealComputer(quartic5, 6), bool, 1, 1)
+            least_parameter(TestIdealComputer(quartic5, 6), bool, 1)
 
     def test_isolated_candidate_is_rechecked(self):
         # a duck-typed computer whose "ideal" at lam is lam itself, and at
@@ -514,9 +521,9 @@ class TestLeastParameter:
             left_limit_at=lambda lam: lam - F(1, 2**64),
         )
         computer.certified = lambda *args: TestIdealComputer.certified(computer, *args)
-        assert least_parameter(computer, lambda lam: lam >= F(1, 3), 0, 1) == (F(1, 3), F(1, 3))
+        assert least_parameter(computer, lambda lam: lam >= F(1, 3), 0) == (F(1, 3), F(1, 3))
         with pytest.raises(DomainError, match="is not the least parameter"):
-            least_parameter(computer, lambda lam: lam >= F(17, 50), 0, 1)
+            least_parameter(computer, lambda lam: lam >= F(17, 50), 0)
 
     def test_last_cell_gap_is_refused(self):
         # a duck-typed family with the jumps 0, 21/64, 1 at p = 2, B = 2:
@@ -538,12 +545,14 @@ class TestLeastParameter:
         )
         computer.certified = lambda *args: TestIdealComputer.certified(computer, *args)
         with pytest.raises(DomainError, match="too small"):
-            least_parameter(computer, lambda ideal: ideal != 0, 0, 1)
+            least_parameter(computer, lambda ideal: ideal != 0, 0)
 
     def test_level_zero_doubles_up_from_the_bottom(self, ring5):
-        # the answer 4/5 lies far below hi = 100: level 0 evaluates the
-        # integer 1 and stops, so neither f^100 nor a power near a midpoint
-        # of (0, 100] is formed, and ideal_at sees only 4/5
+        # f_threshold's integer part gallops up from 0: the answer 4/5, the
+        # last jump, lies far below the cap 100, and the block n = 0 holds
+        # there, so neither f^100 nor a power near a midpoint of (0, 100] is
+        # formed; ideal_at sees 4/5 and 0, and no grid point at e = 0 but
+        # f^0 is formed
         c = TestIdealComputer(parse_polynomial("x^2+y^3+x*y^2", ring5))
         asked, level0 = [], []
         ideal_at, grid_ideal = c.ideal_at, c.grid_ideal
@@ -555,9 +564,8 @@ class TestLeastParameter:
             return grid_ideal(k, e)
 
         c.grid_ideal = spy
-        lam, ideal = least_parameter(c, maximal_ideal(ring5).contains_ideal, 0, 100)
-        assert (lam, asked, level0) == (F(4, 5), [F(4, 5)], [1])
-        assert ideal == ideal_at(lam)
+        lam = c.f_threshold(maximal_ideal(ring5), cap=100)
+        assert (lam, asked, level0) == (F(4, 5), [F(4, 5), 0], [0])
 
     def test_walk_evaluates_each_jump_once(self, quartic5, monkeypatch):
         # the walk keeps the ideal least_parameter certified for each jump
@@ -640,26 +648,23 @@ class TestGuesses:
             (0, F(4, 5)),  # a later jump
             (F(7, 12), F(7, 12)),  # at lo
             (F(7, 12), F(1, 2)),  # below lo
-            (0, F(3, 2)),  # past hi
+            (0, F(3, 2)),  # past the window's end 1
         ],
     )
     def test_wrong_guess_returns_the_searched_answer(self, quartic5, lo, guess):
         c = TestIdealComputer(quartic5, 6)
         current = c.ideal_at(lo)
         predicate = current.__ne__
-        searched = least_parameter(c, predicate, lo, 1)
-        assert least_parameter(c, predicate, lo, 1, guess) == searched
+        searched = least_parameter(c, predicate, lo)
+        assert least_parameter(c, predicate, lo, guess) == searched
         assert searched[0] == (F(7, 12) if lo == 0 else F(4, 5))
 
     def test_right_guess_is_certified(self, quartic5):
         c = TestIdealComputer(quartic5, 6)
         inside_m = maximal_ideal(quartic5.ring).contains_ideal
-        found = least_parameter(c, inside_m, 0, 1, F(7, 12))
+        found = least_parameter(c, inside_m, 0, F(7, 12))
         assert c.evaluations == 2  # tau and the left limit at the guess
         assert found == (F(7, 12), c.ideal_at(F(7, 12)))
-        # the fpt is certified, but past the window's end, which the search
-        # answers with None
-        assert least_parameter(c, inside_m, 0, F(1, 2), F(7, 12)) is None
         assert c.certified(inside_m, F(4, 5)) is None
         assert c.certified(inside_m, F(1, 2)) is None
 
@@ -687,11 +692,11 @@ class TestVerifyChecks:
         true_fpt = TestIdealComputer(f, bound).fpt()
         least = testideal.least_parameter
 
-        def next_candidate(computer, predicate, lo, hi, guess=None):
-            found = least(computer, predicate, lo, hi, guess)
-            if found is None or found[0] == hi:
+        def next_candidate(computer, predicate, lo, guess=None):
+            found = least(computer, predicate, lo, guess)
+            if found[0] == 1:
                 return found
-            lam = candidates_left_open(computer.p, computer.bound, found[0], hi)[0]
+            lam = candidates_left_open(computer.p, computer.bound, found[0], 1)[0]
             return lam, computer.ideal_at(lam)
 
         assert dict(jumping_numbers_unit_interval(f, bound).checks())[self.FPT_CHECK]
@@ -728,39 +733,47 @@ class TestGridNarrowing:
         for report in self._cases():
             c, f = report.computer, report.poly
 
-            def same(predicate, lo, hi):
+            def same(predicate, lo):
                 nonlocal searched
                 searched += 1
-                expected = narrowing_oracle.least_parameter(c, predicate, lo, hi)
-                if expected is not None:
-                    expected = (expected, c.ideal_at(expected))
-                assert least_parameter(c, predicate, lo, hi) == expected, (str(f), lo, hi)
+                expected = narrowing_oracle.least_parameter(c, predicate, lo, 1)
+                expected = (expected, c.ideal_at(expected))
+                assert least_parameter(c, predicate, lo) == expected, (str(f), lo)
 
-            same(maximal_ideal(f.ring).contains_ideal, 0, 1)
+            same(maximal_ideal(f.ring).contains_ideal, 0)
             for lam, ideal in zip(report.jumping_numbers, report.test_ideals):
-                same(lambda J, ideal=ideal: J != ideal, lam, 1)
-            # F-threshold windows wider than 1 from a fractional lo: b and f*b,
-            # whose threshold lies past the first Skoda translate
+                same(lambda J, ideal=ideal: J != ideal, lam)
+            # F-thresholds at caps past 1, which f_threshold reads off the
+            # closure: b and f*b, whose threshold lies past the first Skoda
+            # translate; an answer past the cap is a cap miss
             for target in (("x", "y"), ("x", "y^2")):
                 b = ideal_of(f.ring, *target)
                 fb = Ideal(f.ring, tuple(f * g for g in b.generators))
-                for ideal, lo, hi in product((b, fb), (F(1, 2), F(1, 3)), (3, F(5, 2))):
-                    if not ideal.contains_ideal(c.ideal_at(lo)):
-                        same(ideal.contains_ideal, lo, hi)
+                for ideal, cap in product((b, fb), (F(1, 2), F(5, 2), 3)):
+                    searched += 1
+                    expected = narrowing_oracle.least_parameter(
+                        c, ideal.contains_ideal, 0, max(ceil(cap), 1)
+                    )
+                    if expected is None or expected > cap:
+                        with pytest.raises(InfeasibleError):
+                            c.f_threshold(ideal, cap)
+                    else:
+                        assert c.f_threshold(ideal, cap) == expected, (str(f), ideal, cap)
         assert searched > 100
 
     @pytest.mark.parametrize("bound", [1, 2, None])
-    def test_ideal_at_only_at_hi_and_the_candidate(self, quartic5, cusp7, bound):
+    def test_ideal_at_only_at_the_candidate(self, quartic5, cusp7, bound):
         # the cusp's fpt 5/6 is a candidate for B = 1 at p = 7; the default
-        # bound runs on the quartic, whose default B is 6
+        # bound runs on the quartic, whose default B is 6.  The window's end
+        # 1 reads true unevaluated
         f = quartic5 if bound is None else cusp7
         c = TestIdealComputer(f, bound)
         asked = []
         ideal_at = c.ideal_at
         c.ideal_at = lambda lam: asked.append(lam) or ideal_at(lam)
-        lam, ideal = least_parameter(c, maximal_ideal(f.ring).contains_ideal, 0, 1)
+        lam, ideal = least_parameter(c, maximal_ideal(f.ring).contains_ideal, 0)
         assert lam == (F(7, 12) if bound is None else F(5, 6))
-        assert asked == [1, lam]
+        assert asked == [lam]
         assert ideal == ideal_at(lam)
         assert c.evaluations > 2  # the grid points are counted too
 
